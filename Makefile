@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint bench bench-compare fmt serve-smoke loadtest
+.PHONY: build test verify lint bench fmt serve-smoke loadtest
 
 build:
 	$(GO) build ./...
@@ -32,10 +32,5 @@ loadtest:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Engine A/B on the decoder campaign; writes BENCH_gatesim.json and fails
-# below MIN_SPEEDUP (default 1.0; CI uses 2.0).
-bench-compare:
-	sh scripts/bench_compare.sh
-
 fmt:
-	gofmt -w ./cmd ./internal ./examples ./*.go
+	gofmt -w ./benchmark ./cmd ./internal ./examples ./*.go

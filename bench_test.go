@@ -83,7 +83,7 @@ func gateArtifacts(b *testing.B, patterns int) ([]*gatesim.Summary, map[string]*
 	totals := map[string]int{}
 	for _, u := range units.All() {
 		col := errclass.NewCollector(u.Name)
-		sums = append(sums, gatesim.Campaign(u, pats, col))
+		sums = append(sums, gatesim.CampaignCfg(u, pats, col, gatesim.Config{}))
 		cols[u.Name] = col
 		totals[u.Name] = u.NL.NumFaults()
 	}
@@ -352,11 +352,11 @@ func BenchmarkAblationWorkers(b *testing.B) {
 // representative per equivalence class and expands the results, producing
 // byte-identical summaries while shedding a reported fraction of the fault
 // list. BenchmarkFullCampaign pins the dense reference engine explicitly —
-// Campaign defaults to the event engine — so the pair
+// the zero Config selects the event engine — so the pair
 // BenchmarkFullCampaign/BenchmarkEventCampaign stays a true engine A/B on
-// the same decoder campaign (scripts/bench_compare.sh gates on the ratio).
-// Both pin Workers to 1: the A/B isolates the engines, and the parallel
-// scaling has its own benchmark (BenchmarkParallelCampaignWSC).
+// the same decoder campaign. Both pin Workers to 1: the A/B isolates the
+// engines, and the parallel scaling has its own benchmark
+// (BenchmarkParallelCampaignWSC).
 func BenchmarkFullCampaign(b *testing.B) {
 	u := units.Decoder()
 	patterns := campaignPatterns(b)
@@ -386,20 +386,15 @@ func BenchmarkEventCampaign(b *testing.B) {
 // BenchmarkParallelCampaignWSC measures intra-campaign fault-batch
 // sharding on the WSC — the largest netlist, the paper's dominant
 // campaign cost. Sub-benchmarks sweep the worker width over the same
-// campaign (byte-identical results); scripts/bench_compare.sh turns the
-// 1/2/4-worker rows into BENCH_parallel.json and gates the 4-worker
-// speedup on multi-core hosts. Width 1 uses the serial reference path —
-// the honest baseline, with zero sharding overhead.
-//
-// With GPUFAULTSIM_TIMELINE_OUT set, the widest width additionally runs
-// one instrumented campaign after timing and writes its shard
-// utilization timeline there (timeline recording is gated, so the timed
-// iterations stay allocation-free).
+// campaign (byte-identical results). Width 1 runs the whole loop on the
+// calling goroutine — the honest baseline, with no goroutine hand-off.
+// The repository benchmark reports the same ratio per unit as
+// gatesim.<unit>.shard_speedup (go run ./benchmark -workload gate_sweep
+// -trace 1).
 func BenchmarkParallelCampaignWSC(b *testing.B) {
 	u := units.WSC()
 	patterns := campaignPatterns(b)
-	widths := []int{1, 2, 4}
-	for _, workers := range widths {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -407,19 +402,6 @@ func BenchmarkParallelCampaignWSC(b *testing.B) {
 				b.ReportMetric(float64(sum.SimulatedSites), "sim-faults")
 			}
 		})
-	}
-	if out := os.Getenv("GPUFAULTSIM_TIMELINE_OUT"); out != "" {
-		tl := &gatesim.ShardTimeline{}
-		gatesim.CampaignCfg(u, patterns, nil,
-			gatesim.Config{Engine: gatesim.EngineEvent, Workers: widths[len(widths)-1], Timeline: tl})
-		f, err := os.Create(out)
-		if err != nil {
-			b.Fatalf("timeline out: %v", err)
-		}
-		defer f.Close()
-		if err := tl.WriteJSON(f); err != nil {
-			b.Fatalf("timeline write: %v", err)
-		}
 	}
 }
 
@@ -429,7 +411,7 @@ func BenchmarkCollapsedCampaign(b *testing.B) {
 	cm := analyze.Collapse(u.NL)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum := gatesim.CampaignCollapsed(u, patterns, cm, nil)
+		sum := gatesim.CampaignCollapsedCfg(u, patterns, cm, nil, gatesim.Config{})
 		b.ReportMetric(float64(sum.SimulatedSites), "sim-faults")
 	}
 	b.ReportMetric(100*cm.Reduction(), "fault-reduction-%")
@@ -554,13 +536,13 @@ func BenchmarkAblationDelayFaults(b *testing.B) {
 	u := units.Decoder()
 	b.Run("stuck-at", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sum := gatesim.Campaign(u, patterns, nil)
+			sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{})
 			b.ReportMetric(100*sum.Fraction(gatesim.SWError), "sw-error-%")
 		}
 	})
 	b.Run("delay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sum := gatesim.CampaignFaults(u, patterns, netlist.DelayFaultList(u.NL), nil)
+			sum := gatesim.CampaignFaultsCfg(u, patterns, netlist.DelayFaultList(u.NL), nil, gatesim.Config{})
 			b.ReportMetric(100*sum.Fraction(gatesim.SWError), "sw-error-%")
 		}
 	})

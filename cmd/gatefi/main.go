@@ -14,7 +14,6 @@ import (
 
 	"gpufaultsim/internal/artifact"
 
-	"gpufaultsim/internal/analyze"
 	"gpufaultsim/internal/campaign"
 	"gpufaultsim/internal/errclass"
 	"gpufaultsim/internal/gatesim"
@@ -68,25 +67,12 @@ func main() {
 	}
 
 	tm := telemetry.StartTimer(nil)
-	type outcome struct {
-		sum *gatesim.Summary
-		col *errclass.Collector
-	}
 	// -workers feeds the intra-campaign fault-batch pool; the unit fan-out
 	// always runs every selected unit concurrently (at most 3).
-	cfg := gatesim.Config{Engine: eng, Workers: *workers}
-	outs := campaign.ParallelMap(targets, 0, func(u *units.Unit) outcome {
+	outs := campaign.ParallelMap(targets, 0, func(u *units.Unit) *campaign.UnitOutcome {
 		sp := runSpan.Child("gate:" + u.Name)
 		defer sp.End()
-		col := errclass.NewCollector(u.Name)
-		var sum *gatesim.Summary
-		if *collapse {
-			cm := analyze.Collapse(u.NL)
-			sum = gatesim.CampaignCollapsedCfg(u, patterns, cm, col, cfg)
-		} else {
-			sum = gatesim.CampaignCfg(u, patterns, col, cfg)
-		}
-		return outcome{sum, col}
+		return campaign.GateStep(u, patterns, *collapse, eng, *workers)
 	})
 	fmt.Printf("campaigns finished in %.2fs\n\n", tm.Stop())
 
@@ -96,12 +82,12 @@ func main() {
 	totals := map[string]int{}
 	for i, u := range targets {
 		fmt.Println(u.NL.Stats())
-		sums = append(sums, outs[i].sum)
-		reports = append(reports, errclass.Report(outs[i].sum, outs[i].col))
-		cols[u.Name] = outs[i].col
+		sums = append(sums, outs[i].Summary)
+		reports = append(reports, outs[i].Report)
+		cols[u.Name] = outs[i].Collector
 		totals[u.Name] = u.NL.NumFaults()
-		fmt.Printf("  multi-model faults: %d\n", outs[i].col.MultiModelFaults())
-		if s := outs[i].sum; s.SimulatedSites < s.TotalSites {
+		fmt.Printf("  multi-model faults: %d\n", outs[i].Collector.MultiModelFaults())
+		if s := outs[i].Summary; s.SimulatedSites < s.TotalSites {
 			fmt.Printf("  collapsed: simulated %d of %d fault sites (%.1f%% fewer)\n",
 				s.SimulatedSites, s.TotalSites,
 				100*(1-float64(s.SimulatedSites)/float64(s.TotalSites)))
@@ -112,7 +98,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := artifact.Write(f, artifact.NewGateReport(*seed, outs[i].sum, outs[i].col)); err != nil {
+			if err := artifact.Write(f, artifact.NewGateReport(*seed, outs[i].Summary, outs[i].Collector)); err != nil {
 				log.Fatal(err)
 			}
 			f.Close()

@@ -150,11 +150,11 @@ func TestCollapsedCampaignExactOnRandomCircuits(t *testing.T) {
 		}
 
 		colFull := errclass.NewCollector(u.Name)
-		full := gatesim.Campaign(u, patterns, colFull)
+		full := gatesim.CampaignCfg(u, patterns, colFull, gatesim.Config{})
 
 		cm := analyze.Collapse(nl)
 		colC := errclass.NewCollector(u.Name)
-		collapsed := gatesim.CampaignCollapsed(u, patterns, cm, colC)
+		collapsed := gatesim.CampaignCollapsedCfg(u, patterns, cm, colC, gatesim.Config{})
 
 		if !reflect.DeepEqual(full.Class, collapsed.Class) {
 			for i := range full.Class {

@@ -41,7 +41,7 @@ func TestStaticUncontrollableNeverFiresInSimulation(t *testing.T) {
 	patterns := randomPatterns(rng, 12)
 	for _, u := range units.All() {
 		tb := analyze.Analyze(u.NL)
-		sum := gatesim.Campaign(u, patterns, nil)
+		sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{})
 		for i, f := range sum.Faults {
 			if tb.ClassifyFault(f) != analyze.StaticUncontrollable {
 				continue
@@ -62,9 +62,9 @@ func TestCollapsedCampaignExactOnRealUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	patterns := randomPatterns(rng, 12)
 	for _, u := range units.All() {
-		full := gatesim.Campaign(u, patterns, nil)
+		full := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{})
 		cm := analyze.Collapse(u.NL)
-		collapsed := gatesim.CampaignCollapsed(u, patterns, cm, nil)
+		collapsed := gatesim.CampaignCollapsedCfg(u, patterns, cm, nil, gatesim.Config{})
 
 		if !reflect.DeepEqual(full.Class, collapsed.Class) {
 			diff := 0
@@ -97,7 +97,7 @@ func TestStaticUnobservableNeverCorruptsOutputs(t *testing.T) {
 	patterns := randomPatterns(rng, 12)
 	for _, u := range units.All() {
 		tb := analyze.Analyze(u.NL)
-		sum := gatesim.Campaign(u, patterns, nil)
+		sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{})
 		for i, f := range sum.Faults {
 			if tb.ClassifyFault(f) != analyze.StaticUnobservable {
 				continue
@@ -126,7 +126,7 @@ func TestLintDeadLogicAgreesWithCampaign(t *testing.T) {
 		if len(dead) == 0 {
 			continue
 		}
-		sum := gatesim.Campaign(u, patterns, nil)
+		sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{})
 		for i, f := range sum.Faults {
 			if dead[f.Node] && (sum.Class[i] == gatesim.Hang || sum.Class[i] == gatesim.SWError) {
 				t.Errorf("%s: dead node %d classified %v", u.Name, f.Node, sum.Class[i])

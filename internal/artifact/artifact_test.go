@@ -24,7 +24,7 @@ func gateArtifact(t *testing.T) *GateReport {
 		{Word: isa.Instruction{Op: isa.OpSTS, Pred: isa.PT, Rs1: 1, Rs2: 2}.Encode()},
 	}
 	col := errclass.NewCollector(u.Name)
-	sum := gatesim.Campaign(u, pats, col)
+	sum := gatesim.CampaignCfg(u, pats, col, gatesim.Config{})
 	return NewGateReport(7, sum, col)
 }
 

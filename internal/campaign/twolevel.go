@@ -46,7 +46,7 @@ type TwoLevelConfig struct {
 	// BatchWorkers is the intra-campaign parallelism of each unit's
 	// gate-level campaign: a pattern's 64-lane fault batches shard across
 	// this many workers, each owning its own simulator and event engine
-	// (0 = GOMAXPROCS, 1 = the serial reference path). Worker counts
+	// (0 = GOMAXPROCS, 1 = single-threaded). Worker counts
 	// never change results — summaries stay byte-identical at any width.
 	BatchWorkers int
 	// Collapse runs the static fault-collapsing analysis (package analyze)

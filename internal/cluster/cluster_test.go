@@ -288,3 +288,21 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Fatalf("keyless complete status = %d, want 400", code)
 	}
 }
+
+// TestWorkerDefaultBatchWorkersPassThrough: a worker built with default
+// options hands BatchWorkers 0 to the chunk executor — "GOMAXPROCS",
+// which gatesim resolves — as faultsimd -batch-workers documents for
+// every role, instead of pinning gate chunks to one thread.
+func TestWorkerDefaultBatchWorkersPassThrough(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{Name: "w", Coordinator: "http://unused.invalid", Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.opts.BatchWorkers; got != 0 {
+		t.Fatalf("default BatchWorkers resolved to %d in the worker, want 0 passed through", got)
+	}
+}

@@ -81,7 +81,9 @@ func waitJob(t *testing.T, s *jobs.Scheduler, id string) jobs.Status {
 	return jobs.Status{}
 }
 
-// newClusterWorker builds a worker with its own private store directory.
+// newClusterWorker builds a worker with its own private store directory
+// and the default batch width, so the byte-identity checks below hold for
+// a worker started with faultsimd's defaults.
 func newClusterWorker(t *testing.T, name, url string, hook func(ctx context.Context, req jobs.ChunkRequest)) *Worker {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), 0)
@@ -90,7 +92,7 @@ func newClusterWorker(t *testing.T, name, url string, hook func(ctx context.Cont
 	}
 	w, err := NewWorker(WorkerOptions{
 		Name: name, Coordinator: url, Store: st,
-		BatchWorkers: 1, MaxLeases: 2, Poll: 10 * time.Millisecond,
+		MaxLeases: 2, Poll: 10 * time.Millisecond,
 		BeforeCompute: hook,
 	})
 	if err != nil {

@@ -36,7 +36,8 @@ type WorkerOptions struct {
 	// resolved here with remote read-through to the coordinator.
 	Store *store.Store
 	// BatchWorkers bounds intra-campaign fault-batch parallelism per
-	// chunk (<=0 selects 1). Never influences payload bytes.
+	// gate chunk (<=0 selects GOMAXPROCS, as everywhere the knob appears;
+	// gatesim resolves it). Never influences payload bytes.
 	BatchWorkers int
 	// MaxLeases is how many chunks to request per poll (<=0 selects 1).
 	MaxLeases int
@@ -92,9 +93,6 @@ type Worker struct {
 func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Name == "" || opts.Coordinator == "" || opts.Store == nil {
 		return nil, fmt.Errorf("cluster: worker needs a name, a coordinator URL and a store")
-	}
-	if opts.BatchWorkers <= 0 {
-		opts.BatchWorkers = 1
 	}
 	if opts.MaxLeases <= 0 {
 		opts.MaxLeases = 1

@@ -28,7 +28,7 @@ func TestCampaignClassifiesEveryFault(t *testing.T) {
 	pats := smallPatterns(t, 40)
 	for _, u := range units.All() {
 		col := errclass.NewCollector(u.Name)
-		sum := gatesim.Campaign(u, pats, col)
+		sum := gatesim.CampaignCfg(u, pats, col, gatesim.Config{})
 		if got := sum.NumUncontrollable + sum.NumMasked + sum.NumHang + sum.NumSWError; got != len(sum.Faults) {
 			t.Fatalf("%s: class counts sum %d != %d faults", u.Name, got, len(sum.Faults))
 		}
@@ -50,8 +50,8 @@ func TestCampaignClassifiesEveryFault(t *testing.T) {
 func TestCampaignDeterminism(t *testing.T) {
 	pats := smallPatterns(t, 10)
 	u := units.Decoder()
-	s1 := gatesim.Campaign(u, pats, nil)
-	s2 := gatesim.Campaign(u, pats, nil)
+	s1 := gatesim.CampaignCfg(u, pats, nil, gatesim.Config{})
+	s2 := gatesim.CampaignCfg(u, pats, nil, gatesim.Config{})
 	for i := range s1.Class {
 		if s1.Class[i] != s2.Class[i] {
 			t.Fatalf("fault %d classified %v then %v", i, s1.Class[i], s2.Class[i])
@@ -63,7 +63,7 @@ func TestDecoderCampaignProducesExpectedModels(t *testing.T) {
 	pats := smallPatterns(t, 60)
 	u := units.Decoder()
 	col := errclass.NewCollector(u.Name)
-	gatesim.Campaign(u, pats, col)
+	gatesim.CampaignCfg(u, pats, col, gatesim.Config{})
 
 	// The decoder touches the machine code directly, so the paper observes
 	// the widest model spectrum there. At minimum, the big field groups
@@ -89,7 +89,7 @@ func TestWSCCampaignIsParallelManagementDominated(t *testing.T) {
 	pats := smallPatterns(t, 60)
 	u := units.WSC()
 	col := errclass.NewCollector(u.Name)
-	sum := gatesim.Campaign(u, pats, col)
+	sum := gatesim.CampaignCfg(u, pats, col, gatesim.Config{})
 
 	// Paper: faults in the scheduler map mostly to parallel-management
 	// errors (IAT/IAW/IAC dominate; thread-mask state is the biggest
@@ -121,7 +121,7 @@ func TestFetchCampaignIsOperationDominated(t *testing.T) {
 	pats := smallPatterns(t, 60)
 	u := units.Fetch()
 	col := errclass.NewCollector(u.Name)
-	gatesim.Campaign(u, pats, col)
+	gatesim.CampaignCfg(u, pats, col, gatesim.Config{})
 
 	// Paper: fetch faults lead mainly to operation errors (IOC/IVOC): the
 	// corrupted IR or PC delivers a wrong or undefined instruction.
@@ -142,7 +142,7 @@ func TestFetchCampaignIsOperationDominated(t *testing.T) {
 func TestHangFaultsAreControlPaths(t *testing.T) {
 	pats := smallPatterns(t, 30)
 	u := units.WSC()
-	sum := gatesim.Campaign(u, pats, nil)
+	sum := gatesim.CampaignCfg(u, pats, nil, gatesim.Config{})
 	// Hang fraction should be a small minority (paper: 1.2% – 3.6%).
 	if f := sum.Fraction(gatesim.Hang); f > 0.25 {
 		t.Errorf("hang fraction %.2f implausibly high", f)
@@ -153,7 +153,7 @@ func TestReportRowsConsistent(t *testing.T) {
 	pats := smallPatterns(t, 30)
 	u := units.Decoder()
 	col := errclass.NewCollector(u.Name)
-	sum := gatesim.Campaign(u, pats, col)
+	sum := gatesim.CampaignCfg(u, pats, col, gatesim.Config{})
 	rep := errclass.Report(sum, col)
 	if rep.TotalFaults != len(sum.Faults) {
 		t.Errorf("report total %d != %d", rep.TotalFaults, len(sum.Faults))

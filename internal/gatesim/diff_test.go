@@ -48,9 +48,9 @@ func diffEngines(t *testing.T, u *units.Unit, patterns []units.Pattern, cm Colla
 		sink := &recordingSink{}
 		var sum *Summary
 		if cm != nil {
-			sum = CampaignCollapsedWith(u, patterns, cm, sink, eng)
+			sum = CampaignCollapsedCfg(u, patterns, cm, sink, Config{Engine: eng})
 		} else {
-			sum = CampaignWith(u, patterns, sink, eng)
+			sum = CampaignCfg(u, patterns, sink, Config{Engine: eng})
 		}
 		return sum, sink.events
 	}
@@ -175,8 +175,8 @@ func TestEventEngineMatchesFullOnDelayFaults(t *testing.T) {
 	patterns := diffPatterns(7, 8)
 	faults := netlist.DelayFaultList(u.NL)
 	fullSink, eventSink := &recordingSink{}, &recordingSink{}
-	fullSum := CampaignFaultsWith(u, patterns, faults, fullSink, EngineFull)
-	eventSum := CampaignFaultsWith(u, patterns, faults, eventSink, EngineEvent)
+	fullSum := CampaignFaultsCfg(u, patterns, faults, fullSink, Config{Engine: EngineFull})
+	eventSum := CampaignFaultsCfg(u, patterns, faults, eventSink, Config{Engine: EngineEvent})
 	if !reflect.DeepEqual(fullSum, eventSum) {
 		t.Errorf("delay summaries diverge:\n full: %+v\nevent: %+v", fullSum, eventSum)
 	}

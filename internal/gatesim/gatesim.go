@@ -18,17 +18,16 @@ import (
 	"math/rand"
 	"sort"
 
-	"gpufaultsim/internal/gatesim/engine"
 	"gpufaultsim/internal/netlist"
 	"gpufaultsim/internal/stats"
 	"gpufaultsim/internal/telemetry"
 	"gpufaultsim/internal/units"
 )
 
-// Campaign metrics. Everything is accumulated in plain locals inside
-// campaignRun and flushed with a handful of atomic adds when the
+// Campaign metrics. Everything is accumulated in plain locals (per
+// worker, in run) and flushed with a handful of atomic adds when the
 // campaign ends, so the simulation inner loops carry zero telemetry
-// cost and BENCH_gatesim.json numbers hold with the registry enabled.
+// cost and the benchmark's numbers hold with the registry enabled.
 var (
 	telCampaignsEvent = telemetry.Default().Counter("gatesim_campaigns_total", "gate-level campaigns run", telemetry.L("engine", "event"))
 	telCampaignsFull  = telemetry.Default().Counter("gatesim_campaigns_total", "gate-level campaigns run", telemetry.L("engine", "full"))
@@ -51,10 +50,10 @@ var (
 	// are observed at batch granularity — outside the delta-propagation
 	// inner loops — so the engine hot path stays telemetry-free.
 	telBatchBusy = telemetry.Default().Gauge("gatesim_batch_workers_busy", "intra-campaign fault-batch workers currently simulating")
-	telBatchSec  = telemetry.Default().Histogram("gatesim_batch_seconds", "wall-clock per 64-lane fault batch (sharded campaigns)", telemetry.ExponentialBuckets(1e-6, 4, 10))
-	// Cumulative worker-seconds spent idle inside sharded pattern rounds
-	// (round wall-clock minus busy time, summed over workers): the
-	// straggler-tail signal behind the shard utilization timeline.
+	telBatchSec  = telemetry.Default().Histogram("gatesim_batch_seconds", "wall-clock per 64-lane fault batch", telemetry.ExponentialBuckets(1e-6, 4, 10))
+	// Cumulative worker-seconds spent waiting at round joins (from the
+	// moment a worker finds the item counter drained until the slowest
+	// worker finishes): the straggler-tail signal. Zero at width 1.
 	telShardIdleSec = telemetry.Default().FloatCounter("gatesim_shard_idle_seconds", "cumulative shard-worker idle seconds inside campaign rounds")
 )
 
@@ -177,80 +176,29 @@ type fieldSpan struct {
 type Config struct {
 	// Engine selects the faulty-machine evaluation strategy.
 	Engine Engine
-	// Workers is the intra-campaign parallelism: each pattern's 64-lane
-	// fault batches are sharded across this many workers, every worker
-	// owning its own simulator, event engine and grading scratch. Workers
-	// record corruption events per batch and the campaign replays them to
-	// the sink in batch order — the serial traversal order — so
-	// summaries, classifications and sink event streams are byte-identical
-	// at every width. 0 selects GOMAXPROCS; 1 pins the single-threaded
-	// reference path.
+	// Workers is the intra-campaign parallelism: each round's (pattern
+	// quad × 64-lane fault group) work items are sharded across this many
+	// workers, every worker owning its own simulator, event engine and
+	// grading scratch. Workers record corruption events per item and the
+	// campaign replays them to the sink pattern-major, so summaries,
+	// classifications and sink event streams are byte-identical at every
+	// width. 0 selects GOMAXPROCS; 1 runs the whole loop on the calling
+	// goroutine.
 	Workers int
-	// Timeline, when non-nil, receives the per-worker busy intervals of
-	// every sharded pattern round (the shard utilization timeline) plus
-	// per-batch flight-recorder spans. Observational only: it never
-	// influences grading, and the serial path ignores it.
-	Timeline *ShardTimeline
-
-	// PatternBlock is the pattern-parallel packing width: up to this many
-	// patterns share one lane-packed golden evaluation (one pattern per
-	// bit lane), and their faulty passes fan out as (pattern × 64-lane
-	// group) work items. Wider blocks amortize the golden pass 64x and
-	// give shard workers a deeper, better-balanced item space; results
-	// are byte-identical at every width (parallel_test.go). 0 selects the
-	// full 64-lane width; 1 pins the one-pattern-at-a-time reference.
-	PatternBlock int
-
-	// forceShard routes width-1 runs through the sharded path; tests use
-	// it to hold the sharding machinery itself to the serial reference.
-	forceShard bool
 }
 
-// blockWidth resolves the pattern-packing width against the pattern list.
-func (c Config) blockWidth(nPatterns int) int {
-	w := c.PatternBlock
-	if w <= 0 || w > 64 {
-		w = 64
-	}
-	if w > nPatterns && nPatterns > 0 {
-		w = nPatterns
-	}
-	return w
-}
-
-// Campaign runs the exhaustive stuck-at campaign for one unit over the
+// CampaignCfg runs the exhaustive stuck-at campaign for one unit over the
 // pattern list. Each pattern is applied from reset for unit.Cycles clock
 // cycles; outputs are compared after every evaluation.
-func Campaign(u *units.Unit, patterns []units.Pattern, sink EventSink) *Summary {
-	return CampaignWith(u, patterns, sink, EngineEvent)
-}
-
-// CampaignWith is Campaign with an explicit engine selection.
-func CampaignWith(u *units.Unit, patterns []units.Pattern, sink EventSink, eng Engine) *Summary {
-	return CampaignCfg(u, patterns, sink, Config{Engine: eng})
-}
-
-// CampaignCfg is Campaign with explicit execution knobs.
 func CampaignCfg(u *units.Unit, patterns []units.Pattern, sink EventSink, cfg Config) *Summary {
 	return CampaignFaultsCfg(u, patterns, netlist.FaultList(u.NL), sink, cfg)
 }
 
-// CampaignFaults runs a campaign over an explicit fault list — e.g. the
+// CampaignFaultsCfg runs a campaign over an explicit fault list — e.g. the
 // delay-fault list (netlist.DelayFaultList), the extension the paper
-// mentions alongside stuck-at faults.
-func CampaignFaults(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, sink EventSink) *Summary {
-	return CampaignFaultsWith(u, patterns, faults, sink, EngineEvent)
-}
-
-// CampaignFaultsWith is CampaignFaults with an explicit engine selection.
-// Batches containing delay faults always run on the full simulator (the
-// event engine's delta representation has no previous-evaluation values
-// for clean nodes).
-func CampaignFaultsWith(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, sink EventSink, eng Engine) *Summary {
-	return CampaignFaultsCfg(u, patterns, faults, sink, Config{Engine: eng})
-}
-
-// CampaignFaultsCfg is CampaignFaults with explicit execution knobs.
+// mentions alongside stuck-at faults. Batches containing delay faults
+// always run on the full simulator (the event engine's delta
+// representation has no previous-evaluation values for clean nodes).
 func CampaignFaultsCfg(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, sink EventSink, cfg Config) *Summary {
 	return campaignRun(u, patterns, faults, faults, nil, sink, cfg)
 }
@@ -268,24 +216,13 @@ type Collapse interface {
 	SimIndex(fullIdx int) int
 }
 
-// CampaignCollapsed runs the stuck-at campaign simulating only the
+// CampaignCollapsedCfg runs the stuck-at campaign simulating only the
 // collapse map's representative faults, then expands the results back to
 // the full fault universe. Per-fault activation is computed from the
 // golden pass for every fault (it costs no extra simulation), while
 // output corruptions — properties of the shared faulty circuit — are
 // replayed to every class member, so Summary and the sink's event stream
 // cover the same universe a full campaign would, fault for fault.
-func CampaignCollapsed(u *units.Unit, patterns []units.Pattern, cm Collapse, sink EventSink) *Summary {
-	return CampaignCollapsedWith(u, patterns, cm, sink, EngineEvent)
-}
-
-// CampaignCollapsedWith is CampaignCollapsed with an explicit engine
-// selection.
-func CampaignCollapsedWith(u *units.Unit, patterns []units.Pattern, cm Collapse, sink EventSink, eng Engine) *Summary {
-	return CampaignCollapsedCfg(u, patterns, cm, sink, Config{Engine: eng})
-}
-
-// CampaignCollapsedCfg is CampaignCollapsed with explicit execution knobs.
 func CampaignCollapsedCfg(u *units.Unit, patterns []units.Pattern, cm Collapse, sink EventSink, cfg Config) *Summary {
 	full := netlist.FaultList(u.NL)
 	sim := cm.SimFaults()
@@ -315,7 +252,6 @@ type grader struct {
 	fields      []fieldSpan
 	members     [][]int32 // nil when sim IS the full list
 	single      [1]int32  // scratch member list for the uncollapsed path
-	ws          []uint64  // scratch: lane words of the field under grade
 	hang, swerr []bool
 	sink        EventSink
 }
@@ -346,23 +282,22 @@ func (e *evStats) add(o evStats) {
 
 // campaignCtx is the shared state of one campaignRun: the stimulus, the
 // fault universe, the field grouping, the per-block golden traces and
-// the per-fault verdict accumulators. The serial reference path
-// (runSerial) and the sharded path (runSharded, shard.go) both execute
-// over it; only the item-execution strategy differs. During a sharded
-// block round the golden traces and fieldMaskOf are read-only to
-// workers, while the grader, activated and sink stay owned by the main
-// goroutine.
+// the per-fault verdict accumulators. The traversal (run, shard.go)
+// executes over it. During a round's item fan-out the golden traces and
+// fieldMaskOf are read-only to every worker, while the grader, activated
+// and sink stay owned by the calling goroutine.
 //
-// Patterns are processed in blocks of up to blockCap: one lane-packed
+// Patterns are processed in blocks of up to goldenLanes: one lane-packed
 // golden pass evaluates the whole block (pattern slot q on bit lane q).
-// The faulty passes then cover the block quad by quad — engine.Slots
-// consecutive pattern slots share each packed event sweep — forming a
-// flat work-item space of ceil(len(block)/Slots)×nGroups items, item i
-// covering fault group i%nGroups of quad i/nGroups. Every item records
-// its corruption occurrences per slot, and the recorded events replay
-// pattern-major (quad ascending, slot ascending, group ascending) — the
-// legacy serial traversal — which is what keeps summaries and sink
-// streams byte-identical at every packing width and worker count.
+// The faulty passes then cover the block in rounds of roundQuads quads —
+// engine.Slots consecutive pattern slots share each packed event sweep —
+// so a round is a flat work-item space of up to roundQuads×nGroups items,
+// item i covering fault group i%nGroups of quad i/nGroups. Every item
+// records its corruption occurrences per slot, and after each round the
+// recorded events replay pattern-major (quad ascending, slot ascending,
+// group ascending) — the order a one-pattern-at-a-time loop visits them —
+// which is what keeps summaries and sink streams byte-identical at every
+// worker count.
 type campaignCtx struct {
 	u        *units.Unit
 	patterns []units.Pattern
@@ -375,10 +310,8 @@ type campaignCtx struct {
 	g         *grader
 	activated []bool
 	maxOuts   int
-	timeline  *ShardTimeline
 
 	gsim       *netlist.Simulator
-	blockCap   int    // patterns packed per golden pass (1..64)
 	nGroups    int    // 64-lane fault groups in sim
 	groupDelay []bool // per group: contains a delay fault (full-sim fallback)
 
@@ -489,83 +422,6 @@ func (cc *campaignCtx) markActivatedBlock(blockLen int) {
 	}
 }
 
-// runSerial is the single-threaded reference item loop — the code path
-// every sharded width is held byte-identical to (parallel_test.go).
-//
-// The engine simulates up to engine.Slots patterns per sweep, so grading
-// visits a quad's slots cycle-interleaved rather than pattern-major. Like
-// the sharded path, the loop therefore records corruption occurrences into
-// per-slot buffers and replays them through mergeEvents after each quad —
-// slot by slot, groups ascending — restoring exactly the legacy
-// one-pattern-at-a-time event order the sinks observe.
-func (cc *campaignCtx) runSerial() {
-	u, nl, g := cc.u, cc.u.NL, cc.g
-	fsim := netlist.NewSimulator(nl)
-	var esim *engine.Sim
-	if cc.eng == EngineEvent {
-		esim = engine.New(nl, nil)
-	}
-	var bufs [engine.Slots][]shardEvent
-
-	for bs := 0; bs < len(cc.patterns); bs += cc.blockCap {
-		block := cc.patterns[bs:min(bs+cc.blockCap, len(cc.patterns))]
-		cc.goldenPassBlock(block)
-		cc.markActivatedBlock(len(block))
-
-		// Faulty passes, one pattern quad at a time: fault groups iterate
-		// inside the quad, so a single golden binding covers nGroups
-		// packed sweeps.
-		for q0 := 0; q0 < len(block); q0 += engine.Slots {
-			qlen := min(engine.Slots, len(block)-q0)
-			for r := 0; r < qlen; r++ {
-				bufs[r] = bufs[r][:0]
-			}
-			bound := false
-			for gi := 0; gi < cc.nGroups; gi++ {
-				base := gi * 64
-				group := cc.sim[base:min(base+64, len(cc.sim))]
-				if esim != nil && !cc.groupDelay[gi] {
-					// Event-driven: seed only the faulty pins and diverged
-					// flip-flops, propagate deltas through the fanout —
-					// all slots in one pass — and skip output grading
-					// entirely on quiet cycles.
-					if !bound {
-						esim.BindGoldenPack(cc.goldenView[q0 : q0+qlen])
-						bound = true
-					}
-					esim.SetFaults(group)
-					cc.ev.cycles += int64(u.Cycles) * int64(qlen)
-					for c := 0; c < u.Cycles; c++ {
-						esim.BeginCycle(c)
-						if esim.Active() {
-							cc.ev.active++
-							cc.ev.touched += int64(len(esim.Touched()))
-							cc.recordQuadCycle(esim, q0, qlen, base, len(group), c, g.ws, &bufs)
-						}
-						esim.Clock(c)
-					}
-					continue
-				}
-				for r := 0; r < qlen; r++ {
-					p := block[q0+r]
-					gf := cc.goldenField[q0+r]
-					fsim.Reset()
-					fsim.SetFaults(group)
-					for c := 0; c < u.Cycles; c++ {
-						u.Drive(fsim, p, c)
-						fsim.Eval()
-						bufs[r] = recordCycle(g, base, len(group), fsim, ^uint64(0), gf[c], g.ws, bufs[r])
-						fsim.Clock()
-					}
-				}
-			}
-			for r := 0; r < qlen; r++ {
-				cc.mergeEvents(block[q0+r], bufs[r])
-			}
-		}
-	}
-}
-
 // campaignRun is the engine shared by the full and collapsed campaigns.
 // Activation is graded over the full list; faulty machines are simulated
 // for the sim list only. members[si] lists the full-list indices that
@@ -597,7 +453,6 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 	g := &grader{
 		fields:  fields,
 		members: members,
-		ws:      make([]uint64, maxOuts),
 		hang:    make([]bool, len(full)),
 		swerr:   make([]bool, len(full)),
 		sink:    sink,
@@ -616,7 +471,7 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 		}
 	}
 
-	blockCap := cfg.blockWidth(len(patterns))
+	blockCap := min(goldenLanes, len(patterns))
 	nGroups := (len(sim) + 63) / 64
 	groupDelay := make([]bool, nGroups)
 	for gi := range groupDelay {
@@ -657,9 +512,7 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 		g:           g,
 		activated:   make([]bool, len(full)),
 		maxOuts:     maxOuts,
-		timeline:    cfg.Timeline,
 		gsim:        netlist.NewSimulator(nl),
-		blockCap:    blockCap,
 		nGroups:     nGroups,
 		groupDelay:  groupDelay,
 		packedNode:  packedNode,
@@ -668,11 +521,7 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 		fieldMaskOf: fieldMaskOf,
 	}
 
-	if p := cfg.shardWidth(blockCap * nGroups); p > 1 || cfg.forceShard {
-		cc.runSharded(p)
-	} else {
-		cc.runSerial()
-	}
+	cc.run(cfg.shardWidth(len(patterns), nGroups))
 
 	s := &Summary{
 		Unit: u.Name, Faults: full, Patterns: len(patterns),

@@ -36,7 +36,7 @@ func TestFaultClassStrings(t *testing.T) {
 func TestCampaignPartitionsFaults(t *testing.T) {
 	pats := somePatterns()
 	for _, u := range units.All() {
-		sum := Campaign(u, pats, nil)
+		sum := CampaignCfg(u, pats, nil, Config{})
 		total := sum.NumUncontrollable + sum.NumMasked + sum.NumHang + sum.NumSWError
 		if total != len(sum.Faults) {
 			t.Fatalf("%s: classes sum to %d, want %d", u.Name, total, len(sum.Faults))
@@ -57,8 +57,8 @@ func TestCampaignPartitionsFaults(t *testing.T) {
 func TestCampaignIsRepeatable(t *testing.T) {
 	pats := somePatterns()
 	u := units.Fetch()
-	s1 := Campaign(u, pats, nil)
-	s2 := Campaign(u, pats, nil)
+	s1 := CampaignCfg(u, pats, nil, Config{})
+	s2 := CampaignCfg(u, pats, nil, Config{})
 	for i := range s1.Class {
 		if s1.Class[i] != s2.Class[i] {
 			t.Fatalf("fault %d classified %v then %v", i, s1.Class[i], s2.Class[i])
@@ -71,8 +71,8 @@ func TestMorePatternsNeverReduceActivation(t *testing.T) {
 	// must shrink monotonically.
 	pats := somePatterns()
 	u := units.Decoder()
-	s1 := Campaign(u, pats[:2], nil)
-	s2 := Campaign(u, pats, nil)
+	s1 := CampaignCfg(u, pats[:2], nil, Config{})
+	s2 := CampaignCfg(u, pats, nil, Config{})
 	if s2.NumUncontrollable > s1.NumUncontrollable {
 		t.Errorf("uncontrollable grew from %d to %d with more patterns",
 			s1.NumUncontrollable, s2.NumUncontrollable)
@@ -82,7 +82,7 @@ func TestMorePatternsNeverReduceActivation(t *testing.T) {
 func TestDelayFaultCampaign(t *testing.T) {
 	pats := somePatterns()
 	u := units.Decoder()
-	sum := CampaignFaults(u, pats, netlist.DelayFaultList(u.NL), nil)
+	sum := CampaignFaultsCfg(u, pats, netlist.DelayFaultList(u.NL), nil, Config{})
 	if got := sum.NumUncontrollable + sum.NumMasked + sum.NumHang + sum.NumSWError; got != len(sum.Faults) {
 		t.Fatalf("classes sum to %d, want %d", got, len(sum.Faults))
 	}
@@ -96,7 +96,7 @@ func TestDelayFaultCampaign(t *testing.T) {
 	}
 	// A delay campaign should find fewer software-visible faults per site
 	// than stuck-at: the fault only matters on toggling cycles.
-	st := Campaign(u, pats, nil)
+	st := CampaignCfg(u, pats, nil, Config{})
 	delayRate := float64(sum.NumSWError) / float64(len(sum.Faults))
 	stuckRate := float64(st.NumSWError) / float64(len(st.Faults))
 	if delayRate > stuckRate {
@@ -107,7 +107,7 @@ func TestDelayFaultCampaign(t *testing.T) {
 func TestSampledCampaignMatchesExhaustiveWithinMargin(t *testing.T) {
 	pats := somePatterns()
 	u := units.WSC()
-	exhaustive := Campaign(u, pats, nil)
+	exhaustive := CampaignCfg(u, pats, nil, Config{})
 
 	all := netlist.FaultList(u.NL)
 	sample, err := SampleFaults(all, 0.05, 0.95, 11)
@@ -117,7 +117,7 @@ func TestSampledCampaignMatchesExhaustiveWithinMargin(t *testing.T) {
 	if len(sample) >= len(all) {
 		t.Fatalf("sample %d not smaller than population %d", len(sample), len(all))
 	}
-	sampled := CampaignFaults(u, pats, sample, nil)
+	sampled := CampaignFaultsCfg(u, pats, sample, nil, Config{})
 
 	// Every class fraction must agree within 2x the requested margin
 	// (the factor absorbs the worst-case-p assumption).

@@ -4,96 +4,173 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gpufaultsim/internal/analyze"
+	"gpufaultsim/internal/gatesim/engine"
 	"gpufaultsim/internal/netlist"
 	"gpufaultsim/internal/units"
 )
 
-// runCfg executes one campaign under an explicit Config, returning the
-// canonical Summary JSON and the exact sink event stream.
-func runCfg(t *testing.T, u *units.Unit, patterns []units.Pattern, cm Collapse, cfg Config) ([]byte, []recordedEvent) {
-	t.Helper()
-	sink := &recordingSink{}
-	var sum *Summary
-	if cm != nil {
-		sum = CampaignCollapsedCfg(u, patterns, cm, sink, cfg)
-	} else {
-		sum = CampaignCfg(u, patterns, sink, cfg)
+// campaignFn is one campaign input shape (plain, collapsed or explicit
+// fault list) with the unit and fault universe already bound.
+type campaignFn func(patterns []units.Pattern, sink EventSink, cfg Config) *Summary
+
+// soloRun is the outcome of a campaign over exactly one pattern.
+type soloRun struct {
+	sum    *Summary
+	events []recordedEvent
+}
+
+// soloRuns runs one single-pattern campaign per pattern. A one-pattern
+// campaign has one round of one quad with one live slot, so nothing in it
+// depends on how rounds, quads, slots or workers interleave — which makes
+// the per-pattern results an oracle for the traversal of any longer list.
+func soloRuns(run campaignFn, eng Engine, patterns []units.Pattern) []soloRun {
+	out := make([]soloRun, len(patterns))
+	for i := range patterns {
+		sink := &recordingSink{}
+		out[i].sum = run(patterns[i:i+1], sink, Config{Engine: eng, Workers: 1})
+		out[i].events = sink.events
 	}
-	js, err := json.Marshal(sum)
+	return out
+}
+
+// serialReference assembles what a campaign over the solos' patterns must
+// produce: the sink stream is the solo streams concatenated in pattern
+// order, minus Hang callbacks for faults already reported hung (the sink
+// contract is one Hang per fault), and each fault's class is the most
+// severe verdict any pattern gave it — hang over sw-error over hw-masked
+// over uncontrollable.
+func serialReference(t *testing.T, solos []soloRun) ([]byte, []recordedEvent) {
+	t.Helper()
+	want := *solos[0].sum
+	want.Patterns = len(solos)
+	want.Class = make([]FaultClass, len(want.Faults))
+	severity := [...]int{Uncontrollable: 0, HWMasked: 1, SWError: 2, Hang: 3}
+	var events []recordedEvent
+	hung := map[int]bool{}
+	for _, s := range solos {
+		for i, c := range s.sum.Class {
+			if severity[c] > severity[want.Class[i]] {
+				want.Class[i] = c
+			}
+		}
+		for _, e := range s.events {
+			if e.Kind == "hang" {
+				if hung[e.FaultIdx] {
+					continue
+				}
+				hung[e.FaultIdx] = true
+			}
+			events = append(events, e)
+		}
+	}
+	want.NumUncontrollable, want.NumMasked, want.NumHang, want.NumSWError = 0, 0, 0, 0
+	for _, c := range want.Class {
+		switch c {
+		case Uncontrollable:
+			want.NumUncontrollable++
+		case HWMasked:
+			want.NumMasked++
+		case Hang:
+			want.NumHang++
+		case SWError:
+			want.NumSWError++
+		}
+	}
+	js, err := json.Marshal(&want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js, sink.events
+	return js, events
 }
 
-// compareRuns holds a sharded run to the serial reference: byte-identical
-// Summary JSON and an identical event sequence. Sequence equality is
-// stronger than the multiset equality the merge argument needs — sharded
-// campaigns replay events in the serial traversal order, so even the
-// ordering must match exactly.
-func compareRuns(t *testing.T, label string, wantJS []byte, wantEv []recordedEvent, gotJS []byte, gotEv []recordedEvent) {
+// checkAgainstSolos runs the campaign over patterns at each worker width
+// and holds Summary JSON and the exact sink event sequence to the
+// reference assembled from solos (one per pattern, same order).
+func checkAgainstSolos(t *testing.T, label string, run campaignFn, eng Engine, patterns []units.Pattern, solos []soloRun, widths []int) {
 	t.Helper()
-	if !bytes.Equal(wantJS, gotJS) {
-		t.Fatalf("%s: Summary JSON diverged from serial\nserial:  %s\nsharded: %s", label, wantJS, gotJS)
-	}
-	if len(wantEv) != len(gotEv) {
-		t.Fatalf("%s: event count diverged: serial %d, sharded %d", label, len(wantEv), len(gotEv))
-	}
-	for i := range wantEv {
-		if wantEv[i] != gotEv[i] {
-			t.Fatalf("%s: event %d diverged\nserial:  %+v\nsharded: %+v", label, i, wantEv[i], gotEv[i])
+	wantJS, wantEv := serialReference(t, solos)
+	for _, workers := range widths {
+		sink := &recordingSink{}
+		gotJS, err := json.Marshal(run(patterns, sink, Config{Engine: eng, Workers: workers}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := fmt.Sprintf("%s patterns=%d workers=%d", label, len(patterns), workers)
+		if !bytes.Equal(wantJS, gotJS) {
+			t.Fatalf("%s: Summary JSON diverged from the per-pattern reference\nwant: %s\ngot:  %s", l, wantJS, gotJS)
+		}
+		if len(wantEv) != len(sink.events) {
+			t.Fatalf("%s: event count diverged: want %d, got %d", l, len(wantEv), len(sink.events))
+		}
+		for i := range wantEv {
+			if wantEv[i] != sink.events[i] {
+				t.Fatalf("%s: event %d diverged\nwant: %+v\ngot:  %+v", l, i, wantEv[i], sink.events[i])
+			}
 		}
 	}
 }
 
-// TestShardedCampaignMatchesSerial is the determinism gate for the
-// intra-campaign sharding and the pattern-parallel packing: for every
-// unit, both engines, with and without fault collapsing, campaigns across
-// a sweep of (workers × PatternBlock) widths — including width 1 forced
-// through the sharded machinery and partial packing blocks — must
-// reproduce the one-pattern-at-a-time serial reference byte for byte,
-// Summary JSON and sink event stream alike. Run under -race by
-// scripts/verify.sh, this also proves the fan-out itself race-clean.
+// reducedPatterns returns n patterns that are distinct to u after its
+// Reduce projection, so a campaign over any prefix simulates exactly that
+// many patterns and the round boundaries fall where the test aims them.
+func reducedPatterns(t *testing.T, u *units.Unit, seed int64, n int) []units.Pattern {
+	t.Helper()
+	red := u.ReducePatterns(diffPatterns(seed, 2*n))
+	if len(red) < n {
+		t.Fatalf("%s: only %d distinct reduced patterns, need %d", u.Name, len(red), n)
+	}
+	return red[:n]
+}
+
+// TestShardedCampaignMatchesSerial is the determinism gate for the one
+// campaign traversal: for every unit, both engines, with and without
+// fault collapsing, campaigns over pattern counts that straddle the quad
+// boundary (partial quad, exact quad, quad+1, several quads and a partial
+// one) and the golden-block boundary (a block and one) at 1, 2 and 8
+// workers must reproduce the serial reference — one solo campaign per
+// pattern, concatenated — byte for byte, Summary JSON and sink event
+// stream alike. On fetch and decoder a round is the whole block; the WSC
+// has enough fault groups for shorter rounds, and runs one pattern past
+// its first. TestShardedMixedFaultListMatchesSerial sweeps the round
+// boundaries. Run under -race by scripts/verify.sh, this also proves the
+// fan-out itself race-clean.
 func TestShardedCampaignMatchesSerial(t *testing.T) {
-	type width struct{ workers, block int }
+	widths := []int{1, 2, 8}
 	for _, u := range units.All() {
 		t.Run(u.Name, func(t *testing.T) {
 			for _, eng := range []Engine{EngineEvent, EngineFull} {
-				// Pattern and width budgets are set for the -race run in
-				// scripts/verify.sh: WSC on the full engine is ~50x the
-				// cost of the small units, and each (engine, collapse)
-				// cell repeats the campaign at every width.
-				n := 12
-				widths := []width{
-					{1, 64}, // blocked serial path
-					{1, 2},  // sharded machinery at width 1, partial blocks
-					{2, 3},  // uneven block vs pattern count
-					{2, 64}, // default packing, small fan-out
-					{8, 1},  // wide fan-out, packing pinned off
-					{8, 64}, // wide fan-out, full packing
+				// Budgets are set for the -race run in scripts/verify.sh:
+				// WSC on the full engine is ~50x the cost of the small
+				// units, and every count repeats at every width.
+				counts := []int{1, 3, 4, 5, 18}
+				if eng == EngineEvent {
+					counts = append(counts, goldenLanes+1)
 				}
 				if u.Name == "wsc" {
-					n = 8
-					widths = []width{{1, 64}, {2, 3}, {8, 64}}
+					counts = []int{roundQuads((u.NL.NumFaults()+63)/64)*engine.Slots + 1}
 					if eng == EngineFull {
-						n = 3
+						counts = []int{2}
 					}
 				}
-				patterns := diffPatterns(31, n)
+				patterns := reducedPatterns(t, u, 31, counts[len(counts)-1])
 				for _, collapse := range []bool{false, true} {
-					var cm Collapse
+					run := campaignFn(func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
+						return CampaignCfg(u, p, sink, cfg)
+					})
 					if collapse {
-						cm = analyze.Collapse(u.NL)
+						cm := analyze.Collapse(u.NL)
+						run = func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
+							return CampaignCollapsedCfg(u, p, cm, sink, cfg)
+						}
 					}
+					solos := soloRuns(run, eng, patterns)
 					label := fmt.Sprintf("eng=%v collapse=%v", eng, collapse)
-					wantJS, wantEv := runCfg(t, u, patterns, cm, Config{Engine: eng, Workers: 1, PatternBlock: 1})
-					for _, w := range widths {
-						cfg := Config{Engine: eng, Workers: w.workers, PatternBlock: w.block, forceShard: w.workers == 1 && w.block == 2}
-						gotJS, gotEv := runCfg(t, u, patterns, cm, cfg)
-						compareRuns(t, fmt.Sprintf("%s workers=%d block=%d", label, w.workers, w.block), wantJS, wantEv, gotJS, gotEv)
+					for _, n := range counts {
+						checkAgainstSolos(t, label, run, eng, patterns[:n], solos[:n], widths)
 					}
 				}
 			}
@@ -101,36 +178,84 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedMixedFaultListMatchesSerial covers the sharded full-simulator
-// fallback: a fault list mixing stuck-at and delay faults makes some
-// batches run on each worker's event engine and others on its full
-// simulator, within the same campaign. Both routes must still reproduce
-// the serial reference exactly.
+// TestShardedMixedFaultListMatchesSerial sweeps the round boundaries, and
+// covers the dense-simulator fallback inside the traversal. The fault
+// list is the decoder's stuck-at list twice over — enough 64-fault groups
+// for rounds shorter than the golden block — plus delay faults, which
+// make some items run on a worker's event engine and others on its full
+// simulator within the same round. Pattern counts straddle the round
+// boundary (round−1, round, round+1), span two rounds and a partial third,
+// and cross into a second golden block mid-round.
 func TestShardedMixedFaultListMatchesSerial(t *testing.T) {
 	u := units.Decoder()
-	patterns := diffPatterns(13, 8)
 	stuck := netlist.FaultList(u.NL)
 	delay := netlist.DelayFaultList(u.NL)
-	faults := make([]netlist.Fault, 0, 160+96)
-	faults = append(faults, stuck[:min(160, len(stuck))]...)
+	var faults []netlist.Fault
+	faults = append(faults, stuck...)
 	faults = append(faults, delay[:min(96, len(delay))]...)
+	faults = append(faults, stuck...)
+	r := roundQuads((len(faults)+63)/64) * engine.Slots
+	if r >= goldenLanes {
+		t.Fatalf("%d faults give %d-pattern rounds; the sweep needs rounds shorter than the %d-pattern block", len(faults), r, goldenLanes)
+	}
+	counts := []int{r - 1, r, r + 1, 2*r + 2, goldenLanes + r + 1}
+	patterns := reducedPatterns(t, u, 13, counts[len(counts)-1])
 
-	run := func(cfg Config) ([]byte, []recordedEvent) {
-		sink := &recordingSink{}
-		sum := CampaignFaultsCfg(u, patterns, faults, sink, cfg)
-		js, err := json.Marshal(sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js, sink.events
+	run := func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
+		return CampaignFaultsCfg(u, p, faults, sink, cfg)
 	}
 	for _, eng := range []Engine{EngineEvent, EngineFull} {
-		wantJS, wantEv := run(Config{Engine: eng, Workers: 1, PatternBlock: 1})
-		for _, w := range []struct{ workers, block int }{{2, 64}, {8, 3}} {
-			gotJS, gotEv := run(Config{Engine: eng, Workers: w.workers, PatternBlock: w.block})
-			compareRuns(t, fmt.Sprintf("mixed eng=%v workers=%d block=%d", eng, w.workers, w.block), wantJS, wantEv, gotJS, gotEv)
+		if eng == EngineFull {
+			counts = []int{r + 1} // every item on the dense simulator: -race budget
+		}
+		solos := soloRuns(run, eng, patterns[:counts[len(counts)-1]])
+		for _, n := range counts {
+			checkAgainstSolos(t, fmt.Sprintf("mixed eng=%v", eng), run, eng, patterns[:n], solos[:n], []int{1, 2, 8})
 		}
 	}
+}
+
+// TestRoundAndWidthResolution pins the two sizes the traversal works out
+// from its inputs. A round is the smallest power-of-two quad count that
+// reaches roundItems items, at most the golden block. The worker count is
+// capped at the round's real item space, pattern quads × fault groups:
+// engine.Slots (4) patterns are one quad, so with a single fault group
+// there is one item and one worker however many were asked for — and the
+// campaign itself must of course still be right at that shape.
+func TestRoundAndWidthResolution(t *testing.T) {
+	blockQuads := goldenLanes / engine.Slots
+	for _, c := range []struct{ groups, want int }{
+		{0, blockQuads}, {1, blockQuads}, {roundItems / blockQuads, blockQuads},
+		{roundItems/blockQuads + 1, blockQuads}, {roundItems / 2, 2}, {roundItems - 1, 2},
+		{roundItems, 1}, {10 * roundItems, 1},
+	} {
+		if got := roundQuads(c.groups); got != c.want {
+			t.Errorf("roundQuads(%d) = %d, want %d", c.groups, got, c.want)
+		}
+	}
+	for _, c := range []struct{ workers, patterns, groups, want int }{
+		{8, engine.Slots, 1, 1},
+		{8, engine.Slots + 1, 1, 2},
+		{8, engine.Slots, 3, 3},
+		{8, 1000, 1, 8},
+		{64, 1000, 1, blockQuads},
+		{8, 1000, roundItems, 8},
+		{1, 1000, 100, 1},
+		{0, 1000, 100, runtime.GOMAXPROCS(0)},
+		{8, 0, 0, 1},
+	} {
+		if got := (Config{Workers: c.workers}).shardWidth(c.patterns, c.groups); got != c.want {
+			t.Errorf("Workers=%d over %d patterns x %d groups: width %d, want %d", c.workers, c.patterns, c.groups, got, c.want)
+		}
+	}
+
+	u := units.Decoder()
+	patterns := reducedPatterns(t, u, 17, engine.Slots)
+	faults := netlist.FaultList(u.NL)[:64]
+	run := func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
+		return CampaignFaultsCfg(u, p, faults, sink, cfg)
+	}
+	checkAgainstSolos(t, "one item", run, EngineEvent, patterns, soloRuns(run, EngineEvent, patterns), []int{8})
 }
 
 // TestShardedCampaignSteadyStateAllocs pins the pooling work: after the

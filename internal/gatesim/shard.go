@@ -1,33 +1,32 @@
-// Intra-campaign work-item sharding.
+// The campaign traversal: one loop over (pattern block, quad, fault group).
 //
 // A campaign's hot loop is pattern quad × 64-lane fault batch, and every
 // such work item is independent given its patterns' golden traces: the
 // golden arrays are fault-free state, computed once per pattern block and
-// read-only thereafter. runSharded exploits that structure. The main
-// goroutine runs the block's lane-packed golden pass, then fans the
-// block's ceil(len(block)/engine.Slots)×nGroups items out to P persistent
-// workers over a dynamic (work-stealing) counter; each worker owns a
-// private full simulator, event engine and grading scratch, so the
-// simulation inner loops take no locks and share no mutable state.
-// Pattern-parallel blocks give the counter a deeper item space than the
-// old one-pattern rounds, which is what lets the adaptive pull stride
-// amortize counter traffic while keeping the straggler tail short.
+// read-only thereafter. run exploits that structure. The calling
+// goroutine runs the block's lane-packed golden pass, then covers the
+// block in rounds: a round's roundQuads×nGroups items drain through a
+// dynamic (work-stealing) counter into P workers — worker 0 is the
+// calling goroutine itself, workers 1..P-1 are persistent helper
+// goroutines. Each worker owns a private full simulator, event engine and
+// grading scratch, so the simulation inner loops take no locks and share
+// no mutable state. At width 1 there are no helpers and a round is a
+// plain loop.
 //
 // Determinism: workers do not touch the grader. Instead each item records
 // its corruption occurrences — (field, sim-index, golden, faulty) tuples,
 // appended in the (cycle, field, lane) order recordCycle visits them —
 // into its worker's per-slot buffers, and publishes one buffer span per
-// pattern slot. After the per-block join, the main goroutine replays the
-// spans pattern-major — quad ascending, slot ascending, group ascending,
-// the serial traversal — performing member expansion, hang dedup and sink
-// callbacks exactly as a one-pattern-at-a-time loop would. The replayed
-// sequence IS the serial sequence, so summaries, classifications and sink
-// event streams are byte-identical at every worker count and packing
-// width (enforced by parallel_test.go under -race).
+// pattern slot. After the per-round join, the calling goroutine replays
+// the spans pattern-major — quad ascending, slot ascending, group
+// ascending — performing member expansion, hang dedup and sink callbacks
+// exactly as a one-pattern-at-a-time loop would, so summaries,
+// classifications and sink event streams are byte-identical at every
+// worker count (enforced by parallel_test.go under -race).
 //
 // Steady state allocates nothing: simulators, engines, scratch words,
 // per-worker event buffers and the span table are created once per
-// campaign and reused across blocks (buffers are truncated, not freed),
+// campaign and reused across rounds (buffers are truncated, not freed),
 // and telemetry accumulates in per-worker locals merged once at the end.
 package gatesim
 
@@ -35,7 +34,6 @@ package gatesim
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -46,32 +44,55 @@ import (
 	"gpufaultsim/internal/units"
 )
 
-// shardWidth resolves the intra-campaign worker count against the round's
-// work-item space (patterns per block × 64-lane fault groups): Workers 1
-// pins the serial reference path, 0 takes GOMAXPROCS, and the width never
-// exceeds the item count (extra workers would only idle).
-func (c Config) shardWidth(nItems int) int {
-	if c.Workers == 1 {
-		return 1
+// goldenLanes is the number of patterns that share one lane-packed golden
+// pass (one pattern per bit lane of the dense simulator's words).
+const goldenLanes = 64
+
+// roundItems is the work-item depth a round aims for. A round is the
+// unit of fan-out, join and replay: its corruption events sit in the
+// workers' buffers until the join, so a deep round costs memory
+// (whole-block rounds held 8x the bytes on the WSC campaign, and at one
+// worker 16-pattern rounds already ran ~4% slower than one-quad rounds as
+// the buffers left the cache), while a shallow one pays the join and its
+// straggler tail too often (16-pattern rounds cost the fetch campaign 9%
+// at 2 workers). Both effects scale with the round's item count, not its
+// pattern count — the WSC has 296 fault groups, fetch 26 — so the round
+// is sized in items. Measured on the gate_sweep campaigns at 1 and 2
+// workers, every unit is within noise of its best fixed size anywhere
+// from ~200 to ~600 items a round; 512 puts the WSC at two quads and the
+// decoder and fetch at the whole golden block.
+const roundItems = 512
+
+// roundQuads resolves how many pattern quads form a round: the smallest
+// power of two — so rounds tile the golden block exactly — whose item
+// count over nGroups fault groups reaches roundItems, at most the whole
+// block.
+func roundQuads(nGroups int) int {
+	q := 1
+	for q < goldenLanes/engine.Slots && q*nGroups < roundItems {
+		q *= 2
 	}
+	return q
+}
+
+// shardWidth resolves the intra-campaign worker count against the largest
+// round's work-item space (pattern quads × 64-lane fault groups): 0 takes
+// GOMAXPROCS, and the width never exceeds the item count (extra workers
+// would only idle).
+func (c Config) shardWidth(nPatterns, nGroups int) int {
 	p := c.Workers
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > nItems {
-		p = nItems
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	quads := min((nPatterns+engine.Slots-1)/engine.Slots, roundQuads(nGroups))
+	return max(1, min(p, quads*nGroups))
 }
 
-// shardStride resolves the work-stealing pull granularity of one block
-// round: how many consecutive items a worker claims per counter bump.
-// Profile-driven (shard timeline + gatesim_shard_idle_seconds): one-item
-// pulls bounce the shared counter's cache line once per ~100µs batch,
-// while coarse static chunks leave stragglers holding the round open.
+// shardStride resolves the work-stealing pull granularity of one round:
+// how many consecutive items a worker claims per counter bump.
+// Profile-driven (gatesim_shard_idle_seconds): one-item pulls bounce the
+// shared counter's cache line once per ~100µs batch, while coarse static
+// chunks leave stragglers holding the round open.
 // The compromise keeps at least 16 pulls per worker — a short tail — and
 // caps the stride at 64 so a single pull never dominates a round.
 func shardStride(nItems, workers int) int {
@@ -109,7 +130,7 @@ type shardEvent struct {
 // evSpan locates one (work item, pattern slot)'s recorded events: the
 // half-open range [start, end) of the worker's per-slot event buffer.
 // Each span is written by exactly one worker (the item's owner) before
-// the round join and read by the main goroutine after it — disjoint
+// the round join and read by the calling goroutine after it — disjoint
 // writes, WaitGroup-ordered reads.
 type evSpan struct {
 	worker, start, end int32
@@ -125,10 +146,10 @@ type shardWorker struct {
 	evbuf [engine.Slots][]shardEvent
 	lastQ int // pattern quad the engine's golden is bound to
 	ev    evStats
-	// busyRound is the worker's busy seconds in the current block round:
-	// written by the worker before its doneWg.Done, read by the main
-	// goroutine after the Wait (WaitGroup happens-before edge).
-	busyRound float64
+	// doneAt is when, on the campaign clock, the worker found the current
+	// round's item counter drained: written before its WaitGroup Done,
+	// read by the calling goroutine after the Wait.
+	doneAt float64
 }
 
 // recordCycle is the classification inner loop: it grades the output
@@ -140,7 +161,7 @@ type shardWorker struct {
 // dirtied (a clean field's anyDiff is identically zero, so skipping it
 // emits exactly nothing — byte-identity is preserved). Fields at index
 // ≥64 are always graded. Member expansion, hang dedup and sink callbacks
-// happen later, in mergeEvents, on the main goroutine.
+// happen later, in mergeEvents, on the calling goroutine.
 //
 //vetsim:hotpath
 func recordCycle[S laneReader](g *grader, base, groupLen int, ls S, fieldMask uint64, gf []uint64, ws []uint64, buf []shardEvent) []shardEvent {
@@ -208,9 +229,9 @@ func (cc *campaignCtx) recordQuadCycle(es *engine.Sim, q0, qlen, base, groupLen,
 // runBatch simulates one work item — fault group gi under the pattern
 // quad starting at block slot q0 — on this worker's private machines,
 // recording corruption occurrences into the worker's per-slot buffers.
-// It mirrors runSerial's item body exactly; the event engine's golden
-// binding is cached per quad (lastQ), so stride runs over one quad
-// rebind nothing.
+// This is the one item body, and the one place the dense simulator runs
+// faulty machines. The event engine's golden binding is cached per quad
+// (lastQ), so stride runs over one quad rebind nothing.
 //
 //vetsim:hotpath
 func (w *shardWorker) runBatch(cc *campaignCtx, block []units.Pattern, qb, q0, qlen, gi int) {
@@ -218,6 +239,9 @@ func (w *shardWorker) runBatch(cc *campaignCtx, block []units.Pattern, qb, q0, q
 	base := gi * 64
 	group := cc.sim[base:min(base+64, len(cc.sim))]
 	if w.esim != nil && !cc.groupDelay[gi] {
+		// Event-driven: seed only the faulty pins and diverged flip-flops,
+		// propagate deltas through the fanout — all slots in one pass —
+		// and skip output grading entirely on quiet cycles.
 		if qb != w.lastQ {
 			w.esim.BindGoldenPack(cc.goldenView[q0 : q0+qlen])
 			w.lastQ = qb
@@ -252,11 +276,11 @@ func (w *shardWorker) runBatch(cc *campaignCtx, block []units.Pattern, qb, q0, q
 	}
 }
 
-// mergeEvents replays recorded events into the grader on the main
+// mergeEvents replays recorded events into the grader on the calling
 // goroutine. Spans replay pattern-major (quad, slot, group ascending) and
-// each was appended in (cycle, field, lane) order — together the legacy
-// serial traversal — so member expansion, hang dedup and sink callbacks
-// fire in exactly the sequence a one-pattern-at-a-time loop produces.
+// each was appended in (cycle, field, lane) order, so member expansion,
+// hang dedup and sink callbacks fire in exactly the sequence a
+// one-pattern-at-a-time loop produces.
 //
 //vetsim:hotpath
 func (cc *campaignCtx) mergeEvents(p units.Pattern, events []shardEvent) {
@@ -288,26 +312,20 @@ func (cc *campaignCtx) mergeEvents(p units.Pattern, events []shardEvent) {
 	}
 }
 
-// runSharded executes the campaign's item loop across p persistent worker
-// goroutines. Per pattern block: the main goroutine runs the lane-packed
-// golden pass, releases the workers (one token each), overlaps activation
-// grading with their item fan-out, joins, and replays the recorded
-// events. Shared per-round state (golden arenas, the current block, the
-// pull stride) is written only before the token sends and read only after
-// the receives; per-item spans pass back through the WaitGroup join — all
-// accesses are ordered by channel/WaitGroup happens-before edges, so the
-// hot loop itself is lock-free and the whole campaign is race-clean.
-//
-// Utilization accounting rides the existing per-item timer: each worker
-// sums its busy seconds per round into a worker-owned slot read after
-// the join, and the main goroutine charges the difference against the
-// round's wall-clock as idle time (gatesim_shard_idle_seconds). With
-// cc.timeline set, every item additionally records a timeline interval
-// on the campaign-relative clock and a flight-recorder span — gated so
-// the default path stays allocation-free.
-func (cc *campaignCtx) runSharded(p int) {
+// run is the campaign traversal, p workers wide. Per golden block the
+// calling goroutine runs the lane-packed golden pass and grades
+// activation; per round within the block it releases the helper
+// goroutines (one token each), drains items alongside them as worker 0,
+// joins, and replays the recorded events. Shared per-round state (golden
+// arenas, the current block and round, the pull stride) is written only
+// before the token sends and read only after the receives; per-item spans
+// pass back through the WaitGroup join — all accesses are ordered by
+// channel/WaitGroup happens-before edges, so the hot loop itself is
+// lock-free and the whole campaign is race-clean. With p == 1 there are
+// no helpers: no goroutine starts, no token is sent and the join is a
+// no-op.
+func (cc *campaignCtx) run(p int) {
 	nl := cc.u.NL
-	tl := cc.timeline
 	clock := telemetry.StartTimer(nil) // campaign-relative clock; Stop only reads
 
 	// One levelization shared by every worker's engine: it is read-only
@@ -324,102 +342,88 @@ func (cc *campaignCtx) runSharded(p int) {
 		}
 		workers[i] = w
 	}
-	qbCap := (cc.blockCap + engine.Slots - 1) / engine.Slots
-	spanOf := make([]evSpan, qbCap*cc.nGroups*engine.Slots)
+	roundLen := roundQuads(cc.nGroups) * engine.Slots // patterns per round
+	spanOf := make([]evSpan, roundLen*cc.nGroups)     // one per (item, slot)
 
 	var (
-		curBlock   []units.Pattern // block under simulation; written pre-token
-		blockStart int             // global index of curBlock[0]; written pre-token
-		nItems     int             // items this round; written pre-token
-		stride     int             // pull granularity; written pre-token
-		next       paddedCounter   // dynamic item counter (work stealing)
-		start      = make(chan struct{})
-		doneWg     sync.WaitGroup
+		block  []units.Pattern // golden block under simulation; written pre-token
+		base   int             // block slot of the round's first pattern; written pre-token
+		nItems int             // items this round; written pre-token
+		stride int             // pull granularity; written pre-token
+		next   paddedCounter   // dynamic item counter (work stealing)
+		start  = make(chan struct{})
+		joinWg sync.WaitGroup
 	)
-	for wi, w := range workers {
-		go func(wi int, w *shardWorker) {
-			for range start {
-				telBatchBusy.Add(1)
-				w.lastQ = -1
-				for r := range w.evbuf {
-					w.evbuf[r] = w.evbuf[r][:0]
-				}
-				busy := 0.0
-				for {
-					lo := int(next.v.Add(int64(stride))) - stride
-					if lo >= nItems {
-						break
-					}
-					for item, hi := lo, min(lo+stride, nItems); item < hi; item++ {
-						qb, gi := item/cc.nGroups, item%cc.nGroups
-						q0 := qb * engine.Slots
-						qlen := min(engine.Slots, len(curBlock)-q0)
-						var sp *telemetry.Span
-						if tl != nil {
-							sp = telemetry.StartSpan("shard:batch")
-						}
-						tm := telemetry.StartTimer(telBatchSec)
-						var s0 [engine.Slots]int
-						for r := 0; r < qlen; r++ {
-							s0[r] = len(w.evbuf[r])
-						}
-						w.runBatch(cc, curBlock, qb, q0, qlen, gi)
-						for r := 0; r < qlen; r++ {
-							spanOf[item*engine.Slots+r] = evSpan{worker: int32(wi), start: int32(s0[r]), end: int32(len(w.evbuf[r]))}
-						}
-						sec := tm.Stop()
-						busy += sec
-						if tl != nil {
-							end := clock.Stop()
-							tl.add(ShardInterval{Worker: wi, Pattern: blockStart + q0, Batch: gi, StartSec: end - sec, EndSec: end})
-							sp.SetAttr("worker", strconv.Itoa(wi))
-							sp.SetAttr("batch", strconv.Itoa(gi))
-							sp.SetAttr("pattern", strconv.Itoa(blockStart+q0))
-							sp.End()
-						}
-					}
-				}
-				w.busyRound = busy
-				telBatchBusy.Add(-1)
-				doneWg.Done()
+	// drain is one worker's share of a round: pull strides off the item
+	// counter until it runs dry.
+	drain := func(wi int) {
+		w := workers[wi]
+		telBatchBusy.Add(1)
+		w.lastQ = -1
+		for r := range w.evbuf {
+			w.evbuf[r] = w.evbuf[r][:0]
+		}
+		for {
+			lo := int(next.v.Add(int64(stride))) - stride
+			if lo >= nItems {
+				break
 			}
-		}(wi, w)
+			for item, hi := lo, min(lo+stride, nItems); item < hi; item++ {
+				qb, gi := item/cc.nGroups, item%cc.nGroups
+				q0 := base + qb*engine.Slots
+				qlen := min(engine.Slots, len(block)-q0)
+				tm := telemetry.StartTimer(telBatchSec)
+				var s0 [engine.Slots]int
+				for r := 0; r < qlen; r++ {
+					s0[r] = len(w.evbuf[r])
+				}
+				w.runBatch(cc, block, qb, q0, qlen, gi)
+				for r := 0; r < qlen; r++ {
+					spanOf[item*engine.Slots+r] = evSpan{worker: int32(wi), start: int32(s0[r]), end: int32(len(w.evbuf[r]))}
+				}
+				tm.Stop()
+			}
+		}
+		w.doneAt = clock.Stop()
+		telBatchBusy.Add(-1)
+	}
+	for wi := 1; wi < p; wi++ {
+		go func(wi int) {
+			for range start {
+				drain(wi)
+				joinWg.Done()
+			}
+		}(wi)
 	}
 
 	idleSec := 0.0
-	quads := 0
-	for bs := 0; bs < len(cc.patterns); bs += cc.blockCap {
-		block := cc.patterns[bs:min(bs+cc.blockCap, len(cc.patterns))]
-		cc.goldenPassBlock(block)
-		qbs := (len(block) + engine.Slots - 1) / engine.Slots
-		quads += qbs
-		curBlock = block
-		blockStart = bs
+	for rs := 0; rs < len(cc.patterns); rs += roundLen {
+		if rs%goldenLanes == 0 {
+			block = cc.patterns[rs:min(rs+goldenLanes, len(cc.patterns))]
+			cc.goldenPassBlock(block)
+			cc.markActivatedBlock(len(block))
+		}
+		base = rs % goldenLanes
+		qbs := (min(roundLen, len(block)-base) + engine.Slots - 1) / engine.Slots
 		nItems = qbs * cc.nGroups
 		stride = shardStride(nItems, p)
 		next.v.Store(0)
-		doneWg.Add(p)
-		roundStart := clock.Stop()
-		for range workers {
+		joinWg.Add(p - 1)
+		for range workers[1:] {
 			start <- struct{}{}
 		}
-		// Activation reads only the packed golden trace, which workers
-		// never write — overlap it with the item fan-out.
-		cc.markActivatedBlock(len(block))
-		doneWg.Wait()
-		// Idle per worker this round: wall-clock minus its busy time.
-		// Workers that drained the counter early sit idle until the
-		// join (the straggler tail this metric exists to expose).
-		roundWall := clock.Stop() - roundStart
+		drain(0)
+		joinWg.Wait()
+		// Workers that drained the counter early sat idle until the join
+		// (the straggler tail this metric exists to expose).
+		joined := clock.Stop()
 		for _, w := range workers {
-			if d := roundWall - w.busyRound; d > 0 {
-				idleSec += d
-			}
+			idleSec += joined - w.doneAt
 		}
-		// Replay pattern-major: quad, then slot, then group — the serial
-		// event order every width is held byte-identical to.
+		// Replay pattern-major: quad, then slot, then group — the event
+		// order of a one-pattern-at-a-time loop.
 		for qb := 0; qb < qbs; qb++ {
-			q0 := qb * engine.Slots
+			q0 := base + qb*engine.Slots
 			qlen := min(engine.Slots, len(block)-q0)
 			for r := 0; r < qlen; r++ {
 				pat := block[q0+r]
@@ -434,13 +438,5 @@ func (cc *campaignCtx) runSharded(p int) {
 	telShardIdleSec.Add(idleSec)
 	for _, w := range workers {
 		cc.ev.add(w.ev)
-	}
-	if tl != nil {
-		tl.Workers = p
-		tl.Batches = cc.nGroups
-		tl.Patterns = len(cc.patterns)
-		tl.Quads = quads
-		tl.IdleSec = idleSec
-		tl.WallSec = clock.Stop()
 	}
 }

@@ -56,8 +56,8 @@ type Options struct {
 	// GOMAXPROCS). Worker counts never influence results.
 	ChunkWorkers int
 	// BatchWorkers bounds intra-campaign fault-batch parallelism inside
-	// each gate chunk (0 selects GOMAXPROCS, 1 pins the serial reference
-	// path). Like ChunkWorkers it never influences results — gate
+	// each gate chunk (0 selects GOMAXPROCS, 1 runs single-threaded).
+	// Like ChunkWorkers it never influences results — gate
 	// summaries are byte-identical at every width — so it stays out of
 	// the chunk cache keys.
 	BatchWorkers int

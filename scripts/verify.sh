@@ -19,7 +19,7 @@ echo "==> vetsim invariant analyzers"
 go run ./cmd/vetsim ./...
 
 echo "==> gofmt -l"
-unformatted=$(gofmt -l ./cmd ./internal ./examples ./*.go)
+unformatted=$(gofmt -l ./benchmark ./cmd ./internal ./examples ./*.go)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2
