@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Full gate: vet + vetsim + gofmt cleanliness + build + race-enabled tests.
+# Full gate: vet + vetsim + gofmt cleanliness + build + race-enabled tests
+# + golden repro + benchmark smoke oracle (the CI verify job runs exactly this).
 verify:
 	sh scripts/verify.sh
 

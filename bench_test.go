@@ -9,6 +9,7 @@
 package gpufaultsim
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"strconv"
@@ -256,7 +257,7 @@ func BenchmarkFig11AverageEPR(b *testing.B) {
 
 func BenchmarkSpeedupAccounting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := campaign.RunTwoLevel(campaign.TwoLevelConfig{
+		res, err := campaign.RunTwoLevelCtx(context.Background(), campaign.TwoLevelConfig{
 			Seed: 1, MaxPatterns: 48, Injections: 4,
 			ProfilingWorkloads: []workloads.Workload{workloads.VectorAdd{}, workloads.GEMM{}},
 			EvalApps:           []workloads.Workload{workloads.VectorAdd{}},
@@ -339,7 +340,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := campaign.RunSuiteParallel(apps, cfg, workers); err != nil {
+				if _, err := campaign.RunSuiteParallelCtx(context.Background(), apps, cfg, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -487,17 +488,10 @@ func BenchmarkAblationPersistence(b *testing.B) {
 		errmodel.Permanent, errmodel.Intermittent, errmodel.Transient,
 	} {
 		b.Run(pers.String(), func(b *testing.B) {
-			job := workloads.MxM{}.Build(rand.New(rand.NewSource(1)))
-			cfg := gpu.DefaultConfig()
-			cfg.GlobalMemWords = job.Footprint() + 64
-			dev := gpu.NewDevice(cfg)
-			golden, err := job.Run(dev)
-			if err != nil || golden.Hung() {
-				b.Fatalf("golden: %v %v", err, golden)
+			sess, err := perfi.NewSession(workloads.MxM{}, 1, gpu.Config{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			fcfg := cfg
-			fcfg.MaxIssues = golden.Issues*8 + 10000
-			fdev := gpu.NewDevice(fcfg)
 			rng := rand.New(rand.NewSource(2))
 			masked := 0
 			n := 0
@@ -506,13 +500,11 @@ func BenchmarkAblationPersistence(b *testing.B) {
 				d.Persistence = pers
 				d.TransientAt = uint64(i % 97)
 				d.DutyCycle = 8
-				fdev.ClearHooks()
-				fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(int64(i)))))
-				rr, err := job.Run(fdev)
+				_, outcome, err := sess.Run(d, rand.New(rand.NewSource(int64(i))))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if workloads.Classify(golden.Output, rr) == workloads.OutcomeMasked {
+				if outcome == workloads.OutcomeMasked {
 					masked++
 				}
 				n++

@@ -22,6 +22,10 @@ var telSubmitSeconds = telemetry.Default().Histogram(
 	"http_submit_seconds", "POST /jobs handling latency",
 	telemetry.LatencyBuckets())
 
+// maxSpecBody bounds a POST /jobs body. A spec is a handful of scalars and
+// two workload-name lists; the largest valid one is under 1 KiB.
+const maxSpecBody = 64 << 10
+
 // metrics is the /metrics JSON payload: the scheduler-scoped view an
 // operator needs to judge cache effectiveness and daemon load at a
 // glance, plus the process-wide telemetry registry snapshot (counters,
@@ -97,10 +101,15 @@ func newServer(deps serverDeps) http.Handler {
 		timer := telemetry.StartTimer(telSubmitSeconds)
 		defer timer.Stop()
 		var spec jobs.Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "bad spec: "+err.Error())
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, "bad spec: "+err.Error())
 			return
 		}
 		// SLO class rides the query string, not the spec body: it steers

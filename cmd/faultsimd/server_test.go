@@ -171,6 +171,30 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizeBodies: POST /jobs answers 413 to a body past
+// maxSpecBody before any job exists. The first body is a valid spec behind
+// insignificant whitespace, which an unbounded decoder would admit.
+func TestSubmitRejectsOversizeBodies(t *testing.T) {
+	sched, srv, _ := newTestDaemon(t, t.TempDir())
+	pad := strings.Repeat(" ", maxSpecBody)
+	for _, tc := range []struct{ name, body string }{
+		{"valid spec behind whitespace", pad + tinySpecJSON},
+		{"oversize string field", `{"seed":7,"engine":"` + pad + `"}`},
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", tc.name, resp.StatusCode)
+		}
+	}
+	if n := len(sched.Jobs()); n != 0 {
+		t.Errorf("oversize submissions created %d job(s)", n)
+	}
+}
+
 func TestStreamEmitsNDJSONUntilDone(t *testing.T) {
 	_, srv, _ := newTestDaemon(t, t.TempDir())
 	st := submitJob(t, srv.URL, tinySpecJSON)

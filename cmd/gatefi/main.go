@@ -7,6 +7,7 @@ package main
 //vetsim:instrumented
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -68,8 +69,9 @@ func main() {
 
 	tm := telemetry.StartTimer(nil)
 	// -workers feeds the intra-campaign fault-batch pool; the unit fan-out
-	// always runs every selected unit concurrently (at most 3).
-	outs := campaign.ParallelMap(targets, 0, func(u *units.Unit) *campaign.UnitOutcome {
+	// always runs every selected unit concurrently (at most 3). The only
+	// error is ctx.Err(), and this context is never canceled.
+	outs, _ := campaign.ParallelMapCtx(context.Background(), targets, 0, func(u *units.Unit) *campaign.UnitOutcome {
 		sp := runSpan.Child("gate:" + u.Name)
 		defer sp.End()
 		return campaign.GateStep(u, patterns, *collapse, eng, *workers)

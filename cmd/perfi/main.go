@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -67,7 +68,7 @@ func main() {
 	fmt.Printf("injecting %d errors x %d models x %d applications\n",
 		*injections, len(models), len(apps))
 	start := time.Now()
-	results, err := campaign.RunSuiteParallel(apps, cfg, *workers)
+	results, err := campaign.RunSuiteParallelCtx(context.Background(), apps, cfg, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package main
 //vetsim:instrumented
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -169,7 +170,7 @@ func run(args []string, w io.Writer) error {
 	if want("table3", "table4", "table5", "fig9", "fig10", "fig11", "speedup", "discussion") {
 		sp := runSpan.Child("exhibits:twolevel")
 		section("")
-		res, err := campaign.RunTwoLevel(campaign.TwoLevelConfig{
+		res, err := campaign.RunTwoLevelCtx(context.Background(), campaign.TwoLevelConfig{
 			Seed:         *seed,
 			MaxPatterns:  sc.patterns,
 			Injections:   sc.injections,

@@ -22,35 +22,25 @@ func main() {
 	const injections = 20
 	seed := int64(7)
 
-	net := cnn.LeNet{Digit: 3}
-	job := net.Build(rand.New(rand.NewSource(seed)))
-	cfg := gpu.DefaultConfig()
-	cfg.GlobalMemWords = job.Footprint() + 64
-	dev := gpu.NewDevice(cfg)
-	golden, err := job.Run(dev)
-	if err != nil || golden.Hung() {
-		log.Fatalf("golden inference failed: %v %v", err, golden)
+	sess, err := perfi.NewSession(cnn.LeNet{Digit: 3}, seed, gpu.Config{})
+	if err != nil {
+		log.Fatalf("golden inference failed: %v", err)
 	}
+	golden := sess.Golden
 	fmt.Printf("LeNet golden inference: class=%d (%d warp-instructions)\n\n",
 		cnn.Top1(golden.Output), golden.Issues)
-
-	fcfg := cfg
-	fcfg.MaxIssues = golden.Issues*8 + 10000
-	fdev := gpu.NewDevice(fcfg)
 
 	fmt.Printf("%-6s %8s %8s %8s %12s\n", "model", "masked", "SDC", "DUE", "criticalSDC")
 	rng := rand.New(rand.NewSource(seed))
 	for _, m := range errmodel.Injectable() {
 		var masked, sdc, due, critical int
 		for i := 0; i < injections; i++ {
-			d := errmodel.Random(m, rng, 8, cfg.PPBsPerSM)
-			fdev.ClearHooks()
-			fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(seed+int64(i)))))
-			rr, err := job.Run(fdev)
+			d := errmodel.Random(m, rng, 8, sess.Device.PPBsPerSM)
+			rr, outcome, err := sess.Run(d, rand.New(rand.NewSource(seed+int64(i))))
 			if err != nil {
 				log.Fatal(err)
 			}
-			switch workloads.Classify(golden.Output, rr) {
+			switch outcome {
 			case workloads.OutcomeMasked:
 				masked++
 			case workloads.OutcomeDUE:

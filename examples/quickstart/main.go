@@ -17,16 +17,15 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// 1. Build a workload job (vectoradd: out[i] = a[i]+b[i], 256 elems).
-	w := workloads.VectorAdd{}
-	job := w.Build(rand.New(rand.NewSource(42)))
-
-	// 2. Golden (fault-free) run on a simulated GPU.
-	dev := gpu.NewDevice(gpu.DefaultConfig())
-	golden, err := job.Run(dev)
+	// 1-2. Build a workload job (vectoradd: out[i] = a[i]+b[i], 256 elems)
+	//      and run it fault-free. The session owns the injection policy:
+	//      device memory sized to the job, a golden run that must not trap,
+	//      and a tight watchdog on the faulty runs.
+	sess, err := perfi.NewSession(workloads.VectorAdd{}, 42, gpu.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	golden := sess.Golden
 	fmt.Printf("golden run: %d warp-instructions issued, trap=%v\n",
 		golden.Issues, golden.Trap)
 
@@ -40,16 +39,12 @@ func main() {
 	}
 	fmt.Printf("injecting: %v\n", desc)
 
-	// 4. Faulty run with the injector hooked into the device.
-	fdev := gpu.NewDevice(gpu.DefaultConfig())
-	fdev.AddHook(perfi.New(desc, rand.New(rand.NewSource(1))))
-	faulty, err := job.Run(fdev)
+	// 4-5. Faulty run with the injector hooked into the device, classified
+	//      against the golden output: Masked, SDC or DUE.
+	faulty, outcome, err := sess.Run(desc, rand.New(rand.NewSource(1)))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// 5. Classify: Masked, SDC or DUE.
-	outcome := workloads.Classify(golden.Output, faulty)
 	fmt.Printf("outcome: %v\n", outcome)
 	if outcome == workloads.OutcomeSDC {
 		bad := workloads.CorruptedElements(golden.Output, faulty.Output)

@@ -5,6 +5,7 @@
 package gpufaultsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestHeadlineTwoLevelClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration campaign")
 	}
-	res, err := campaign.RunTwoLevel(campaign.TwoLevelConfig{
+	res, err := campaign.RunTwoLevelCtx(context.Background(), campaign.TwoLevelConfig{
 		Seed:        1,
 		MaxPatterns: 96,
 		Injections:  12,
@@ -220,7 +221,7 @@ func TestDiscussionCorrelation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration campaign")
 	}
-	res, err := campaign.RunTwoLevel(campaign.TwoLevelConfig{
+	res, err := campaign.RunTwoLevelCtx(context.Background(), campaign.TwoLevelConfig{
 		Seed: 4, MaxPatterns: 96, Injections: 16,
 		EvalApps: []workloads.Workload{
 			workloads.VectorAdd{}, workloads.GEMM{}, workloads.NW{},

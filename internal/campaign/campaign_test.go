@@ -18,7 +18,10 @@ func TestParallelMapOrderAndCompleteness(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{0, 1, 3, 8, 200} {
-		out := ParallelMap(items, workers, func(x int) int { return x * x })
+		out, err := ParallelMapCtx(context.Background(), items, workers, func(x int) int { return x * x })
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d]=%d", workers, i, v)
@@ -61,8 +64,8 @@ func TestParallelMapCtxSingleWorkerCancel(t *testing.T) {
 }
 
 func TestParallelMapEmpty(t *testing.T) {
-	out := ParallelMap(nil, 4, func(x int) int { return x })
-	if len(out) != 0 {
+	out, err := ParallelMapCtx(context.Background(), nil, 4, func(x int) int { return x })
+	if err != nil || len(out) != 0 {
 		t.Fatal("non-empty result for empty input")
 	}
 }
@@ -75,7 +78,7 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuiteParallel(apps, cfg, 4)
+	par, err := RunSuiteParallelCtx(context.Background(), apps, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 }
 
 func TestRunTwoLevelEndToEnd(t *testing.T) {
-	res, err := RunTwoLevel(TwoLevelConfig{
+	res, err := RunTwoLevelCtx(context.Background(), TwoLevelConfig{
 		Seed:        1,
 		MaxPatterns: 24,
 		Injections:  4,

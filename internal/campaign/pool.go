@@ -85,9 +85,3 @@ dispatch:
 	wg.Wait()
 	return out, ctx.Err()
 }
-
-// ParallelMap is ParallelMapCtx without cancellation.
-func ParallelMap[T, R any](items []T, workers int, f func(T) R) []R {
-	out, _ := ParallelMapCtx(context.Background(), items, workers, f)
-	return out
-}

@@ -15,7 +15,7 @@ import (
 // The two-level methodology decomposes into independent steps along
 // natural chunk boundaries: one profiling pass, one gate-level campaign
 // per unit (given the exciting patterns), and one software-injection
-// campaign per application. RunTwoLevel composes them; the job scheduler
+// campaign per application. RunTwoLevelCtx composes them; the job scheduler
 // (package jobs) runs them as separately cached, resumable work units.
 // Every step is a pure function of its arguments, so identical inputs
 // yield identical results regardless of which path invoked them.

@@ -134,18 +134,12 @@ func (cfg TwoLevelConfig) Defaults() TwoLevelConfig {
 	return cfg
 }
 
-// RunTwoLevel executes the five-step methodology: (1) unit profiling, (2)
-// gate-level stuck-at campaigns on WSC/fetch/decoder, (3) error
+// RunTwoLevelCtx executes the five-step methodology: (1) unit profiling,
+// (2) gate-level stuck-at campaigns on WSC/fetch/decoder, (3) error
 // identification and classification, (4-5) software-level error
 // propagation on the evaluation applications. All steps are timed for the
-// speed-up accounting.
-func RunTwoLevel(cfg TwoLevelConfig) (*Results, error) {
-	return RunTwoLevelCtx(context.Background(), cfg)
-}
-
-// RunTwoLevelCtx is RunTwoLevel with cancellation: when ctx is canceled
-// the campaign aborts at the next step or chunk boundary and returns
-// ctx.Err().
+// speed-up accounting. When ctx is canceled the campaign aborts at the
+// next step or chunk boundary and returns ctx.Err().
 func RunTwoLevelCtx(ctx context.Context, cfg TwoLevelConfig) (*Results, error) {
 	cfg = cfg.Defaults()
 	eng, err := gatesim.ParseEngine(cfg.Engine)
@@ -210,15 +204,10 @@ func RunTwoLevelCtx(ctx context.Context, cfg TwoLevelConfig) (*Results, error) {
 	return res, nil
 }
 
-// RunSuiteParallel runs one software-injection campaign per application on
-// the worker pool. Each worker owns its devices, so results are identical
-// to the sequential perfi.RunSuite.
-func RunSuiteParallel(apps []workloads.Workload, cfg perfi.Config, workers int) ([]*perfi.AppResult, error) {
-	return RunSuiteParallelCtx(context.Background(), apps, cfg, workers)
-}
-
-// RunSuiteParallelCtx is RunSuiteParallel with cancellation at app
-// boundaries.
+// RunSuiteParallelCtx runs one software-injection campaign per application
+// on the worker pool, with cancellation at app boundaries. Each worker
+// owns its devices, so results are identical to the sequential
+// perfi.RunSuite.
 func RunSuiteParallelCtx(ctx context.Context, apps []workloads.Workload, cfg perfi.Config, workers int) ([]*perfi.AppResult, error) {
 	type outcome struct {
 		res *perfi.AppResult

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,6 +289,63 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/cluster/complete", CompleteRequest{Worker: "w"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("keyless complete status = %d, want 400", code)
 	}
+}
+
+// TestOversizeBodiesRejectedBeforeState: every POST route refuses a body
+// past its bound with 413 before it registers the worker, grants a lease,
+// stores a payload or flips the ledger. The bodies are well-formed JSON
+// whose padding sits in an ignored field, so an unbounded decoder would
+// accept each of them.
+func TestOversizeBodiesRejectedBeforeState(t *testing.T) {
+	c, led, st, srv := newTestCoordinator(t, time.Minute)
+	req := testReq(t, "sw:vectoradd")
+	led.Offer(req)
+	before := led.Stats()
+
+	for _, tc := range []struct {
+		route, fields string
+		limit         int
+	}{
+		{"/cluster/lease", `"worker":"w1","max":4`, maxControlBody},
+		{"/cluster/heartbeat", `"worker":"w1"`, maxControlBody},
+		{"/cluster/complete", `"worker":"w1","lease":"L1","key":"` + req.Key + `","payload":"AAAA"`, maxCompleteBody},
+	} {
+		body := io.MultiReader(
+			strings.NewReader("{"+tc.fields+`,"pad":"`),
+			io.LimitReader(padReader{}, int64(tc.limit)),
+			strings.NewReader(`"}`))
+		resp, err := http.Post(srv.URL+tc.route, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.route, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversize body status = %d, want 413", tc.route, resp.StatusCode)
+		}
+	}
+
+	c.mu.Lock()
+	nWorkers := len(c.workers)
+	c.mu.Unlock()
+	if nWorkers != 0 {
+		t.Errorf("oversize requests registered %d worker(s)", nWorkers)
+	}
+	if after := led.Stats(); after != before {
+		t.Errorf("ledger moved: %+v -> %+v", before, after)
+	}
+	if _, ok := st.Get(req.Key); ok {
+		t.Error("oversize completion stored its payload")
+	}
+}
+
+// padReader yields an endless run of 'x'.
+type padReader struct{}
+
+func (padReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
 }
 
 // TestWorkerDefaultBatchWorkersPassThrough: a worker built with default

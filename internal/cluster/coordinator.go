@@ -5,6 +5,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -245,9 +246,36 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// Request-body bounds. Lease and heartbeat bodies are control messages (a
+// heartbeat's metrics snapshot is a few KiB); a completion carries one
+// base64-encoded chunk payload plus its spans, about 0.7 MB for a profile
+// chunk at the 4096-pattern cap.
+const (
+	maxControlBody  = 1 << 20
+	maxCompleteBody = 64 << 20
+)
+
+// decodeBounded decodes a JSON request body of at most limit bytes into v.
+// On failure it answers 413 (too large) or 400 (malformed) itself and
+// reports false; nothing has been touched yet at that point.
+func decodeBounded(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		clusterError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s request exceeds %d bytes", what, limit))
+	case err != nil:
+		clusterError(w, http.StatusBadRequest, "bad "+what+" request")
+	}
+	return err == nil
+}
+
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeBounded(w, r, maxControlBody, "lease", &req) {
+		return
+	}
+	if req.Worker == "" {
 		clusterError(w, http.StatusBadRequest, "bad lease request")
 		return
 	}
@@ -292,7 +320,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" || req.Key == "" {
+	if !decodeBounded(w, r, maxCompleteBody, "complete", &req) {
+		return
+	}
+	if req.Worker == "" || req.Key == "" {
 		clusterError(w, http.StatusBadRequest, "bad complete request")
 		return
 	}
@@ -355,7 +386,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeBounded(w, r, maxControlBody, "heartbeat", &req) {
+		return
+	}
+	if req.Worker == "" {
 		clusterError(w, http.StatusBadRequest, "bad heartbeat request")
 		return
 	}

@@ -211,7 +211,7 @@ func (st *launchState) maybeReleaseBarrier() {
 		return
 	}
 	for _, w := range st.warps {
-		w.releaseBarrier()
+		w.Barrier = 0
 	}
 }
 
@@ -243,22 +243,7 @@ func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 	}
 
 	// Predication: lanes whose guard fails skip the instruction.
-	execMask := mask
-	if !in.Unconditional() {
-		p, neg := in.PredIndex(), in.PredNegated()
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			v := w.Pred(lane, p)
-			if neg {
-				v = !v
-			}
-			if !v {
-				execMask &^= 1 << lane
-			}
-		}
-	}
+	execMask := mask & w.predMask(in.PredIndex(), in.PredNegated())
 	ctx.ExecMask = execMask
 
 	res.UnitIssues[in.Op.Unit()]++
@@ -274,64 +259,25 @@ func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 // execute applies instruction semantics for the lanes in execMask and
 // advances PCs for every lane in mask.
 func (st *launchState) execute(w *Warp, in isa.Instruction, mask, execMask uint32, pc int32, ctx *InstrCtx) {
-	// Lanes scheduled but predicated-off just fall through.
-	next := pc + 1
-	advance := func(lane int) { w.PC[lane] = next }
+	// Every scheduled lane falls through; taken branches overwrite below.
+	ForLanes(mask, func(lane int) { w.PC[lane] = pc + 1 })
 
 	switch in.Op {
 	case isa.OpBRA:
 		target := int32(in.Imm)
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			if execMask&(1<<lane) != 0 {
-				if target < 0 || int(target) >= st.prog.Len() {
-					panic(trapError{TrapBadPC, fmt.Sprintf("branch to %d at pc=%d", target, pc)})
-				}
-				w.PC[lane] = target
-			} else {
-				advance(lane)
-			}
+		if execMask != 0 && (target < 0 || int(target) >= st.prog.Len()) {
+			panic(trapError{TrapBadPC, fmt.Sprintf("branch to %d at pc=%d", target, pc)})
 		}
-		return
+		ForLanes(execMask, func(lane int) { w.PC[lane] = target })
 	case isa.OpEXIT:
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			if execMask&(1<<lane) != 0 {
-				w.Exited[lane] = true
-			} else {
-				advance(lane)
-			}
-		}
-		return
+		w.Exited |= execMask
 	case isa.OpBAR:
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			if execMask&(1<<lane) != 0 {
-				w.Barrier[lane] = true
-			}
-			advance(lane)
-		}
-		return
-	}
-
-	// Commit suppression from hooks (stuck-at-0 thread enables): data
-	// operations skip disabled lanes, while control flow above already ran
-	// unmasked so the warp keeps advancing.
-	commitMask := execMask &^ ctx.DisableMask
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		if commitMask&(1<<lane) != 0 {
-			st.executeLane(w, in, lane, pc)
-		}
-		advance(lane)
+		w.Barrier |= execMask
+	default:
+		// Commit suppression from hooks (stuck-at-0 thread enables): data
+		// operations skip disabled lanes, while control flow above already
+		// ran unmasked so the warp keeps advancing.
+		ForLanes(execMask&^ctx.DisableMask, func(lane int) { st.executeLane(w, in, lane, pc) })
 	}
 }
 

@@ -1,6 +1,10 @@
 package gpu
 
-import "gpufaultsim/internal/isa"
+import (
+	"math/bits"
+
+	"gpufaultsim/internal/isa"
+)
 
 // InstrCtx is the view of one dynamic instruction presented to
 // instrumentation hooks. It is the software-level analog of the
@@ -66,5 +70,13 @@ func (h HookFuncs) Before(ctx *InstrCtx) {
 func (h HookFuncs) After(ctx *InstrCtx) {
 	if h.AfterFn != nil {
 		h.AfterFn(ctx)
+	}
+}
+
+// ForLanes calls f for every lane in mask, in ascending lane order: the
+// way to walk InstrCtx.Mask, ExecMask or any other uint32 lane set.
+func ForLanes(mask uint32, f func(lane int)) {
+	for ; mask != 0; mask &= mask - 1 {
+		f(bits.TrailingZeros32(mask))
 	}
 }

@@ -1,6 +1,10 @@
 package gpu
 
-import "gpufaultsim/internal/isa"
+import (
+	"math/bits"
+
+	"gpufaultsim/internal/isa"
+)
 
 // Warp holds the architectural state of one warp: per-lane program
 // counters (min-PC reconvergence scheduling), registers, predicates and
@@ -11,21 +15,26 @@ import "gpufaultsim/internal/isa"
 // lanes whose PC equals the minimum PC across schedulable lanes, so
 // diverged lanes serialize and implicitly reconverge — the same observable
 // behaviour as a G80 SIMT stack for structured code.
+//
+// Every lane set is a uint32 mask with bit i standing for lane i, the
+// format InstrCtx and errmodel.Descriptor already use. Invariants:
+// Exited ⊆ Valid, Barrier ⊆ Valid &^ Exited, and on every issue
+// ExecMask ⊆ Mask ⊆ Valid &^ Exited &^ Barrier.
 type Warp struct {
 	IDInSM int  // warp slot within the SM (used by error descriptors)
 	PPB    int  // sub-partition the warp is bound to
 	SM     int  // owning SM
 	CTA    Dim3 // block index of the owning CTA
 
-	Valid uint32 // lanes that carry a live thread (block tail may be partial)
+	Valid   uint32 // lanes that carry a live thread (block tail may be partial)
+	Exited  uint32 // lanes that executed EXIT
+	Barrier uint32 // lanes parked at a CTA barrier
 
-	PC      [isa.WarpSize]int32
-	Exited  [isa.WarpSize]bool
-	Barrier [isa.WarpSize]bool // lane is parked at a CTA barrier
+	PC [isa.WarpSize]int32
 
 	TIDs  [isa.WarpSize]Dim3 // per-lane thread index within the block
 	Regs  [isa.WarpSize * isa.RegsPerThread]uint32
-	Preds [isa.WarpSize]uint8 // bitmask of P0..P6 per lane
+	Preds [isa.NumPredicates]uint32 // lane mask per predicate P0..P6
 }
 
 // Reg returns register r of lane. RZ reads zero; architecturally invalid
@@ -47,10 +56,7 @@ func (w *Warp) SetReg(lane int, r uint8, v uint32) {
 
 // Pred returns predicate p of lane (PT is constant true).
 func (w *Warp) Pred(lane, p int) bool {
-	if p == isa.PT {
-		return true
-	}
-	return w.Preds[lane]&(1<<p) != 0
+	return w.predMask(p, false)&(1<<lane) != 0
 }
 
 // SetPred writes predicate p of lane. Writes to PT are discarded.
@@ -59,35 +65,45 @@ func (w *Warp) SetPred(lane, p int, v bool) {
 		return
 	}
 	if v {
-		w.Preds[lane] |= 1 << p
+		w.Preds[p] |= 1 << lane
 	} else {
-		w.Preds[lane] &^= 1 << p
+		w.Preds[p] &^= 1 << lane
 	}
 }
+
+// predMask returns the lanes on which predicate p (negated if neg) holds.
+// PT holds on every lane.
+func (w *Warp) predMask(p int, neg bool) uint32 {
+	m := ^uint32(0)
+	if p != isa.PT {
+		m = w.Preds[p]
+	}
+	if neg {
+		m = ^m
+	}
+	return m
+}
+
+// live returns the lanes that hold a thread that has not exited.
+func (w *Warp) live() uint32 { return w.Valid &^ w.Exited }
 
 // LaneLive reports whether the lane holds a thread that has not exited.
-func (w *Warp) LaneLive(lane int) bool {
-	return w.Valid&(1<<lane) != 0 && !w.Exited[lane]
-}
+func (w *Warp) LaneLive(lane int) bool { return w.live()&(1<<lane) != 0 }
 
 // schedulable returns the set of lanes that could issue (live and not
-// parked at a barrier) and the minimum PC among them.
+// parked at a barrier) and sit at the minimum PC among them.
 func (w *Warp) schedulable() (mask uint32, minPC int32, ok bool) {
-	minPC = 1<<31 - 1
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if !w.LaneLive(lane) || w.Barrier[lane] {
-			continue
-		}
-		ok = true
-		if w.PC[lane] < minPC {
-			minPC = w.PC[lane]
-		}
-	}
-	if !ok {
+	ready := w.live() &^ w.Barrier
+	if ready == 0 {
 		return 0, 0, false
 	}
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if w.LaneLive(lane) && !w.Barrier[lane] && w.PC[lane] == minPC {
+	minPC = 1<<31 - 1
+	for m := ready; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		switch pc := w.PC[lane]; {
+		case pc < minPC:
+			minPC, mask = pc, 1<<lane
+		case pc == minPC:
 			mask |= 1 << lane
 		}
 	}
@@ -95,33 +111,10 @@ func (w *Warp) schedulable() (mask uint32, minPC int32, ok bool) {
 }
 
 // Done reports whether every live lane has exited.
-func (w *Warp) Done() bool {
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if w.Valid&(1<<lane) != 0 && !w.Exited[lane] {
-			return false
-		}
-	}
-	return true
-}
+func (w *Warp) Done() bool { return w.live() == 0 }
 
 // allAtBarrier reports whether every live lane is parked at a barrier.
 func (w *Warp) allAtBarrier() bool {
-	any := false
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if !w.LaneLive(lane) {
-			continue
-		}
-		if !w.Barrier[lane] {
-			return false
-		}
-		any = true
-	}
-	return any
-}
-
-// releaseBarrier unparks all lanes.
-func (w *Warp) releaseBarrier() {
-	for lane := range w.Barrier {
-		w.Barrier[lane] = false
-	}
+	live := w.live()
+	return live != 0 && live&^w.Barrier == 0
 }

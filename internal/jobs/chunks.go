@@ -149,10 +149,12 @@ func softwareKey(spec Spec, app string) (string, error) {
 
 // --- chunk computation ----------------------------------------------------
 
-// ComputeChunk executes one chunk request on behalf of a cluster worker
-// and returns the payload to store under req.Key. Gate chunks depend on
-// the profiling payload: dep resolves req.ProfileKey, typically via the
-// worker's local store with remote read-through to the coordinator.
+// ComputeChunk is the single chunk executor: the local scheduler's cache
+// misses and cluster workers both run it, and it returns the payload to
+// store under req.Key. Gate chunks depend on the profiling payload: dep
+// resolves req.ProfileKey — the scheduler hands back the payload it
+// holds, a worker reads its local store with remote read-through to the
+// coordinator.
 // batchWorkers bounds intra-campaign fault-batch parallelism and, like
 // every worker count, never influences the payload bytes.
 func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error), batchWorkers int) ([]byte, error) {
@@ -161,12 +163,7 @@ func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error), batchW
 	case PhaseProfile:
 		return computeProfile(spec)
 	case PhaseGate:
-		var unit *units.Unit
-		for _, u := range units.All() {
-			if u.Name == req.Chunk.Arg {
-				unit = u
-			}
-		}
+		unit := units.ByName(req.Chunk.Arg)
 		if unit == nil {
 			return nil, fmt.Errorf("jobs: chunk %s: unknown unit %q", req.Chunk.ID, req.Chunk.Arg)
 		}

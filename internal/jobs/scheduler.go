@@ -597,9 +597,7 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 	profBytes, err := s.ensureChunk(ctx, j, ChunkRequest{
 		Job: j.ID, Chunk: Chunk{ID: "profile", Phase: PhaseProfile},
 		Spec: spec, Key: profKey,
-	}, profSpan, func() ([]byte, error) {
-		return computeProfile(spec)
-	})
+	}, profSpan, nil)
 	if err != nil {
 		return err
 	}
@@ -615,6 +613,9 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 	s.mu.Unlock()
 
 	payloads := map[string][]byte{"profile": profBytes}
+	// Gate chunks computed in-process read the profile payload already in
+	// hand, not the store.
+	profDep := func(string) ([]byte, error) { return profBytes, nil }
 	var payloadMu sync.Mutex
 
 	// Phases 2-3: gate-level campaigns, one chunk per unit.
@@ -637,9 +638,7 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 			b, err := s.ensureChunk(ctx, j, ChunkRequest{
 				Job: j.ID, Chunk: Chunk{ID: id, Phase: PhaseGate, Arg: u.Name},
 				Spec: spec, Key: key, ProfileKey: profKey,
-			}, sp, func() ([]byte, error) {
-				return computeGate(spec, u, prof.Patterns, s.opts.BatchWorkers)
-			})
+			}, sp, profDep)
 			return chunkOut{id: id, b: b, err: err}
 		})
 	if err != nil {
@@ -680,9 +679,7 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 			b, err := s.ensureChunk(ctx, j, ChunkRequest{
 				Job: j.ID, Chunk: Chunk{ID: id, Phase: PhaseSoftware, Arg: app},
 				Spec: spec, Key: key,
-			}, sp, func() ([]byte, error) {
-				return computeSoftware(spec, app)
-			})
+			}, sp, nil)
 			return chunkOut{id: id, b: b, err: err}
 		})
 	if err != nil {
@@ -721,12 +718,13 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 }
 
 // ensureChunk returns the chunk's payload, from the cache when possible.
-// On a miss it either computes in-process or, when a ledger is
-// configured, offers the chunk for remote execution and waits for a
-// worker to deliver the payload into the store. sp is the chunk's span
-// in the job trace (nil when telemetry is off); its context travels
-// with remote offers so worker spans re-parent under it.
-func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, sp *telemetry.Span, compute func() ([]byte, error)) ([]byte, error) {
+// On a miss it either computes in-process with ComputeChunk, exactly as a
+// cluster worker would (dep resolves the chunk's profile dependency), or,
+// when a ledger is configured, offers the chunk for remote execution and
+// waits for a worker to deliver the payload into the store. sp is the
+// chunk's span in the job trace (nil when telemetry is off); its context
+// travels with remote offers so worker spans re-parent under it.
+func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, sp *telemetry.Span, dep func(key string) ([]byte, error)) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -750,7 +748,7 @@ func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, s
 	}
 
 	tm := telemetry.StartTimer(telChunkSec)
-	b, err := compute()
+	b, err := ComputeChunk(req, dep, s.opts.BatchWorkers)
 	if err != nil {
 		return nil, err
 	}

@@ -100,52 +100,29 @@ func Evaluate(w workloads.Workload, cfg Config) ([]Detection, error) {
 	if len(cfg.Models) == 0 {
 		cfg.Models = errmodel.Injectable()
 	}
-	job := w.Build(rand.New(rand.NewSource(cfg.Seed)))
-
-	devCfg := gpu.DefaultConfig()
-	devCfg.GlobalMemWords = job.Footprint() + 64
-
 	// Golden run with the signature hook.
-	gdev := gpu.NewDevice(devCfg)
 	gsig := &cfcHook{}
-	gdev.AddHook(gsig)
-	golden, err := job.Run(gdev)
+	sess, err := perfi.NewSession(w, cfg.Seed, gpu.Config{}, gsig)
 	if err != nil {
-		return nil, fmt.Errorf("mitigate: golden run of %s: %w", w.Name(), err)
+		return nil, fmt.Errorf("mitigate: %w", err)
 	}
-	if golden.Hung() {
-		return nil, fmt.Errorf("mitigate: golden run of %s trapped: %v", w.Name(), golden.Trap)
-	}
-
-	fCfg := devCfg
-	fCfg.MaxIssues = golden.Issues*8 + 10000
-	fdev := gpu.NewDevice(fCfg)
-
-	maxWarps := 1
-	for _, k := range job.Kernels {
-		if n := (k.Cfg.Block.Count() + 31) / 32; n > maxWarps {
-			maxWarps = n
-		}
-	}
+	maxWarps, ppbs := sess.MaxWarps, sess.Device.PPBsPerSM
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out []Detection
 	for _, m := range cfg.Models {
 		det := Detection{Model: m}
 		for i := 0; i < cfg.Injections; i++ {
-			d := errmodel.Random(m, rng, maxWarps, devCfg.PPBsPerSM)
+			d := errmodel.Random(m, rng, maxWarps, ppbs)
 			det.Injections++
 
 			// Faulty primary run (with CFC signature).
 			fsig := &cfcHook{}
-			fdev.ClearHooks()
-			fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(cfg.Seed^int64(i)))))
-			fdev.AddHook(fsig)
-			rr, err := job.Run(fdev)
+			rr, outcome, err := sess.Run(d, rand.New(rand.NewSource(cfg.Seed^int64(i))), fsig)
 			if err != nil {
 				return nil, err
 			}
-			switch workloads.Classify(golden.Output, rr) {
+			switch outcome {
 			case workloads.OutcomeDUE:
 				det.DUEs++
 				continue
@@ -157,10 +134,8 @@ func Evaluate(w workloads.Workload, cfg Config) ([]Detection, error) {
 			cfcHit := fsig.sig != gsig.sig
 
 			// Replica run: same fault, work displaced one slot.
-			ds := shiftWarps(d, maxWarps, devCfg.PPBsPerSM)
-			fdev.ClearHooks()
-			fdev.AddHook(perfi.New(ds, rand.New(rand.NewSource(cfg.Seed^int64(i)))))
-			rs, err := job.Run(fdev)
+			ds := shiftWarps(d, maxWarps, ppbs)
+			rs, _, err := sess.Run(ds, rand.New(rand.NewSource(cfg.Seed^int64(i))))
 			if err != nil {
 				return nil, err
 			}

@@ -29,9 +29,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Models) == 0 {
 		c.Models = errmodel.Injectable()
 	}
-	if c.Device.NumSMs == 0 {
-		c.Device = gpu.DefaultConfig()
-	}
 	return c
 }
 
@@ -81,68 +78,27 @@ func (r *AppResult) EPR(m errmodel.Model) float64 {
 	return float64(t.SDC+t.DUE) / float64(t.Total())
 }
 
-// maxWarpsUsed reports the largest number of warps any kernel of the job
-// keeps resident, so descriptors target warp slots the application
-// actually maps work onto (as physical injections on a busy GPU do).
-func maxWarpsUsed(job *workloads.Job) int {
-	maxW := 1
-	for _, k := range job.Kernels {
-		w := (k.Cfg.Block.Count() + 31) / 32
-		if w > maxW {
-			maxW = w
-		}
-	}
-	return maxW
-}
-
 // RunApp executes a full injection campaign for one application: a golden
 // run followed by Injections faulty runs per model, each with a fresh
 // random error descriptor.
 func RunApp(w workloads.Workload, cfg Config) (*AppResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	job := w.Build(rand.New(rand.NewSource(cfg.Seed)))
-
-	// Size the simulated allocation to the job's footprint (plus a small
-	// guard band), as a real launch would: a corrupted address then traps
-	// instead of silently landing in never-allocated memory.
-	cfg.Device.GlobalMemWords = job.Footprint() + 64
-
-	dev := gpu.NewDevice(cfg.Device)
-	golden, err := job.Run(dev)
+	sess, err := NewSession(w, cfg.Seed, cfg.Device)
 	if err != nil {
-		return nil, fmt.Errorf("perfi: golden run of %s: %w", w.Name(), err)
+		return nil, err
 	}
-	if golden.Hung() {
-		return nil, fmt.Errorf("perfi: golden run of %s trapped: %v %s",
-			w.Name(), golden.Trap, golden.TrapInfo)
-	}
-
-	// Tight watchdog for the faulty runs: a corrupted loop that runs 8x
-	// past the golden issue count is a hang (DUE), and detecting it fast
-	// keeps campaign time linear.
-	faultyCfg := cfg.Device
-	faultyCfg.MaxIssues = golden.Issues*8 + 10000
-	fdev := gpu.NewDevice(faultyCfg)
-
-	maxWarps := maxWarpsUsed(job)
-	if maxWarps > cfg.Device.MaxWarpsPerSM {
-		maxWarps = cfg.Device.MaxWarpsPerSM
-	}
-
 	res := &AppResult{App: w.Name(), ByModel: make(map[errmodel.Model]Tally)}
 	for _, m := range cfg.Models {
 		var tally Tally
 		for i := 0; i < cfg.Injections; i++ {
-			d := errmodel.Random(m, rng, maxWarps, cfg.Device.PPBsPerSM)
-			fdev.ClearHooks()
-			fdev.AddHook(New(d, rand.New(rand.NewSource(cfg.Seed^int64(i)<<17))))
-			rr, err := job.Run(fdev)
+			d := errmodel.Random(m, rng, sess.MaxWarps, sess.Device.PPBsPerSM)
+			_, outcome, err := sess.Run(d, rand.New(rand.NewSource(cfg.Seed^int64(i)<<17)))
 			if err != nil {
 				return nil, fmt.Errorf("perfi: %s/%v injection %d: %w",
 					w.Name(), m, i, err)
 			}
-			tally.Add(workloads.Classify(golden.Output, rr))
+			tally.Add(outcome)
 		}
 		res.ByModel[m] = tally
 	}

@@ -75,16 +75,6 @@ func (inj *Injector) lanes(ctx *gpu.InstrCtx, mask uint32) uint32 {
 	return mask & inj.D.Threads
 }
 
-// forLanes iterates over the set bits of mask.
-func forLanes(mask uint32, f func(lane int)) {
-	for lane := 0; mask != 0; lane++ {
-		if mask&1 != 0 {
-			f(lane)
-		}
-		mask >>= 1
-	}
-}
-
 // evalBinop applies a two-source replacement operation (IOC).
 func evalBinop(op isa.Opcode, a, b uint32) uint32 {
 	f := math.Float32frombits
@@ -218,7 +208,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		if !iocEligible(in) || !inj.fire() {
 			return
 		}
-		forLanes(lanes, func(lane int) {
+		gpu.ForLanes(lanes, func(lane int) {
 			inj.saved[lane] = w.Reg(lane, in.Rs1)
 			inj.saved2[lane] = w.Reg(lane, in.Rs2)
 		})
@@ -239,7 +229,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		if reg == isa.RZ || !inj.fire() {
 			return
 		}
-		forLanes(lanes, func(lane int) {
+		gpu.ForLanes(lanes, func(lane int) {
 			inj.saved[lane] = w.Reg(lane, reg)
 			w.SetReg(lane, reg, inj.saved[lane]^d.BitErrMask)
 		})
@@ -256,7 +246,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 			if in.Rd == isa.RZ || !inj.fire() {
 				return
 			}
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				inj.saved[lane] = w.Reg(lane, in.Rd)
 			})
 			inj.active = lanes
@@ -268,7 +258,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 			}
 			p, neg := in.PredIndex(), in.PredNegated()
 			var touched uint32
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				v := w.Pred(lane, p)
 				pass := v
 				if neg {
@@ -306,7 +296,7 @@ func (inj *Injector) beforeRegAddr(ctx *gpu.InstrCtx, lanes uint32) {
 			ctx.RaiseTrap(gpu.TrapInvalidReg,
 				"IVRA: destination register address out of bounds")
 		}
-		forLanes(lanes, func(lane int) {
+		gpu.ForLanes(lanes, func(lane int) {
 			inj.saved[lane] = w.Reg(lane, in.Rd)
 		})
 		inj.active = lanes
@@ -324,7 +314,7 @@ func (inj *Injector) beforeRegAddr(ctx *gpu.InstrCtx, lanes uint32) {
 		ctx.RaiseTrap(gpu.TrapInvalidReg,
 			"IVRA: source register address out of bounds")
 	}
-	forLanes(lanes, func(lane int) {
+	gpu.ForLanes(lanes, func(lane int) {
 		inj.saved[lane] = w.Reg(lane, reg)
 		w.SetReg(lane, reg, w.Reg(lane, uint8(wrong)))
 	})
@@ -346,7 +336,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 		case errmodel.IOC:
 			repl := inj.replacementOp(in)
 			exec := inj.active & ctx.ExecMask
-			forLanes(exec, func(lane int) {
+			gpu.ForLanes(exec, func(lane int) {
 				w.SetReg(lane, in.Rd, evalBinop(repl, inj.saved[lane], inj.saved2[lane]))
 			})
 			if exec != 0 {
@@ -358,7 +348,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 				// register and put the old destination value back.
 				wrong := uint8((uint32(in.Rd) ^ d.BitErrMask) % isa.RegsPerThread)
 				exec := inj.active & ctx.ExecMask
-				forLanes(exec, func(lane int) {
+				gpu.ForLanes(exec, func(lane int) {
 					res := w.Reg(lane, in.Rd)
 					w.SetReg(lane, wrong, res)
 					w.SetReg(lane, in.Rd, inj.saved[lane])
@@ -374,13 +364,13 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 			if d.ErrOperLoc == 1 {
 				reg = in.Rs1
 			}
-			forLanes(inj.active, func(lane int) {
+			gpu.ForLanes(inj.active, func(lane int) {
 				w.SetReg(lane, reg, inj.saved[lane])
 			})
 		case errmodel.IAL:
 			if d.ErrOperLoc == 0 {
 				exec := inj.active & ctx.ExecMask
-				forLanes(exec, func(lane int) {
+				gpu.ForLanes(exec, func(lane int) {
 					w.SetReg(lane, in.Rd, inj.saved[lane])
 				})
 				if exec != 0 {
@@ -388,7 +378,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 				}
 			} else {
 				p := int(inj.saved[0])
-				forLanes(inj.active, func(lane int) {
+				gpu.ForLanes(inj.active, func(lane int) {
 					w.SetPred(lane, p, inj.savedPred[lane])
 				})
 			}
@@ -398,7 +388,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 	// Source-mode IRA restores the borrowed operand after execution.
 	if d.Model == errmodel.IRA && d.ErrOperLoc != 0 && inj.active != 0 {
 		if reg, ok := srcOperand(in, d.ErrOperLoc); ok && reg != isa.RZ {
-			forLanes(inj.active, func(lane int) {
+			gpu.ForLanes(inj.active, func(lane int) {
 				w.SetReg(lane, reg, inj.saved[lane])
 			})
 		}
@@ -414,14 +404,14 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 	switch d.Model {
 	case errmodel.IIO:
 		if in.Op.HasImmediate() && in.Op.WritesReg() && in.Rd != isa.RZ && inj.fire() {
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
 			inj.Activations++
 		}
 	case errmodel.IMS:
 		if (in.Op == isa.OpLDS || in.Op == isa.OpLDC) && in.Rd != isa.RZ && inj.fire() {
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
 			inj.Activations++
@@ -430,14 +420,14 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 		if (in.Op == isa.OpISETP || in.Op == isa.OpFSETP || in.Op == isa.OpPSETP) &&
 			in.DestPred() == int(d.BitErrMask)%isa.NumPredicates && inj.fire() {
 			p := in.DestPred()
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				w.SetPred(lane, p, !w.Pred(lane, p))
 			})
 			inj.Activations++
 		}
 	case errmodel.IAT, errmodel.IAW:
 		if in.Op == isa.OpS2R && in.Imm <= isa.SRTidZ && in.Rd != isa.RZ && inj.fire() {
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
 			inj.Activations++
@@ -445,7 +435,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 	case errmodel.IAC:
 		if in.Op == isa.OpS2R && in.Imm >= isa.SRCtaidX && in.Imm <= isa.SRCtaidZ &&
 			in.Rd != isa.RZ && inj.fire() {
-			forLanes(lanes, func(lane int) {
+			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
 			inj.Activations++

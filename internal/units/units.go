@@ -108,3 +108,16 @@ func busIndex(nl *netlist.Netlist) map[string]int {
 func All() []*Unit {
 	return []*Unit{WSC(), Fetch(), Decoder()}
 }
+
+// ByName builds the one unit under test with that name, or returns nil.
+func ByName(name string) *Unit {
+	switch name {
+	case "wsc":
+		return WSC()
+	case "fetch":
+		return Fetch()
+	case "decoder":
+		return Decoder()
+	}
+	return nil
+}

@@ -272,3 +272,21 @@ func TestHangFieldsExist(t *testing.T) {
 		}
 	}
 }
+
+// TestByNameCoversAll: every unit All returns is reachable by its name as
+// the same netlist (the job scheduler names gate chunks by Unit.Name), and
+// an unknown name is nil.
+func TestByNameCoversAll(t *testing.T) {
+	for _, u := range All() {
+		got := ByName(u.Name)
+		if got == nil {
+			t.Fatalf("ByName(%q) = nil", u.Name)
+		}
+		if got.Name != u.Name || got.NL.Stats() != u.NL.Stats() {
+			t.Errorf("ByName(%q) built %s (%s); All has %s", u.Name, got.Name, got.NL.Stats(), u.NL.Stats())
+		}
+	}
+	if ByName("no-such-unit") != nil {
+		t.Error("ByName of an unknown unit is not nil")
+	}
+}

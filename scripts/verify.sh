@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the repo's full static + dynamic gate.
 #
-# Runs go vet, checks gofmt cleanliness, and runs the test suite under
-# the race detector. Exits non-zero on the first failure. Invoked by
-# `make verify`.
+# Runs go vet, checks gofmt cleanliness, runs the test suite under the
+# race detector, the golden repro and the benchmark's smoke-scale oracle.
+# Exits non-zero on the first failure. Invoked by `make verify`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -47,6 +47,18 @@ go test ./internal/workload -run '^$' -fuzz '^FuzzWorkloadSpec$' -fuzztime 5s
 # under the race detector.
 echo "==> golden end-to-end (cmd/repro)"
 go test ./cmd/repro -run '^TestReproGoldenDefault$' -count=1
+
+# Benchmark oracle at smoke scale: expected.json output digests, the
+# stepwise==RunTwoLevelCtx and replay==perfi.RunApp guards, the gate
+# variant equivalences and the cold/warm/cluster artifact byte-identity.
+# Must end in a JSON line with "correct": true (exit status 0).
+echo "==> benchmark smoke (go run ./benchmark -workload all -smoke)"
+smoke=$(go run ./benchmark -workload all -smoke -seconds 0) || {
+	# The table above the final JSON line says what was wrong.
+	echo "$smoke" | sed '$d' | tail -n 40 >&2
+	echo "benchmark smoke: outputs differ from benchmark/expected.json or a guard failed" >&2
+	exit 1
+}
 
 # Telemetry overhead smoke: the instrumented event-engine campaign must
 # stay within 5% of its cost with telemetry disabled. Three short runs
