@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint bench fmt serve-smoke loadtest
+.PHONY: build test verify lint bench fmt serve-smoke
 
 build:
 	$(GO) build ./...
@@ -19,17 +19,15 @@ lint:
 	$(GO) run ./cmd/vetsim ./...
 
 # End-to-end daemon smoke: boot faultsimd, submit a tiny campaign over
-# HTTP, check artifacts and metrics, shut down gracefully.
+# HTTP, check artifacts and metrics, shut down gracefully; then the same
+# on a coordinator + 2 workers, with a loadgen burst (specs/loadtest.json)
+# checking admission accounting and artifact identity under load.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Load generator + SLO gate: replay specs/loadtest.json at full pressure
-# against an admission-limited daemon; writes BENCH_loadgen.json and
-# fails if submission p99 exceeds SLO_P99 (default 2.5s; gate arms on
-# >= 2 CPUs).
-loadtest:
-	sh scripts/loadtest.sh
-
+# Paper exhibit and design-ablation benchmarks, one iteration each: they
+# regenerate the exhibits' headline numbers. Speed is measured by the
+# repository benchmark instead (sh benchmark/run.sh, benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

@@ -5,7 +5,9 @@
 // Benchmarks run scaled-down campaigns (the full paper scale is available
 // through cmd/repro -scale paper) and attach the headline measured numbers
 // as custom benchmark metrics, so `go test -bench . -benchmem` regenerates
-// the shape of every exhibit.
+// the shape of every exhibit. None of them is a speed measurement: how
+// fast the layers run is the repository benchmark's job (go run
+// ./benchmark, see benchmark/README.md).
 package gpufaultsim
 
 import (
@@ -15,7 +17,6 @@ import (
 	"strconv"
 	"testing"
 
-	"gpufaultsim/internal/analyze"
 	"gpufaultsim/internal/campaign"
 	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/errclass"
@@ -327,135 +328,6 @@ func BenchmarkAblationPatternDedup(b *testing.B) {
 			reduced := u.ReducePatterns(prof.Patterns)
 			b.ReportMetric(float64(prof.DynInstrs)/float64(len(reduced)), u.Name+"-dedup-x")
 		}
-	}
-}
-
-// BenchmarkAblationWorkers measures the campaign worker pool at different
-// widths (wall-clock effect depends on available cores).
-func BenchmarkAblationWorkers(b *testing.B) {
-	apps := []workloads.Workload{workloads.VectorAdd{}, workloads.MxM{},
-		workloads.GrayFilter{}, workloads.SVMul{}}
-	cfg := perfi.Config{Injections: 4, Seed: 1,
-		Models: []errmodel.Model{errmodel.IAT, errmodel.IOC}}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := campaign.RunSuiteParallelCtx(context.Background(), apps, cfg, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFullCampaign / BenchmarkCollapsedCampaign measure the payoff of
-// static fault collapsing on the decoder: the collapsed run simulates one
-// representative per equivalence class and expands the results, producing
-// byte-identical summaries while shedding a reported fraction of the fault
-// list. BenchmarkFullCampaign pins the dense reference engine explicitly —
-// the zero Config selects the event engine — so the pair
-// BenchmarkFullCampaign/BenchmarkEventCampaign stays a true engine A/B on
-// the same decoder campaign. Both pin Workers to 1: the A/B isolates the
-// engines, and the parallel scaling has its own benchmark
-// (BenchmarkParallelCampaignWSC).
-func BenchmarkFullCampaign(b *testing.B) {
-	u := units.Decoder()
-	patterns := campaignPatterns(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{Engine: gatesim.EngineFull, Workers: 1})
-		b.ReportMetric(float64(sum.SimulatedSites), "sim-faults")
-	}
-}
-
-// BenchmarkEventCampaign is the same decoder campaign on the levelized
-// event-driven engine (the default). ReportAllocs feeds the allocation
-// regression gate in scripts/verify.sh: the campaign's allocations are
-// per-campaign setup only, so allocs/op must stay flat as the hot loop
-// evolves.
-func BenchmarkEventCampaign(b *testing.B) {
-	u := units.Decoder()
-	patterns := campaignPatterns(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{Engine: gatesim.EngineEvent, Workers: 1})
-		b.ReportMetric(float64(sum.SimulatedSites), "sim-faults")
-	}
-}
-
-// BenchmarkParallelCampaignWSC measures intra-campaign fault-batch
-// sharding on the WSC — the largest netlist, the paper's dominant
-// campaign cost. Sub-benchmarks sweep the worker width over the same
-// campaign (byte-identical results). Width 1 runs the whole loop on the
-// calling goroutine — the honest baseline, with no goroutine hand-off.
-// The repository benchmark reports the same ratio per unit as
-// gatesim.<unit>.shard_speedup (go run ./benchmark -workload gate_sweep
-// -trace 1).
-func BenchmarkParallelCampaignWSC(b *testing.B) {
-	u := units.WSC()
-	patterns := campaignPatterns(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sum := gatesim.CampaignCfg(u, patterns, nil, gatesim.Config{Engine: gatesim.EngineEvent, Workers: workers})
-				b.ReportMetric(float64(sum.SimulatedSites), "sim-faults")
-			}
-		})
-	}
-}
-
-func BenchmarkCollapsedCampaign(b *testing.B) {
-	u := units.Decoder()
-	patterns := campaignPatterns(b)
-	cm := analyze.Collapse(u.NL)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := gatesim.CampaignCollapsedCfg(u, patterns, cm, nil, gatesim.Config{})
-		b.ReportMetric(float64(sum.SimulatedSites), "sim-faults")
-	}
-	b.ReportMetric(100*cm.Reduction(), "fault-reduction-%")
-}
-
-// campaignPatterns profiles a small workload mix once for the campaign
-// benchmarks above.
-func campaignPatterns(b *testing.B) []units.Pattern {
-	b.Helper()
-	pats := envInt("GPUFAULTSIM_PATTERNS", 64)
-	prof, err := profiler.Collect(
-		[]workloads.Workload{workloads.VectorAdd{}, workloads.GEMM{}},
-		profiler.Config{Seed: 1, MaxPatterns: pats})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return prof.TopPatterns(pats)
-}
-
-// --- Core substrate micro-benchmarks -----------------------------------------------
-
-func BenchmarkGPUSimulatorGEMM(b *testing.B) {
-	job := workloads.GEMM{}.Build(rand.New(rand.NewSource(1)))
-	dev := gpu.NewDevice(gpu.DefaultConfig())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr, err := job.Run(dev)
-		if err != nil || rr.Hung() {
-			b.Fatalf("gemm failed: %v %v", err, rr)
-		}
-		b.ReportMetric(float64(rr.Issues), "issues")
-	}
-}
-
-func BenchmarkGateLevelEvalWSC(b *testing.B) {
-	u := units.WSC()
-	p := units.Pattern{WarpValid: 0xFFFF, WarpReady: 0xFFFF, ActiveMask: ^uint32(0)}
-	sim := netlist.NewSimulator(u.NL)
-	b.ReportMetric(float64(u.NL.NumCells()), "cells")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Drive(sim, p, i%2)
-		sim.Step()
 	}
 }
 

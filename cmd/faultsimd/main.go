@@ -53,7 +53,7 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "chunk lease TTL before the coordinator reassigns (coordinator role)")
 	workerName := flag.String("worker-name", "", "worker identity in the cluster (worker role; default host-pid)")
 	maxLeases := flag.Int("max-leases", 2, "chunks a worker requests per poll (worker role)")
-	logLevel := flag.String("log-level", envOr("GPUFAULTSIM_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
+	logLevel := flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	flag.Parse()
 
 	logger := telemetry.NewLogger(os.Stderr, telemetry.ParseLogLevel(*logLevel),
@@ -198,14 +198,6 @@ func runWorker(ctx context.Context, logger *slog.Logger, st *store.Store, addr, 
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown", "error", err)
 	}
-}
-
-// envOr reads an environment default for a flag.
-func envOr(key, def string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return def
 }
 
 // fatal logs one structured error line and exits non-zero.

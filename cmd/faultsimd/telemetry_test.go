@@ -65,6 +65,7 @@ func TestMetricsFormats(t *testing.T) {
 		"jobs_chunk_seconds_bucket{le=\"+Inf\"}",
 		"gatesim_faults_classified_total{class=",
 		"campaign_workers_busy",
+		"http_submit_seconds_count ", // POST /jobs latency, surfaced server-side
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

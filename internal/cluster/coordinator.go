@@ -18,20 +18,16 @@ import (
 	"gpufaultsim/internal/telemetry"
 )
 
-// workerState tracks one worker's registration, its metric handles, its
-// throughput EWMAs, and the latest registry snapshot it pushed. The
-// per-worker handles are label-baked per worker name and created once at
-// registration (never in a loop), so the hot lease path only touches
-// atomics.
+// workerState tracks one worker's registration, its metric handles and
+// the latest registry snapshot it pushed. The per-worker handles are
+// label-baked per worker name and created once at registration (never in
+// a loop), so the hot lease path only touches atomics.
 type workerState struct {
 	name      string
 	lastSeen  time.Time
 	granted   int64
 	completed int64
 	failed    int64
-
-	chunksRate rateEWMA
-	bytesRate  rateEWMA
 
 	// Latest pushed registry snapshot (nil until the first metrics
 	// heartbeat) and the high-water contribution floors that keep
@@ -42,11 +38,9 @@ type workerState struct {
 	floorInt   map[string]int64
 	floorFloat map[string]float64
 
-	gLeases     *telemetry.Gauge
-	cGranted    *telemetry.Counter
-	cCompleted  *telemetry.Counter
-	gChunksRate *telemetry.FloatGauge
-	gBytesRate  *telemetry.FloatGauge
+	gLeases    *telemetry.Gauge
+	cGranted   *telemetry.Counter
+	cCompleted *telemetry.Counter
 }
 
 // CoordinatorOptions configures a Coordinator.
@@ -73,22 +67,18 @@ type CoordinatorOptions struct {
 	Recorder *telemetry.FlightRecorder
 	// Log receives structured cluster events (nil discards them).
 	Log *slog.Logger
-	// RateTau is the throughput EWMA time constant in seconds (<=0
-	// selects 30s).
-	RateTau float64
 }
 
 // Coordinator owns cluster membership and serves the lease protocol on
 // top of a jobs.Ledger and the shared result store.
 type Coordinator struct {
-	ledger  *jobs.Ledger
-	store   *store.Store
-	sweep   time.Duration
-	now     func() time.Time
-	reg     *telemetry.Registry
-	rec     *telemetry.FlightRecorder
-	log     *slog.Logger
-	rateTau float64
+	ledger *jobs.Ledger
+	store  *store.Store
+	sweep  time.Duration
+	now    func() time.Time
+	reg    *telemetry.Registry
+	rec    *telemetry.FlightRecorder
+	log    *slog.Logger
 
 	telWorkersLive  *telemetry.Gauge
 	telChunksServed *telemetry.Counter
@@ -126,18 +116,14 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Log == nil {
 		opts.Log = telemetry.NopLogger()
 	}
-	if opts.RateTau <= 0 {
-		opts.RateTau = defaultRateTau
-	}
 	return &Coordinator{
-		ledger:  opts.Ledger,
-		store:   opts.Store,
-		sweep:   opts.SweepEvery,
-		now:     opts.Now,
-		reg:     opts.Registry,
-		rec:     opts.Recorder,
-		log:     opts.Log,
-		rateTau: opts.RateTau,
+		ledger: opts.Ledger,
+		store:  opts.Store,
+		sweep:  opts.SweepEvery,
+		now:    opts.Now,
+		reg:    opts.Registry,
+		rec:    opts.Recorder,
+		log:    opts.Log,
 		telWorkersLive: opts.Registry.Gauge("cluster_workers",
 			"workers seen within the liveness window"),
 		telChunksServed: opts.Registry.Counter("cluster_chunk_fetches_total",
@@ -190,17 +176,11 @@ func (c *Coordinator) touch(name string) *workerState {
 	if !ok {
 		w = &workerState{
 			name:       name,
-			chunksRate: newRateEWMA(c.rateTau),
-			bytesRate:  newRateEWMA(c.rateTau),
 			floorInt:   make(map[string]int64),
 			floorFloat: make(map[string]float64),
 			gLeases:    c.reg.Gauge("cluster_worker_active_leases", "leases currently held, by worker", telemetry.L("worker", name)),
 			cGranted:   c.reg.Counter("cluster_worker_leases_total", "lease grants, by worker", telemetry.L("worker", name)),
 			cCompleted: c.reg.Counter("cluster_worker_completed_total", "chunk completions, by worker", telemetry.L("worker", name)),
-			gChunksRate: c.reg.FloatGauge("cluster_worker_throughput_chunks_per_sec",
-				"EWMA chunk completion rate, by worker", telemetry.L("worker", name)),
-			gBytesRate: c.reg.FloatGauge("cluster_worker_throughput_bytes_per_sec",
-				"EWMA payload throughput, by worker", telemetry.L("worker", name)),
 		}
 		c.workers[name] = w
 		c.log.Info("worker joined", "worker", name)
@@ -210,8 +190,8 @@ func (c *Coordinator) touch(name string) *workerState {
 }
 
 // refreshGauges recomputes the live-worker count and per-worker lease
-// and throughput gauges; called from the sweeper and after
-// membership-changing requests.
+// gauges; called from the sweeper and after membership-changing
+// requests.
 func (c *Coordinator) refreshGauges() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -222,8 +202,6 @@ func (c *Coordinator) refreshGauges() {
 			live++
 		}
 		w.gLeases.Set(int64(len(c.ledger.ActiveLeases(w.name))))
-		w.gChunksRate.Set(w.chunksRate.Rate(now))
-		w.gBytesRate.Set(w.bytesRate.Rate(now))
 	}
 	c.telWorkersLive.Set(live)
 }
@@ -350,13 +328,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	case outcome == jobs.CompleteOK:
 		ws.completed++
 	}
-	if req.Error == "" {
-		// Physical throughput: the worker produced these bytes whether or
-		// not the ledger still wanted them (late completions included).
-		now := c.now()
-		ws.chunksRate.Observe(1, now)
-		ws.bytesRate.Observe(float64(len(req.Payload)), now)
-	}
 	c.mu.Unlock()
 	if req.Error == "" && outcome == jobs.CompleteOK {
 		ws.cCompleted.Inc()
@@ -426,10 +397,6 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 			Granted:      ws.granted,
 			Completed:    ws.completed,
 			Failed:       ws.failed,
-			Throughput: WorkerThroughput{
-				ChunksPerSec: ws.chunksRate.Rate(now),
-				BytesPerSec:  ws.bytesRate.Rate(now),
-			},
 		})
 	}
 	c.mu.Unlock()

@@ -40,7 +40,6 @@ func (ws *workerState) contribution() telemetry.Snapshot {
 		Counters:      make(map[string]int64, len(ws.floorInt)),
 		FloatCounters: make(map[string]float64, len(ws.floorFloat)),
 		Gauges:        map[string]int64{},
-		FloatGauges:   map[string]float64{},
 		Histograms:    map[string]telemetry.HistogramSnapshot{},
 	}
 	for k, v := range ws.floorInt {
@@ -52,9 +51,6 @@ func (ws *workerState) contribution() telemetry.Snapshot {
 	if ws.metrics != nil {
 		for k, v := range ws.metrics.Gauges {
 			out.Gauges[k] = v
-		}
-		for k, v := range ws.metrics.FloatGauges {
-			out.FloatGauges[k] = v
 		}
 		for k, h := range ws.metrics.Histograms {
 			out.Histograms[k] = h

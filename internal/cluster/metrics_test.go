@@ -17,7 +17,7 @@ import (
 )
 
 // fakeClock is an injectable coordinator clock; the metrics tests drive
-// liveness, staleness and EWMA decay deterministically through it.
+// liveness and staleness deterministically through it.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -240,7 +240,7 @@ func TestClusterMetricsPrometheusFormat(t *testing.T) {
 	}
 	for _, want := range []string{
 		"cluster_chunks_computed_total 5",
-		"cluster_worker_throughput_chunks_per_sec",
+		`cluster_worker_completed_total{worker="w1"}`,
 		"cluster_workers",
 	} {
 		if !strings.Contains(body, want) {
@@ -249,49 +249,39 @@ func TestClusterMetricsPrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestWorkersViewThroughputEWMA drives the lease/complete path on the
-// fake clock and checks the throughput view: a completion registers as
-// an n/tau impulse and decays by exp(-dt/tau) while the worker idles.
-func TestWorkersViewThroughputEWMA(t *testing.T) {
-	_, clk, led, srv := newMetricsCoordinator(t, time.Minute)
-	req := testReq(t, "sw:vectoradd")
-	led.Offer(req)
-	var lr LeaseResponse
-	postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "w1", Max: 1}, &lr)
-	if len(lr.Grants) != 1 {
-		t.Fatalf("grants = %d", len(lr.Grants))
+// TestNoThroughputSeriesAndOldWorkerHeartbeat pins the wire shape after
+// the throughput EWMA's removal: /cluster/workers rows and the merged
+// exposition carry no throughput or float-gauge keys, and a heartbeat
+// from a worker built before the removal — its snapshot still has a
+// float_gauges map — is accepted and its counters merged.
+func TestNoThroughputSeriesAndOldWorkerHeartbeat(t *testing.T) {
+	_, _, _, srv := newMetricsCoordinator(t, time.Minute)
+	old := json.RawMessage(`{"worker":"old","metrics_schema":1,"metrics":{
+		"counters":{"cluster_chunks_computed_total":3},"gauges":{},
+		"float_gauges":{"worker_rate{worker=\"old\"}":0.5},
+		"histograms":{}}}`)
+	if code := postJSON(t, srv.URL+"/cluster/heartbeat", old, &HeartbeatResponse{}); code != http.StatusOK {
+		t.Fatalf("old-worker heartbeat status = %d", code)
 	}
-	payload := []byte(`{"ok":true,"pad":"0123456789"}`)
-	postJSON(t, srv.URL+"/cluster/complete",
-		CompleteRequest{Worker: "w1", Lease: lr.Grants[0].Lease, Key: req.Key, Payload: payload}, &CompleteResponse{})
+	cm := getClusterMetrics(t, srv.URL)
+	if got := cm.Merged.Counters["cluster_chunks_computed_total"]; got != 3 {
+		t.Fatalf("old worker's counters not merged: %d, want 3", got)
+	}
 
-	throughput := func() WorkerThroughput {
-		resp, err := http.Get(srv.URL + "/cluster/workers")
+	for _, path := range []string{"/cluster/workers", "/cluster/metrics", "/cluster/metrics?format=prometheus"} {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var wr WorkersResponse
-		if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-			t.Fatal(err)
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if path == "/cluster/workers" && !strings.Contains(string(b), `"name":"old"`) {
+			t.Fatalf("%s has no row for the old worker:\n%s", path, b)
 		}
-		if len(wr.Workers) != 1 {
-			t.Fatalf("workers = %d, want 1", len(wr.Workers))
+		for _, gone := range []string{"throughput", "float_gauges"} {
+			if strings.Contains(string(b), gone) {
+				t.Fatalf("%s still carries %q:\n%s", path, gone, b)
+			}
 		}
-		return wr.Workers[0].Throughput
-	}
-
-	tp := throughput()
-	if want := 1.0 / defaultRateTau; math.Abs(tp.ChunksPerSec-want) > 1e-9 {
-		t.Fatalf("chunks/sec = %v, want impulse %v", tp.ChunksPerSec, want)
-	}
-	if want := float64(len(payload)) / defaultRateTau; math.Abs(tp.BytesPerSec-want) > 1e-9 {
-		t.Fatalf("bytes/sec = %v, want impulse %v", tp.BytesPerSec, want)
-	}
-
-	clk.Advance(time.Duration(defaultRateTau) * time.Second)
-	decayed := throughput()
-	if want := tp.ChunksPerSec * math.Exp(-1); math.Abs(decayed.ChunksPerSec-want) > 1e-9 {
-		t.Fatalf("after one tau idle: chunks/sec = %v, want %v", decayed.ChunksPerSec, want)
 	}
 }

@@ -99,8 +99,9 @@ func (idx spanIndex) rootOf(t *testing.T, s telemetry.SpanRecord) telemetry.Span
 // full campaign. Afterwards the coordinator's recorder must hold ONE
 // stitched trace — worker-origin chunk subtrees re-parented under the
 // scheduler's job span — /cluster/metrics must aggregate exactly, the
-// throughput EWMAs must be nonzero, and the artifacts must still be
-// byte-identical to the single-node reference.
+// per-worker completion counts must add up to the chunks computed, and
+// the artifacts must still be byte-identical to the single-node
+// reference.
 func TestClusterObservabilityEndToEnd(t *testing.T) {
 	reference := runSingleNode(t, campaignSpec())
 
@@ -243,27 +244,34 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("merged computed total = %d, want coordinator+workers = %d", got, want)
 	}
 
-	// --- throughput accounting ----------------------------------------
-	var wr WorkersResponse
-	resp, err := srv.Client().Get(srv.URL + "/cluster/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		t.Fatal(err)
-	}
-	var chunksRate float64
-	var completedTotal int64
-	for _, w := range wr.Workers {
-		chunksRate += w.Throughput.ChunksPerSec
-		completedTotal += w.Completed
-	}
-	if completedTotal == 0 {
-		t.Fatal("no completions recorded in /cluster/workers")
-	}
-	if chunksRate <= 0 {
-		t.Fatalf("fleet chunks/sec EWMA = %v, want > 0 right after a campaign", chunksRate)
+	// --- per-worker completion accounting -----------------------------
+	// Private stores and renewed leases: every chunk was computed once
+	// and accepted once, so the /cluster/workers rows must add up to the
+	// workers' own computed counters. The last completion's bookkeeping
+	// may still be landing when the job flips done, hence the deadline.
+	deadline = time.Now().Add(10 * time.Second)
+	for {
+		var wr WorkersResponse
+		resp, err := srv.Client().Get(srv.URL + "/cluster/workers")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&wr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var completedTotal int64
+		for _, w := range wr.Workers {
+			completedTotal += w.Completed
+		}
+		if completedTotal == computed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/cluster/workers completed sums to %d, workers computed %d", completedTotal, computed)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 

@@ -43,7 +43,8 @@ import (
 // versions refuse each other's grants instead of miscomputing.
 // Schema history: 1 = PR 7 lease protocol; 2 = observability fields
 // (trace contexts on leases, span push on complete, metrics on
-// heartbeat, throughput on the workers view).
+// heartbeat). The workers view lost its throughput block without a bump:
+// only operators read that view, no worker does.
 const protocolSchema = 2
 
 // metricsSchema versions the registry-snapshot payload workers push on
@@ -120,25 +121,15 @@ type HeartbeatResponse struct {
 	Lost    []string `json:"lost,omitempty"`
 }
 
-// WorkerThroughput is the per-worker EWMA throughput view: chunks/sec
-// and payload bytes/sec, decayed toward completion events (tau ~30s).
-// This is the signal the ROADMAP names as the prerequisite for
-// throughput-weighted lease assignment.
-type WorkerThroughput struct {
-	ChunksPerSec float64 `json:"chunks_per_sec"`
-	BytesPerSec  float64 `json:"bytes_per_sec"`
-}
-
 // WorkerInfo is one row of the GET /cluster/workers view.
 type WorkerInfo struct {
-	Name         string           `json:"name"`
-	LastSeenSec  float64          `json:"last_seen_sec"`
-	Live         bool             `json:"live"`
-	ActiveLeases []string         `json:"active_leases,omitempty"`
-	Granted      int64            `json:"granted"`
-	Completed    int64            `json:"completed"`
-	Failed       int64            `json:"failed"`
-	Throughput   WorkerThroughput `json:"throughput"`
+	Name         string   `json:"name"`
+	LastSeenSec  float64  `json:"last_seen_sec"`
+	Live         bool     `json:"live"`
+	ActiveLeases []string `json:"active_leases,omitempty"`
+	Granted      int64    `json:"granted"`
+	Completed    int64    `json:"completed"`
+	Failed       int64    `json:"failed"`
 }
 
 // WorkersResponse is the cluster membership + ledger view.

@@ -127,7 +127,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 			t.Fatalf("chunk %s not done or missing cache key: %+v", c.ID, c)
 		}
 	}
-	if cs := s.CacheStats(); cs.Puts != 5 {
+	if cs := s.MetricsSnapshot().Cache; cs.Puts != 5 {
 		t.Fatalf("cache puts = %d, want 5", cs.Puts)
 	}
 	tm := s.PhaseTimings()

@@ -51,9 +51,8 @@ func TestConcurrentReadsDuringCheckpointing(t *testing.T) {
 					}
 				}
 				s.Jobs()
-				s.CacheStats()
+				s.MetricsSnapshot()
 				s.PhaseTimings()
-				s.QueueDepth()
 				for _, name := range cur.Artifacts {
 					s.Artifact(st.ID, name)
 				}

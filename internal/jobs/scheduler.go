@@ -248,22 +248,6 @@ func (s *Scheduler) pendingLocked() int {
 	return n
 }
 
-// QueueDepth counts jobs waiting for a worker.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if j.state == StateQueued {
-			n++
-		}
-	}
-	return n
-}
-
-// CacheStats snapshots the result cache counters.
-func (s *Scheduler) CacheStats() store.Stats { return s.store.Stats() }
-
 // MetricsView is everything the daemon's /metrics endpoint reports
 // about the scheduler and its cache.
 type MetricsView struct {
@@ -277,7 +261,7 @@ type MetricsView struct {
 // MetricsSnapshot gathers the whole metrics view in one pass: a single
 // lock acquisition over the job table plus one cache Stats() call, so
 // the numbers a scrape reports are internally consistent mid-campaign
-// (the field-by-field Jobs/QueueDepth/Pending/PhaseTimings calls each
+// (the field-by-field Jobs/Pending/PhaseTimings calls each
 // reacquire the mutex and interleave with job transitions). It also
 // refreshes the queue-depth and pending gauges in the registry.
 func (s *Scheduler) MetricsSnapshot() MetricsView {

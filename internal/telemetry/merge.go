@@ -7,7 +7,7 @@ package telemetry
 //   - counters / float counters: summed. Monotonicity across worker
 //     restarts is the *caller's* job (the coordinator keeps a high-water
 //     contribution per worker) — MergeInto itself just adds.
-//   - gauges / float gauges: summed. The fleet level of an instantaneous
+//   - gauges: summed. The fleet level of an instantaneous
 //     quantity (queue depth, resident bytes, busy workers) is the sum of
 //     the per-process levels.
 //   - histograms: bucket-wise sum when the bucket layouts match
@@ -29,12 +29,6 @@ func MergeInto(dst *Snapshot, src Snapshot) {
 	}
 	for k, v := range src.Gauges {
 		dst.Gauges[k] += v
-	}
-	if len(src.FloatGauges) > 0 && dst.FloatGauges == nil {
-		dst.FloatGauges = make(map[string]float64, len(src.FloatGauges))
-	}
-	for k, v := range src.FloatGauges {
-		dst.FloatGauges[k] += v
 	}
 	for k, h := range src.Histograms {
 		dst.Histograms[k] = mergeHistogram(dst.Histograms[k], h)

@@ -16,18 +16,18 @@ func TestFloatCounterAndGauge(t *testing.T) {
 	if got := fc.Value(); got != 1.75 {
 		t.Fatalf("FloatCounter = %v, want 1.75", got)
 	}
-	fg := r.FloatGauge("rate_test", "t", L("worker", "a"))
-	fg.Set(2.5)
-	fg.Set(1.25)
-	if got := fg.Value(); got != 1.25 {
-		t.Fatalf("FloatGauge = %v, want 1.25", got)
+	g := r.Gauge("leases_test", "t", L("worker", "a"))
+	g.Set(5)
+	g.Set(2)
+	if got := g.Value(); got != 2 {
+		t.Fatalf("Gauge = %v, want 2", got)
 	}
 	snap := r.Snapshot()
 	if snap.FloatCounters["idle_seconds_test"] != 1.75 {
 		t.Fatalf("snapshot float counter: %+v", snap.FloatCounters)
 	}
-	if snap.FloatGauges[`rate_test{worker="a"}`] != 1.25 {
-		t.Fatalf("snapshot float gauge: %+v", snap.FloatGauges)
+	if snap.Gauges[`leases_test{worker="a"}`] != 2 {
+		t.Fatalf("snapshot gauge: %+v", snap.Gauges)
 	}
 
 	var b strings.Builder
@@ -38,8 +38,8 @@ func TestFloatCounterAndGauge(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE idle_seconds_test counter",
 		"idle_seconds_test 1.75",
-		"# TYPE rate_test gauge",
-		`rate_test{worker="a"} 1.25`,
+		"# TYPE leases_test gauge",
+		`leases_test{worker="a"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -62,7 +62,6 @@ func TestMergeInto(t *testing.T) {
 	b.Gauge("depth", "t").Set(7)
 	a.FloatCounter("idle_seconds", "t").Add(0.5)
 	b.FloatCounter("idle_seconds", "t").Add(0.25)
-	b.FloatGauge("rate", "t").Set(1.5)
 
 	ha := a.Histogram("lat_seconds", "t", []float64{1, 2})
 	hb := b.Histogram("lat_seconds", "t", []float64{1, 2})
@@ -85,9 +84,6 @@ func TestMergeInto(t *testing.T) {
 	}
 	if merged.FloatCounters["idle_seconds"] != 0.75 {
 		t.Fatalf("float counter merge: %v", merged.FloatCounters["idle_seconds"])
-	}
-	if merged.FloatGauges["rate"] != 1.5 {
-		t.Fatalf("float gauge merge: %v", merged.FloatGauges["rate"])
 	}
 	h := merged.Histograms["lat_seconds"]
 	if h.Count != 3 || h.Sum != 12 {
@@ -122,7 +118,6 @@ func TestMergeInto(t *testing.T) {
 		"chunks_total 7",
 		"depth 12",
 		"idle_seconds 0.75",
-		"rate 1.5",
 		`lat_seconds_bucket{le="+Inf"} 3`,
 		"lat_seconds_count 3",
 	} {

@@ -57,9 +57,6 @@ func WriteSnapshotPrometheus(w io.Writer, snap Snapshot) error {
 	for k := range snap.Gauges {
 		add(k, "gauge")
 	}
-	for k := range snap.FloatGauges {
-		add(k, "gauge")
-	}
 	for k := range snap.Histograms {
 		add(k, "histogram")
 	}
@@ -92,11 +89,7 @@ func writePromFamilies(w io.Writer, fams []*family, snap Snapshot) error {
 					_, err = fmt.Fprintf(w, "%s %d\n", key, snap.Counters[key])
 				}
 			case "gauge":
-				if fv, ok := snap.FloatGauges[key]; ok {
-					_, err = fmt.Fprintf(w, "%s %s\n", key, strconv.FormatFloat(fv, 'g', -1, 64))
-				} else {
-					_, err = fmt.Fprintf(w, "%s %d\n", key, snap.Gauges[key])
-				}
+				_, err = fmt.Fprintf(w, "%s %d\n", key, snap.Gauges[key])
 			case "histogram":
 				err = writePromHistogram(w, f.name, key, snap.Histograms[key])
 			}

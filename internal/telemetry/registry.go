@@ -81,23 +81,6 @@ func (c *FloatCounter) Add(v float64) {
 // Value returns the accumulated total.
 func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.v.Load()) }
 
-// FloatGauge is an atomic instantaneous float value (rates, ratios).
-type FloatGauge struct {
-	v    atomic.Uint64 // float64 bits
-	name string
-}
-
-// Set replaces the gauge's value.
-func (g *FloatGauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Store(math.Float64bits(v))
-}
-
-// Value returns the current level.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
-
 // Histogram is a fixed-bucket distribution: bounds are upper bucket
 // edges (ascending), counts[i] tallies observations v <= bounds[i]
 // (first matching bucket), and the implicit last bucket catches the
@@ -203,24 +186,22 @@ type family struct {
 // Re-registering a name as a different metric type panics — that is a
 // programmer error, not an operational condition.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	floats      map[string]*FloatCounter
-	gauges      map[string]*Gauge
-	floatGauges map[string]*FloatGauge
-	hists       map[string]*Histogram
-	families    map[string]*family
+	mu       sync.Mutex
+	counters map[string]*Counter
+	floats   map[string]*FloatCounter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	families map[string]*family
 }
 
 // NewRegistry builds an empty registry. Most callers want Default().
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		floats:      make(map[string]*FloatCounter),
-		gauges:      make(map[string]*Gauge),
-		floatGauges: make(map[string]*FloatGauge),
-		hists:       make(map[string]*Histogram),
-		families:    make(map[string]*family),
+		counters: make(map[string]*Counter),
+		floats:   make(map[string]*FloatCounter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
+		families: make(map[string]*family),
 	}
 }
 
@@ -311,24 +292,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return g
 }
 
-// FloatGauge returns (registering if needed) the float gauge for
-// name+labels. Float and integer gauges may not share a base name.
-func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	key := renderKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.floatGauges[key]; ok {
-		return g
-	}
-	if _, ok := r.gauges[key]; ok {
-		panic(fmt.Sprintf("telemetry: metric %q registered as both int and float gauge", key))
-	}
-	r.register(name, key, help, "gauge")
-	g := &FloatGauge{name: key}
-	r.floatGauges[key] = g
-	return g
-}
-
 // Histogram returns (registering if needed) the histogram for
 // name+labels over the given ascending bucket upper bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
@@ -361,7 +324,6 @@ type Snapshot struct {
 	Counters      map[string]int64             `json:"counters"`
 	FloatCounters map[string]float64           `json:"float_counters,omitempty"`
 	Gauges        map[string]int64             `json:"gauges"`
-	FloatGauges   map[string]float64           `json:"float_gauges,omitempty"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms"`
 }
 
@@ -373,7 +335,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:      make(map[string]int64, len(r.counters)),
 		FloatCounters: make(map[string]float64, len(r.floats)),
 		Gauges:        make(map[string]int64, len(r.gauges)),
-		FloatGauges:   make(map[string]float64, len(r.floatGauges)),
 		Histograms:    make(map[string]HistogramSnapshot, len(r.hists)),
 	}
 	for k, c := range r.counters {
@@ -384,9 +345,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, g := range r.gauges {
 		s.Gauges[k] = g.Value()
-	}
-	for k, g := range r.floatGauges {
-		s.FloatGauges[k] = g.Value()
 	}
 	for k, h := range r.hists {
 		s.Histograms[k] = h.snapshot()

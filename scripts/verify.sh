@@ -60,12 +60,15 @@ smoke=$(go run ./benchmark -workload all -smoke -seconds 0) || {
 	exit 1
 }
 
+# Both gates below run BenchmarkEventCampaign in internal/gatesim, beside
+# the campaign loop (shard.go) they guard.
+#
 # Telemetry overhead smoke: the instrumented event-engine campaign must
 # stay within 5% of its cost with telemetry disabled. Three short runs
 # per mode, best-of (min ns/op) to shed scheduler noise.
 echo "==> telemetry overhead smoke (BenchmarkEventCampaign on vs off)"
 bench_ns() {
-	GPUFAULTSIM_TELEMETRY="$1" go test . \
+	GPUFAULTSIM_TELEMETRY="$1" go test ./internal/gatesim \
 		-run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -count 3 |
 		awk '/^BenchmarkEventCampaign/ { if (best == 0 || $3 < best) best = $3 } END { print best }'
 }
@@ -80,13 +83,13 @@ awk -v on="$ON" -v off="$OFF" 'BEGIN {
 }' || { echo "telemetry overhead exceeds 5% budget" >&2; exit 1; }
 
 # Allocation regression gate: the event-engine campaign allocates only
-# per-campaign setup (~1.5k allocs at the default 64 patterns). A single
+# per-campaign setup (~1.5k allocs at its 64 patterns). A single
 # allocation leaking into the per-batch hot loop adds thousands per op —
 # the budget below catches it while leaving headroom for setup drift.
 # (Steady-state reuse across patterns is asserted separately by
 # TestShardedCampaignSteadyStateAllocs.)
 echo "==> allocation regression gate (BenchmarkEventCampaign)"
-ALLOCS=$(go test . -run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -benchmem |
+ALLOCS=$(go test ./internal/gatesim -run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -benchmem |
 	awk '/^BenchmarkEventCampaign/ { for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }')
 [ -n "$ALLOCS" ] || { echo "allocation gate: benchmark produced no allocs/op" >&2; exit 1; }
 echo "    ${ALLOCS} allocs/op (budget 1670)"
