@@ -21,20 +21,12 @@ import "fmt"
 // Dim3 is a three-dimensional index or extent (threads, blocks).
 type Dim3 struct{ X, Y, Z int }
 
-// Count returns the total number of elements spanned by the extent.
-func (d Dim3) Count() int {
-	x, y, z := d.X, d.Y, d.Z
-	if x == 0 {
-		x = 1
-	}
-	if y == 0 {
-		y = 1
-	}
-	if z == 0 {
-		z = 1
-	}
-	return x * y * z
-}
+// Count returns the total number of elements spanned by the extent; a
+// component left zero counts as one.
+func (d Dim3) Count() int { return max(d.X, 1) * max(d.Y, 1) * max(d.Z, 1) }
+
+// axis returns the X, Y or Z component for i = 0, 1, 2.
+func (d Dim3) axis(i uint16) int { return [3]int{d.X, d.Y, d.Z}[i] }
 
 func (d Dim3) String() string { return fmt.Sprintf("(%d,%d,%d)", d.X, d.Y, d.Z) }
 
@@ -75,6 +67,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: MaxWarpsPerSM must be >= 1, got %d", c.MaxWarpsPerSM)
 	case c.GlobalMemWords < 1:
 		return fmt.Errorf("gpu: GlobalMemWords must be >= 1, got %d", c.GlobalMemWords)
+	case c.SharedMemWords < 0:
+		return fmt.Errorf("gpu: SharedMemWords must be >= 0, got %d", c.SharedMemWords)
 	case c.MaxIssues == 0:
 		return fmt.Errorf("gpu: MaxIssues must be > 0")
 	}
@@ -91,10 +85,12 @@ type LaunchConfig struct {
 
 // Validate checks the launch against the device configuration.
 func (lc LaunchConfig) Validate(c Config) error {
-	if lc.Grid.Count() < 1 || lc.Block.Count() < 1 {
-		return fmt.Errorf("gpu: empty grid or block %v/%v", lc.Grid, lc.Block)
+	for _, d := range [...]Dim3{lc.Grid, lc.Block} {
+		if d.X < 0 || d.Y < 0 || d.Z < 0 {
+			return fmt.Errorf("gpu: negative grid or block extent %v/%v", lc.Grid, lc.Block)
+		}
 	}
-	if lc.SharedWords > c.SharedMemWords {
+	if lc.SharedWords < 0 || lc.SharedWords > c.SharedMemWords {
 		return fmt.Errorf("gpu: launch requests %d shared words, device has %d",
 			lc.SharedWords, c.SharedMemWords)
 	}

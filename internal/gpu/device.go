@@ -16,6 +16,7 @@ type Device struct {
 	Cfg    Config
 	Global []uint32
 	hooks  []Hook
+	st     launchState
 }
 
 // NewDevice builds a device. It panics on an invalid configuration —
@@ -24,26 +25,22 @@ func NewDevice(cfg Config) *Device {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Device{Cfg: cfg, Global: make([]uint32, cfg.GlobalMemWords)}
+	d := &Device{Cfg: cfg, Global: make([]uint32, cfg.GlobalMemWords)}
+	d.st.dev, d.st.smem = d, make([]uint32, cfg.SharedMemWords)
+	return d
 }
 
 // AddHook registers an instrumentation hook for subsequent launches.
 func (d *Device) AddHook(h Hook) { d.hooks = append(d.hooks, h) }
 
-// ClearHooks removes all instrumentation.
-func (d *Device) ClearHooks() { d.hooks = nil }
+// ClearHooks removes all instrumentation (and keeps the slice).
+func (d *Device) ClearHooks() { clear(d.hooks); d.hooks = d.hooks[:0] }
 
 // ResetGlobal zeroes global memory.
-func (d *Device) ResetGlobal() {
-	for i := range d.Global {
-		d.Global[i] = 0
-	}
-}
+func (d *Device) ResetGlobal() { clear(d.Global) }
 
 // WriteGlobal copies data into global memory at word offset off.
-func (d *Device) WriteGlobal(off int, data []uint32) {
-	copy(d.Global[off:off+len(data)], data)
-}
+func (d *Device) WriteGlobal(off int, data []uint32) { copy(d.Global[off:off+len(data)], data) }
 
 // ReadGlobal copies n words starting at word offset off.
 func (d *Device) ReadGlobal(off, n int) []uint32 {
@@ -59,20 +56,34 @@ type trapError struct {
 	info string
 }
 
-// launchState holds per-launch execution context.
+// launchState is the execution context of the running launch. The Device
+// holds the only one, and its buffers (code, pool, smem) grow to what the
+// launches ask for and stay: a launch on a warmed device allocates nothing
+// (DESIGN.md "Allocation and dispatch discipline").
 type launchState struct {
 	dev    *Device
-	prog   *kasm.Program
+	code   []decoded // the program, decoded and checked once per launch
 	lc     LaunchConfig
-	shared []uint32
-	warps  []*Warp
-	res    *Result
+	res    Result
 	sm     int
+	pool   []*Warp  // every warp built so far; warps is the running CTA's share
+	warps  []*Warp  // reset by buildWarps
+	smem   []uint32 // SharedMemWords long; shared is the running CTA's share
+	shared []uint32 // zeroed by runCTA
+	ctx    InstrCtx // handed to hooks by pointer; reset by issue
+}
+
+// decoded is one instruction of the running launch's program.
+type decoded struct {
+	raw isa.Word
+	in  isa.Instruction
+	ok  bool // in.Op.Valid() && in.ValidRegs()
 }
 
 // Launch runs the program with the given configuration and returns the
 // outcome. Traps (DUEs) are reported in the Result, not as errors; errors
-// are reserved for malformed launches.
+// are reserved for malformed launches. A device runs one launch at a time:
+// a hook must not launch on the device it instruments.
 func (d *Device) Launch(prog *kasm.Program, lc LaunchConfig) (Result, error) {
 	if err := lc.Validate(d.Cfg); err != nil {
 		return Result{}, err
@@ -80,95 +91,112 @@ func (d *Device) Launch(prog *kasm.Program, lc LaunchConfig) (Result, error) {
 	if prog.Len() == 0 {
 		return Result{}, fmt.Errorf("gpu: empty program %q", prog.Name)
 	}
-	var res Result
-	grid := lc.Grid
-	gx, gy, gz := max(grid.X, 1), max(grid.Y, 1), max(grid.Z, 1)
-	for bz := 0; bz < gz; bz++ {
-		for by := 0; by < gy; by++ {
-			for bx := 0; bx < gx; bx++ {
-				cta := Dim3{bx, by, bz}
-				smID := (bx + by*gx + bz*gx*gy) % d.Cfg.NumSMs
-				if done := d.runCTA(prog, lc, cta, smID, &res); done {
-					return res, nil // trapped
-				}
-			}
+	st := &d.st
+	st.lc, st.res, st.shared = lc, Result{}, nil
+	// Decoded per launch and not in kasm: a Program's Code is the caller's
+	// to build and to change between launches.
+	st.code = st.code[:0]
+	for _, raw := range prog.Code {
+		in := isa.Decode(raw)
+		st.code = append(st.code, decoded{raw, in, in.Op.Valid() && in.ValidRegs()})
+	}
+	gx, gy := max(lc.Grid.X, 1), max(lc.Grid.Y, 1)
+	for i := 0; i < lc.Grid.Count(); i++ { // x fastest, then y, then z
+		st.sm = i % d.Cfg.NumSMs
+		if st.runCTA(Dim3{i % gx, i / gx % gy, i / (gx * gy)}) {
+			break // trapped
 		}
 	}
-	return res, nil
+	return st.res, nil
 }
 
 // runCTA executes one block to completion. It reports true if the launch
 // trapped (execution must stop).
-func (d *Device) runCTA(prog *kasm.Program, lc LaunchConfig, cta Dim3, smID int, res *Result) bool {
-	st := &launchState{dev: d, prog: prog, lc: lc, res: res, sm: smID}
-	if lc.SharedWords > 0 {
-		st.shared = make([]uint32, lc.SharedWords)
+func (st *launchState) runCTA(cta Dim3) (trapped bool) {
+	if n := st.lc.SharedWords; n > 0 {
+		st.shared = st.smem[:n]
+		clear(st.shared)
 	}
 	st.buildWarps(cta)
 
-	trapped := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				te, ok := r.(trapError)
-				if !ok {
-					panic(r)
-				}
-				res.Trap = te.kind
-				res.TrapInfo = te.info
-				trapped = true
+	defer func() {
+		if r := recover(); r != nil {
+			te, ok := r.(trapError)
+			if !ok {
+				panic(r)
 			}
-		}()
-		st.schedule()
+			st.res.Trap, st.res.TrapInfo, trapped = te.kind, te.info, true
+		}
 	}()
-	return trapped
+	st.schedule()
+	return false
 }
 
-// buildWarps creates the CTA's warps, assigning them round-robin to the
-// SM's sub-partitions (PPBs).
+// The register-garbage generator x' = lcgA*x + lcgC (mod 2^64), and the
+// same map applied four times over.
+const (
+	lcgA  = 6364136223846793005
+	lcgC  = 1442695040888963407
+	lcgA4 = lcgA * lcgA * lcgA * lcgA % (1 << 64)
+	lcgC4 = lcgC * (lcgA*lcgA*lcgA + lcgA*lcgA + lcgA + 1) % (1 << 64)
+)
+
+// buildWarps resets the CTA's warps out of the pool, assigning them
+// round-robin to the SM's sub-partitions (PPBs).
 func (st *launchState) buildWarps(cta Dim3) {
 	block := st.lc.Block
-	bx, by, bz := max(block.X, 1), max(block.Y, 1), max(block.Z, 1)
-	nThreads := bx * by * bz
+	bx, by := max(block.X, 1), max(block.Y, 1)
+	nThreads := block.Count()
 	nWarps := (nThreads + isa.WarpSize - 1) / isa.WarpSize
-	st.warps = make([]*Warp, nWarps)
-	for w := 0; w < nWarps; w++ {
-		warp := &Warp{
-			IDInSM: w,
-			PPB:    w % st.dev.Cfg.PPBsPerSM,
-			SM:     st.sm,
-			CTA:    cta,
-		}
+	for len(st.pool) < nWarps {
+		st.pool = append(st.pool, new(Warp))
+	}
+	st.warps = st.pool[:nWarps]
+	for w, warp := range st.warps {
+		// Every field, so that nothing of the warp's last CTA survives.
+		*warp = Warp{IDInSM: w, PPB: w % st.dev.Cfg.PPBsPerSM, SM: st.sm, CTA: cta}
 		// Hardware register files are not zeroed between kernels: fill
 		// with deterministic garbage so reads of never-written registers
 		// (reachable only through injected register-addressing errors)
-		// see wild values, as on silicon.
-		seed := uint64(w)<<40 ^ uint64(cta.X)<<20 ^ uint64(cta.Y)<<10 ^ uint64(st.sm)
-		for i := range warp.Regs {
-			seed = seed*6364136223846793005 + 1442695040888963407
-			warp.Regs[i] = uint32(seed >> 33)
-		}
+		// see wild values, as on silicon. The sequence runs lane by lane,
+		// the order it had when the file was lane-major; four interleaved
+		// streams draw it without waiting on one multiply chain.
+		x0 := lcgA*(uint64(w)<<40^uint64(cta.X)<<20^uint64(cta.Y)<<10^uint64(st.sm)) + lcgC
+		x1 := lcgA*x0 + lcgC
+		x2 := lcgA*x1 + lcgC
+		x3 := lcgA*x2 + lcgC
 		for lane := 0; lane < isa.WarpSize; lane++ {
-			t := w*isa.WarpSize + lane
-			if t >= nThreads {
-				break
+			for r := 0; r < isa.RegsPerThread; r += 4 {
+				regs := warp.Regs[r*isa.WarpSize+lane:]
+				regs[0*isa.WarpSize] = uint32(x0 >> 33)
+				regs[1*isa.WarpSize] = uint32(x1 >> 33)
+				regs[2*isa.WarpSize] = uint32(x2 >> 33)
+				regs[3*isa.WarpSize] = uint32(x3 >> 33)
+				x0, x1, x2, x3 = lcgA4*x0+lcgC4, lcgA4*x1+lcgC4, lcgA4*x2+lcgC4, lcgA4*x3+lcgC4
 			}
-			warp.Valid |= 1 << lane
-			warp.TIDs[lane] = Dim3{t % bx, (t / bx) % by, t / (bx * by)}
+			if t := w*isa.WarpSize + lane; t < nThreads {
+				warp.Valid |= 1 << lane
+				warp.TIDs[lane] = Dim3{t % bx, (t / bx) % by, t / (bx * by)}
+			}
 		}
-		st.warps[w] = warp
 	}
 }
 
 // schedule issues warp-instructions round-robin until every warp has
 // exited, a trap fires, or the watchdog expires.
+//
+//vetsim:hotpath
 func (st *launchState) schedule() {
+	warps := st.warps
 	rr := 0
 	for {
-		allDone := true
-		progressed := false
-		for i := 0; i < len(st.warps); i++ {
-			w := st.warps[(rr+i)%len(st.warps)]
+		allDone, progressed := true, false
+		k := rr
+		for range warps {
+			w := warps[k]
+			if k++; k == len(warps) {
+				k = 0
+			}
 			if w.Done() {
 				continue
 			}
@@ -177,7 +205,7 @@ func (st *launchState) schedule() {
 			if !ok {
 				continue // parked at barrier
 			}
-			rr = (rr + i + 1) % len(st.warps)
+			rr = k
 			st.issue(w, mask, pc)
 			progressed = true
 			st.maybeReleaseBarrier()
@@ -189,7 +217,7 @@ func (st *launchState) schedule() {
 		if !progressed {
 			// No warp schedulable and the barrier did not release:
 			// divergent or mismatched BAR — a real GPU hangs here.
-			panic(trapError{TrapDeadlock, "no schedulable warp; barrier never releases"})
+			trapf(TrapDeadlock, "no schedulable warp; barrier never releases")
 		}
 	}
 }
@@ -215,31 +243,44 @@ func (st *launchState) maybeReleaseBarrier() {
 	}
 }
 
-// issue fetches, decodes, instruments and executes one warp-instruction.
+// trapf raises a trap out of the execution core: the one place, off the
+// hot path, where trap text is formatted.
+//
+//go:noinline
+func trapf(kind TrapKind, format string, args ...any) {
+	panic(trapError{kind, fmt.Sprintf(format, args...)})
+}
+
+// issue fetches, instruments and executes one warp-instruction.
+//
+//vetsim:hotpath
 func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
-	res := st.res
+	res := &st.res
 	res.Issues++
 	if res.Issues > st.dev.Cfg.MaxIssues {
-		panic(trapError{TrapWatchdog, fmt.Sprintf("issue budget %d exhausted", st.dev.Cfg.MaxIssues)})
+		trapf(TrapWatchdog, "issue budget %d exhausted", st.dev.Cfg.MaxIssues)
 	}
-	if pc < 0 || int(pc) >= st.prog.Len() {
-		panic(trapError{TrapBadPC, fmt.Sprintf("fetch at pc=%d, program has %d instructions", pc, st.prog.Len())})
+	if pc < 0 || int(pc) >= len(st.code) {
+		trapf(TrapBadPC, "fetch at pc=%d, program has %d instructions", pc, len(st.code))
 	}
-	raw := st.prog.Code[pc]
-	ctx := InstrCtx{
-		Dev: st.dev, W: w, PC: pc, Raw: raw, Instr: isa.Decode(raw),
-		Mask: mask, Shared: st.shared, Params: st.lc.Params,
-	}
+	dec := &st.code[pc]
+	// Every field, one by one: a composite literal would be built aside
+	// and copied over.
+	ctx := &st.ctx
+	ctx.Dev, ctx.W, ctx.PC, ctx.Raw, ctx.Instr = st.dev, w, pc, dec.raw, dec.in
+	ctx.Mask, ctx.ExecMask, ctx.DisableMask = mask, 0, 0
+	ctx.Shared, ctx.Params = st.shared, st.lc.Params
 	for _, h := range st.dev.hooks {
-		h.Before(&ctx)
+		h.Before(ctx)
 	}
 	in := ctx.Instr
-
-	if !in.Op.Valid() {
-		panic(trapError{TrapIllegalInstr, fmt.Sprintf("pc=%d opcode=%#x", pc, uint8(in.Op))})
-	}
-	if !in.ValidRegs() {
-		panic(trapError{TrapInvalidReg, fmt.Sprintf("pc=%d %v", pc, in)})
+	if !dec.ok || in != dec.in { // a bad encoding, or a Before hook's rewrite to check
+		if !in.Op.Valid() {
+			trapf(TrapIllegalInstr, "pc=%d opcode=%#x", pc, uint8(in.Op))
+		}
+		if !in.ValidRegs() {
+			trapf(TrapInvalidReg, "pc=%d %v", pc, in)
+		}
 	}
 
 	// Predication: lanes whose guard fails skip the instruction.
@@ -249,224 +290,244 @@ func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 	res.UnitIssues[in.Op.Unit()]++
 	res.ThreadOps += uint64(bits.OnesCount32(execMask))
 
-	st.execute(w, in, mask, execMask, pc, &ctx)
+	st.execute(w, in, mask, execMask, pc, ctx.DisableMask)
 
 	for _, h := range st.dev.hooks {
-		h.After(&ctx)
+		pcs := w.PC
+		h.After(ctx)
+		if w.PC != pcs {
+			w.conv = 0 // the hook moved lanes: the next schedulable rescans
+		}
 	}
 }
 
-// execute applies instruction semantics for the lanes in execMask and
-// advances PCs for every lane in mask.
-func (st *launchState) execute(w *Warp, in isa.Instruction, mask, execMask uint32, pc int32, ctx *InstrCtx) {
-	// Every scheduled lane falls through; taken branches overwrite below.
-	ForLanes(mask, func(lane int) { w.PC[lane] = pc + 1 })
+func f32(v uint32) float32 { return math.Float32frombits(v) }
+func b32(f float32) uint32 { return math.Float32bits(f) }
+
+// first returns the lowest lane of lane set m, visibly below WarpSize so
+// that indexing a register row with it needs no bounds check; rest drops
+// that lane and returns what is left with its lowest lane. Together they
+// walk a set: for l := first(m); m != 0; m, l = rest(m).
+func first(m uint32) int { return bits.TrailingZeros32(m) & (isa.WarpSize - 1) }
+
+func rest(m uint32) (uint32, int) { return m & (m - 1), first(m & (m - 1)) }
+
+// space returns the memory a memory opcode addresses, and the trap and the
+// word for an access outside it.
+func (st *launchState) space(op isa.Opcode) ([]uint32, TrapKind, string) {
+	switch op {
+	case isa.OpGLD:
+		return st.dev.Global, TrapBadGlobalAddr, "load"
+	case isa.OpGST:
+		return st.dev.Global, TrapBadGlobalAddr, "store"
+	case isa.OpLDS:
+		return st.shared, TrapBadSharedAddr, "shared load"
+	case isa.OpSTS:
+		return st.shared, TrapBadSharedAddr, "shared store"
+	}
+	return st.lc.Params, TrapBadConstAddr, "const load"
+}
+
+// execute advances the PC of every lane in mask and applies the
+// instruction's semantics to the lanes in execMask: one dispatch on the
+// opcode, then a loop over the lanes along the operands' register rows.
+//
+//vetsim:hotpath
+func (st *launchState) execute(w *Warp, in isa.Instruction, mask, execMask uint32, pc int32, disable uint32) {
+	// Every scheduled lane falls through, but for those a branch takes.
+	if in.Op == isa.OpBRA && execMask != 0 {
+		target := int32(in.Imm)
+		if int(target) >= len(st.code) {
+			trapf(TrapBadPC, "branch to %d at pc=%d", target, pc)
+		}
+		w.setPC(execMask, target)
+		mask &^= execMask
+	}
+	if mask != 0 {
+		w.setPC(mask, pc+1)
+	}
+
+	// Commit suppression from hooks (stuck-at-0 thread enables): data
+	// operations skip disabled lanes, while control flow (BRA above, EXIT,
+	// BAR) runs unmasked so the warp keeps advancing.
+	m := execMask &^ disable
+	d, a, b, c := w.regRow(in.Rd, &w.sink), w.regRow(in.Rs1, &w.zero), w.regRow(in.Rs2, &w.zero), w.regRow(in.Rs3, &w.zero)
 
 	switch in.Op {
-	case isa.OpBRA:
-		target := int32(in.Imm)
-		if execMask != 0 && (target < 0 || int(target) >= st.prog.Len()) {
-			panic(trapError{TrapBadPC, fmt.Sprintf("branch to %d at pc=%d", target, pc)})
-		}
-		ForLanes(execMask, func(lane int) { w.PC[lane] = target })
 	case isa.OpEXIT:
 		w.Exited |= execMask
 	case isa.OpBAR:
 		w.Barrier |= execMask
-	default:
-		// Commit suppression from hooks (stuck-at-0 thread enables): data
-		// operations skip disabled lanes, while control flow above already
-		// ran unmasked so the warp keeps advancing.
-		ForLanes(execMask&^ctx.DisableMask, func(lane int) { st.executeLane(w, in, lane, pc) })
-	}
-}
-
-func f32(v uint32) float32    { return math.Float32frombits(v) }
-func b32(f float32) uint32    { return math.Float32bits(f) }
-func sat32(v float64) float32 { return float32(v) }
-func i32(v uint32) int32      { return int32(v) }
-func u32(v int32) uint32      { return uint32(v) }
-
-// executeLane applies the semantics of one instruction for one lane.
-func (st *launchState) executeLane(w *Warp, in isa.Instruction, lane int, pc int32) {
-	r := func(reg uint8) uint32 { return w.Reg(lane, reg) }
-	set := func(v uint32) { w.SetReg(lane, in.Rd, v) }
-
-	switch in.Op {
-	case isa.OpNOP:
 	case isa.OpIADD:
-		set(u32(i32(r(in.Rs1)) + i32(r(in.Rs2))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] + b[l]
+		}
 	case isa.OpISUB:
-		set(u32(i32(r(in.Rs1)) - i32(r(in.Rs2))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] - b[l]
+		}
 	case isa.OpIMUL:
-		set(u32(i32(r(in.Rs1)) * i32(r(in.Rs2))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] * b[l]
+		}
 	case isa.OpIMAD:
-		set(u32(i32(r(in.Rs1))*i32(r(in.Rs2)) + i32(r(in.Rs3))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l]*b[l] + c[l]
+		}
 	case isa.OpIMIN:
-		a, b := i32(r(in.Rs1)), i32(r(in.Rs2))
-		set(u32(min(a, b)))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = uint32(min(int32(a[l]), int32(b[l])))
+		}
 	case isa.OpIMAX:
-		a, b := i32(r(in.Rs1)), i32(r(in.Rs2))
-		set(u32(max(a, b)))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = uint32(max(int32(a[l]), int32(b[l])))
+		}
 	case isa.OpIAND:
-		set(r(in.Rs1) & r(in.Rs2))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] & b[l]
+		}
 	case isa.OpIOR:
-		set(r(in.Rs1) | r(in.Rs2))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] | b[l]
+		}
 	case isa.OpIXOR:
-		set(r(in.Rs1) ^ r(in.Rs2))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] ^ b[l]
+		}
 	case isa.OpSHL:
-		set(r(in.Rs1) << (in.Imm & 31))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] << (in.Imm & 31)
+		}
 	case isa.OpSHR:
-		set(r(in.Rs1) >> (in.Imm & 31))
-
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l] >> (in.Imm & 31)
+		}
 	case isa.OpFADD:
-		set(b32(f32(r(in.Rs1)) + f32(r(in.Rs2))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(f32(a[l]) + f32(b[l]))
+		}
 	case isa.OpFSUB:
-		set(b32(f32(r(in.Rs1)) - f32(r(in.Rs2))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(f32(a[l]) - f32(b[l]))
+		}
 	case isa.OpFMUL:
-		set(b32(f32(r(in.Rs1)) * f32(r(in.Rs2))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(f32(a[l]) * f32(b[l]))
+		}
 	case isa.OpFFMA:
-		set(b32(sat32(float64(f32(r(in.Rs1)))*float64(f32(r(in.Rs2))) + float64(f32(r(in.Rs3))))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(float64(f32(a[l]))*float64(f32(b[l])) + float64(f32(c[l]))))
+		}
 	case isa.OpFMIN:
-		set(b32(float32(math.Min(float64(f32(r(in.Rs1))), float64(f32(r(in.Rs2)))))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(math.Min(float64(f32(a[l])), float64(f32(b[l])))))
+		}
 	case isa.OpFMAX:
-		set(b32(float32(math.Max(float64(f32(r(in.Rs1))), float64(f32(r(in.Rs2)))))))
-
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(math.Max(float64(f32(a[l])), float64(f32(b[l])))))
+		}
 	case isa.OpFSIN:
-		set(b32(float32(math.Sin(float64(f32(r(in.Rs1)))))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(math.Sin(float64(f32(a[l])))))
+		}
 	case isa.OpFEXP:
-		set(b32(float32(math.Exp2(float64(f32(r(in.Rs1)))))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(math.Exp2(float64(f32(a[l])))))
+		}
 	case isa.OpFRCP:
-		set(b32(1 / f32(r(in.Rs1))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(1 / f32(a[l]))
+		}
 	case isa.OpFSQRT:
-		set(b32(float32(math.Sqrt(float64(f32(r(in.Rs1)))))))
-
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(math.Sqrt(float64(f32(a[l])))))
+		}
 	case isa.OpI2F:
-		set(b32(float32(i32(r(in.Rs1)))))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = b32(float32(int32(a[l])))
+		}
 	case isa.OpF2I:
-		set(u32(int32(f32(r(in.Rs1)))))
-
-	case isa.OpMOV:
-		set(r(in.Rs1))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = uint32(int32(f32(a[l])))
+		}
+	case isa.OpMOV, isa.OpSEL:
+		// SEL's guard is already applied: executing lanes take Rs1 and the
+		// predicated-off lanes keep Rd untouched, so SEL pairs with a
+		// PNot'd SEL for the else value.
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = a[l]
+		}
 	case isa.OpMOV32I:
-		set(u32(in.SImm()))
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = uint32(in.SImm())
+		}
 	case isa.OpS2R:
-		set(st.specialReg(w, lane, in.Imm))
-	case isa.OpSEL:
-		// Guard already applied: executing lanes take Rs1. The predicated-
-		// off lanes keep Rd untouched, so SEL pairs with a PNot'd SEL for
-		// the else value.
-		set(r(in.Rs1))
-
-	case isa.OpGLD:
-		addr := i32(r(in.Rs1)) + in.SImm()
-		if addr < 0 || int(addr) >= len(st.dev.Global) {
-			panic(trapError{TrapBadGlobalAddr, fmt.Sprintf("load @%d pc=%d lane=%d", addr, pc, lane)})
+		for l := first(m); m != 0; m, l = rest(m) {
+			d[l] = st.specialReg(w, l, in.Imm)
 		}
-		set(st.dev.Global[addr])
-	case isa.OpGST:
-		addr := i32(r(in.Rs1)) + in.SImm()
-		if addr < 0 || int(addr) >= len(st.dev.Global) {
-			panic(trapError{TrapBadGlobalAddr, fmt.Sprintf("store @%d pc=%d lane=%d", addr, pc, lane)})
+	case isa.OpGLD, isa.OpLDS, isa.OpLDC, isa.OpGST, isa.OpSTS:
+		mem, kind, what := st.space(in.Op)
+		store := in.Op == isa.OpGST || in.Op == isa.OpSTS
+		for l := first(m); m != 0; m, l = rest(m) {
+			addr := int32(a[l]) + in.SImm()
+			if addr < 0 || int(addr) >= len(mem) {
+				trapf(kind, "%s @%d pc=%d lane=%d", what, addr, pc, l)
+			}
+			if store {
+				mem[addr] = b[l]
+			} else {
+				d[l] = mem[addr]
+			}
 		}
-		st.dev.Global[addr] = r(in.Rs2)
-	case isa.OpLDS:
-		addr := i32(r(in.Rs1)) + in.SImm()
-		if addr < 0 || int(addr) >= len(st.shared) {
-			panic(trapError{TrapBadSharedAddr, fmt.Sprintf("shared load @%d pc=%d lane=%d", addr, pc, lane)})
-		}
-		set(st.shared[addr])
-	case isa.OpSTS:
-		addr := i32(r(in.Rs1)) + in.SImm()
-		if addr < 0 || int(addr) >= len(st.shared) {
-			panic(trapError{TrapBadSharedAddr, fmt.Sprintf("shared store @%d pc=%d lane=%d", addr, pc, lane)})
-		}
-		st.shared[addr] = r(in.Rs2)
-	case isa.OpLDC:
-		addr := i32(r(in.Rs1)) + in.SImm()
-		if addr < 0 || int(addr) >= len(st.lc.Params) {
-			panic(trapError{TrapBadConstAddr, fmt.Sprintf("const load @%d pc=%d lane=%d", addr, pc, lane)})
-		}
-		set(st.lc.Params[addr])
-
 	case isa.OpISETP:
-		a, b := i32(r(in.Rs1)), i32(r(in.Rs2))
-		w.SetPred(lane, in.DestPred(), icmp(in.Cmp(), a, b))
-	case isa.OpFSETP:
-		a, b := f32(r(in.Rs1)), f32(r(in.Rs2))
-		w.SetPred(lane, in.DestPred(), fcmp(in.Cmp(), a, b))
-	case isa.OpPSETP:
-		a := w.Pred(lane, int(in.Rs1&0x7))
-		b := w.Pred(lane, int(in.Rs2&0x7))
-		var v bool
-		switch in.Cmp() {
-		case isa.CmpEQ: // AND
-			v = a && b
-		case isa.CmpNE: // XOR
-			v = a != b
-		default: // OR
-			v = a || b
+		var t uint32
+		for m, l := m, first(m); m != 0; m, l = rest(m) {
+			if compare(in.Cmp(), int32(a[l]), int32(b[l])) {
+				t |= 1 << l
+			}
 		}
-		w.SetPred(lane, in.DestPred(), v)
+		w.setPreds(in.DestPred(), m, t)
+	case isa.OpFSETP:
+		var t uint32
+		for m, l := m, first(m); m != 0; m, l = rest(m) {
+			if compare(in.Cmp(), f32(a[l]), f32(b[l])) {
+				t |= 1 << l
+			}
+		}
+		w.setPreds(in.DestPred(), m, t)
+	case isa.OpPSETP:
+		pa, pb := w.predMask(int(in.Rs1&0x7), false), w.predMask(int(in.Rs2&0x7), false)
+		t := pa | pb // every selector but EQ, which ands, and NE, which xors
+		if in.Cmp() == isa.CmpEQ {
+			t = pa & pb
+		} else if in.Cmp() == isa.CmpNE {
+			t = pa ^ pb
+		}
+		w.setPreds(in.DestPred(), m, t)
 	}
 }
 
 func (st *launchState) specialReg(w *Warp, lane int, sr uint16) uint32 {
-	t := w.TIDs[lane]
-	switch sr {
-	case isa.SRTidX:
-		return uint32(t.X)
-	case isa.SRTidY:
-		return uint32(t.Y)
-	case isa.SRTidZ:
-		return uint32(t.Z)
-	case isa.SRCtaidX:
-		return uint32(w.CTA.X)
-	case isa.SRCtaidY:
-		return uint32(w.CTA.Y)
-	case isa.SRCtaidZ:
-		return uint32(w.CTA.Z)
-	case isa.SRNTidX:
-		return uint32(max(st.lc.Block.X, 1))
-	case isa.SRNTidY:
-		return uint32(max(st.lc.Block.Y, 1))
-	case isa.SRNTidZ:
-		return uint32(max(st.lc.Block.Z, 1))
-	case isa.SRNCtaidX:
-		return uint32(max(st.lc.Grid.X, 1))
-	case isa.SRNCtaidY:
-		return uint32(max(st.lc.Grid.Y, 1))
-	case isa.SRNCtaidZ:
-		return uint32(max(st.lc.Grid.Z, 1))
-	case isa.SRLaneID:
+	switch {
+	case sr <= isa.SRTidZ:
+		return uint32(w.TIDs[lane].axis(sr - isa.SRTidX))
+	case sr <= isa.SRCtaidZ:
+		return uint32(w.CTA.axis(sr - isa.SRCtaidX))
+	case sr <= isa.SRNTidZ:
+		return uint32(max(st.lc.Block.axis(sr-isa.SRNTidX), 1))
+	case sr <= isa.SRNCtaidZ:
+		return uint32(max(st.lc.Grid.axis(sr-isa.SRNCtaidX), 1))
+	case sr == isa.SRLaneID:
 		return uint32(lane)
-	case isa.SRWarpID:
+	case sr == isa.SRWarpID:
 		return uint32(w.IDInSM)
-	case isa.SRSMID:
+	case sr == isa.SRSMID:
 		return uint32(w.SM)
 	}
 	return 0
 }
 
-func icmp(c isa.CmpOp, a, b int32) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
-}
-
-func fcmp(c isa.CmpOp, a, b float32) bool {
+func compare[T int32 | float32](c isa.CmpOp, a, b T) bool {
 	switch c {
 	case isa.CmpEQ:
 		return a == b

@@ -502,12 +502,42 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestLaunchValidationRejectsNegativeExtents: a negative component is
+// never a launch, whatever sign the product of the extent has.
+func TestLaunchValidationRejectsNegativeExtents(t *testing.T) {
+	one := Dim3{X: 1}
+	for _, tc := range []struct {
+		name string
+		lc   LaunchConfig
+		ok   bool
+	}{
+		{"unit", LaunchConfig{Grid: one, Block: one}, true},
+		{"zero components count as one", LaunchConfig{Grid: Dim3{}, Block: Dim3{X: 32, Z: 0}}, true},
+		{"3-D", LaunchConfig{Grid: Dim3{2, 2, 2}, Block: Dim3{4, 4, 2}, SharedWords: 16}, true},
+		{"grid, positive product", LaunchConfig{Grid: Dim3{-1, -1, 1}, Block: one}, false},
+		{"grid, negative product", LaunchConfig{Grid: Dim3{X: -2}, Block: one}, false},
+		{"grid z", LaunchConfig{Grid: Dim3{1, 1, -1}, Block: one}, false},
+		{"block, positive product", LaunchConfig{Grid: one, Block: Dim3{-4, -8, 1}}, false},
+		{"block y", LaunchConfig{Grid: one, Block: Dim3{Y: -1}}, false},
+		{"shared words", LaunchConfig{Grid: one, Block: one, SharedWords: -1}, false},
+	} {
+		err := tc.lc.Validate(DefaultConfig())
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok=%v", tc.name, tc.lc, err, tc.ok)
+		}
+		if _, lerr := NewDevice(DefaultConfig()).Launch(vecAddProgram(), tc.lc); (lerr == nil) != tc.ok {
+			t.Errorf("%s: Launch = %v, want ok=%v", tc.name, lerr, tc.ok)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},
 		{NumSMs: 1},
 		{NumSMs: 1, PPBsPerSM: 1},
 		{NumSMs: 1, PPBsPerSM: 1, MaxWarpsPerSM: 4},
+		{NumSMs: 1, PPBsPerSM: 1, MaxWarpsPerSM: 4, GlobalMemWords: 64, SharedMemWords: -1, MaxIssues: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math/rand"
 	"os"
@@ -18,25 +19,36 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden issue-stream digests")
 
-// issueStreamLine runs the workload's seed-1 job with one observer hook
-// and folds (SM, warp, pc, Mask, ExecMask) of every issue, in issue
-// order, into an FNV-64a digest.
-func issueStreamLine(t *testing.T, set string, w workloads.Workload) string {
-	t.Helper()
-	job := w.Build(rand.New(rand.NewSource(1)))
-	cfg := gpu.DefaultConfig()
-	cfg.GlobalMemWords = job.Footprint() + 64
-	dev := gpu.NewDevice(cfg)
-	h := fnv.New64a()
+// issueStreamHook folds (SM, warp, pc, Mask, ExecMask) of every issue, in
+// issue order, into h.
+func issueStreamHook(h hash.Hash64) gpu.Hook {
 	var rec [20]byte
-	dev.AddHook(gpu.HookFuncs{AfterFn: func(ctx *gpu.InstrCtx) {
+	return gpu.HookFuncs{AfterFn: func(ctx *gpu.InstrCtx) {
 		binary.LittleEndian.PutUint32(rec[0:], uint32(ctx.W.SM))
 		binary.LittleEndian.PutUint32(rec[4:], uint32(ctx.W.IDInSM))
 		binary.LittleEndian.PutUint32(rec[8:], uint32(ctx.PC))
 		binary.LittleEndian.PutUint32(rec[12:], ctx.Mask)
 		binary.LittleEndian.PutUint32(rec[16:], ctx.ExecMask)
 		h.Write(rec[:])
-	}})
+	}}
+}
+
+// sizedDevice builds a device whose global memory is the job's footprint
+// and a guard band, as perfi sizes it.
+func sizedDevice(job *workloads.Job) *gpu.Device {
+	cfg := gpu.DefaultConfig()
+	cfg.GlobalMemWords = job.Footprint() + 64
+	return gpu.NewDevice(cfg)
+}
+
+// issueStreamLine runs the workload's seed-1 job with that one observer
+// hook and prints the FNV-64a digest of its issue stream.
+func issueStreamLine(t *testing.T, set string, w workloads.Workload) string {
+	t.Helper()
+	job := w.Build(rand.New(rand.NewSource(1)))
+	dev := sizedDevice(job)
+	h := fnv.New64a()
+	dev.AddHook(issueStreamHook(h))
 	rr, err := job.Run(dev)
 	if err != nil || rr.Hung() {
 		t.Fatalf("%s/%s: golden run failed: err=%v trap=%v %s", set, w.Name(), err, rr.Trap, rr.TrapInfo)

@@ -113,12 +113,38 @@ func TestPredMaskMatchesPerLanePredicates(t *testing.T) {
 	}
 }
 
-// TestIssueMaskInvariants runs random programs of valid instructions
-// (branches, barriers, exits, guards, partial warps) and checks on every
+// RandomPrograms draws count random programs of valid instructions (branches,
+// barriers, exits, guards, partial warps) with a launch configuration each
+// and hands them to run. Exported for the package's external tests.
+func RandomPrograms(seed int64, count int, run func(trial int, prog *kasm.Program, lc LaunchConfig)) {
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < count; trial++ {
+		n := 2 + rng.Intn(24)
+		code := make([]isa.Word, n)
+		for i := range code {
+			code[i] = isa.Instruction{
+				Op:    isa.Opcode(rng.Intn(isa.Count())),
+				Pred:  uint8(rng.Intn(16)),
+				Rd:    uint8(rng.Intn(isa.RegsPerThread)),
+				Rs1:   uint8(rng.Intn(isa.RegsPerThread)),
+				Rs2:   uint8(rng.Intn(isa.RegsPerThread)),
+				Rs3:   uint8(rng.Intn(isa.RegsPerThread)),
+				Imm:   uint16(rng.Intn(n)),
+				Flags: uint8(rng.Intn(16)),
+			}.Encode()
+		}
+		code[n-1] = isa.Instruction{Op: isa.OpEXIT, Pred: isa.PT}.Encode()
+		run(trial, &kasm.Program{Name: "fuzz", Code: code}, LaunchConfig{
+			Grid: Dim3{X: 1}, Block: Dim3{X: 1 + rng.Intn(96)},
+			Params: []uint32{1, 2, 3, 4}, SharedWords: 16,
+		})
+	}
+}
+
+// TestIssueMaskInvariants runs those random programs and checks on every
 // issue that Exited ⊆ Valid, Barrier ⊆ live, Mask ⊆ schedulable lanes
 // and ExecMask ⊆ Mask.
 func TestIssueMaskInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
 	cfg := DefaultConfig()
 	cfg.MaxIssues = 5000
 	dev := NewDevice(cfg)
@@ -144,29 +170,11 @@ func TestIssueMaskInvariants(t *testing.T) {
 			}
 		},
 	})
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + rng.Intn(24)
-		code := make([]isa.Word, n)
-		for i := range code {
-			code[i] = isa.Instruction{
-				Op:    isa.Opcode(rng.Intn(isa.Count())),
-				Pred:  uint8(rng.Intn(16)),
-				Rd:    uint8(rng.Intn(isa.RegsPerThread)),
-				Rs1:   uint8(rng.Intn(isa.RegsPerThread)),
-				Rs2:   uint8(rng.Intn(isa.RegsPerThread)),
-				Rs3:   uint8(rng.Intn(isa.RegsPerThread)),
-				Imm:   uint16(rng.Intn(n)),
-				Flags: uint8(rng.Intn(16)),
-			}.Encode()
-		}
-		code[n-1] = isa.Instruction{Op: isa.OpEXIT, Pred: isa.PT}.Encode()
-		if _, err := dev.Launch(&kasm.Program{Name: "fuzz", Code: code}, LaunchConfig{
-			Grid: Dim3{X: 1}, Block: Dim3{X: 1 + rng.Intn(96)},
-			Params: []uint32{1, 2, 3, 4}, SharedWords: 16,
-		}); err != nil {
+	RandomPrograms(15, 300, func(trial int, prog *kasm.Program, lc LaunchConfig) {
+		if _, err := dev.Launch(prog, lc); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-	}
+	})
 	if issues < 1000 {
 		t.Fatalf("only %d issues observed; the programs do not exercise the scheduler", issues)
 	}

@@ -31,10 +31,32 @@ type Warp struct {
 	Barrier uint32 // lanes parked at a CTA barrier
 
 	PC [isa.WarpSize]int32
+	// The scheduler's summary of PC: every lane in conv sits at convPC.
+	// setPC and schedulable set it; issue voids it when a hook moved a lane.
+	conv   uint32
+	convPC int32
 
-	TIDs  [isa.WarpSize]Dim3 // per-lane thread index within the block
-	Regs  [isa.WarpSize * isa.RegsPerThread]uint32
+	TIDs [isa.WarpSize]Dim3 // per-lane thread index within the block
+	// Regs is register-major — register r of lane l is Regs[r*WarpSize+l] —
+	// so a warp-wide instruction walks contiguous rows. Use Reg and SetReg.
+	Regs  [isa.RegsPerThread * isa.WarpSize]uint32
 	Preds [isa.NumPredicates]uint32 // lane mask per predicate P0..P6
+
+	zero, sink row // stand in for RZ: the row read as zero, the row written and never read
+}
+
+// row is one register across the warp's lanes.
+type row = [isa.WarpSize]uint32
+
+// regRow returns register r across the lanes, or rz when r is RZ: zero to
+// read, sink to write. So does any other register outside the file:
+// ValidRegs vouches only for the operands an opcode uses, and execute takes
+// the rows of all four.
+func (w *Warp) regRow(r uint8, rz *row) *row {
+	if r >= isa.RegsPerThread {
+		return rz
+	}
+	return (*row)(w.Regs[int(r)*isa.WarpSize:])
 }
 
 // Reg returns register r of lane. RZ reads zero; architecturally invalid
@@ -43,7 +65,7 @@ func (w *Warp) Reg(lane int, r uint8) uint32 {
 	if r == isa.RZ {
 		return 0
 	}
-	return w.Regs[lane*isa.RegsPerThread+int(r)]
+	return w.Regs[int(r)*isa.WarpSize+lane]
 }
 
 // SetReg writes register r of lane. Writes to RZ are discarded.
@@ -51,7 +73,7 @@ func (w *Warp) SetReg(lane int, r uint8, v uint32) {
 	if r == isa.RZ {
 		return
 	}
-	w.Regs[lane*isa.RegsPerThread+int(r)] = v
+	w.Regs[int(r)*isa.WarpSize+lane] = v
 }
 
 // Pred returns predicate p of lane (PT is constant true).
@@ -61,13 +83,18 @@ func (w *Warp) Pred(lane, p int) bool {
 
 // SetPred writes predicate p of lane. Writes to PT are discarded.
 func (w *Warp) SetPred(lane, p int, v bool) {
-	if p == isa.PT {
-		return
-	}
+	var val uint32
 	if v {
-		w.Preds[p] |= 1 << lane
-	} else {
-		w.Preds[p] &^= 1 << lane
+		val = 1 << lane
+	}
+	w.setPreds(p, 1<<lane, val)
+}
+
+// setPreds writes predicate p of the given lanes from the same lanes of
+// val. Writes to PT are discarded.
+func (w *Warp) setPreds(p int, lanes, val uint32) {
+	if p != isa.PT {
+		w.Preds[p] = w.Preds[p]&^lanes | val&lanes
 	}
 }
 
@@ -97,9 +124,12 @@ func (w *Warp) schedulable() (mask uint32, minPC int32, ok bool) {
 	if ready == 0 {
 		return 0, 0, false
 	}
+	if ready&^w.conv == 0 {
+		return ready, w.convPC, true // converged: no lane to scan
+	}
 	minPC = 1<<31 - 1
 	for m := ready; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
+		lane := first(m)
 		switch pc := w.PC[lane]; {
 		case pc < minPC:
 			minPC, mask = pc, 1<<lane
@@ -107,7 +137,22 @@ func (w *Warp) schedulable() (mask uint32, minPC int32, ok bool) {
 			mask |= 1 << lane
 		}
 	}
+	w.conv, w.convPC = mask, minPC
 	return mask, minPC, true
+}
+
+// setPC moves the given lanes, at least one, to pc.
+func (w *Warp) setPC(lanes uint32, pc int32) {
+	w.conv, w.convPC = lanes, pc
+	if lanes&(lanes+1) == 0 { // lanes 0..n-1: a converged warp, whole or a block's tail
+		for l := range w.PC[:bits.Len32(lanes)] {
+			w.PC[l] = pc
+		}
+		return
+	}
+	for ; lanes != 0; lanes &= lanes - 1 {
+		w.PC[first(lanes)] = pc
+	}
 }
 
 // Done reports whether every live lane has exited.

@@ -55,8 +55,8 @@ var InstrumentedFiles = []string{
 // HotPathFuncs are the simulation inner-loop functions held to the
 // hotpath analyzer (no fmt, no local append, no locks), keyed
 // "file:FuncName" relative to the module root: the golden/faulty kernel
-// sweeps, the event engine's delta propagation, and the sharded grading
-// and replay loops. Removing a //vetsim:hotpath marker from — or
+// sweeps, the event engine's delta propagation, the sharded grading and
+// replay loops, and the SIMT core's schedule -> issue -> execute path. Removing a //vetsim:hotpath marker from — or
 // renaming away — any of these is a diagnostic, so the governed set can
 // grow but never silently shrink.
 var HotPathFuncs = []string{
@@ -71,6 +71,9 @@ var HotPathFuncs = []string{
 	"internal/gatesim/shard.go:mergeEvents",
 	"internal/gatesim/shard.go:recordCycle",
 	"internal/gatesim/shard.go:runBatch",
+	"internal/gpu/device.go:execute",
+	"internal/gpu/device.go:issue",
+	"internal/gpu/device.go:schedule",
 	"internal/netlist/eval.go:Eval",
 }
 

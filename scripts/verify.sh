@@ -8,6 +8,25 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Leave nothing running, however this script ends: signal every process
+# still below this shell (test binaries and `go test -fuzz` workers outlive
+# a go command that was killed rather than left to finish).
+descendants() {
+	for child in $(pgrep -P "$1" 2>/dev/null); do
+		echo "$child"
+		descendants "$child"
+	done
+}
+cleanup() {
+	status=$?
+	trap - EXIT INT TERM
+	left=$(descendants $$)
+	[ -z "$left" ] || kill $left 2>/dev/null || true
+	exit "$status"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -94,5 +113,17 @@ ALLOCS=$(go test ./internal/gatesim -run '^$' -bench '^BenchmarkEventCampaign$' 
 [ -n "$ALLOCS" ] || { echo "allocation gate: benchmark produced no allocs/op" >&2; exit 1; }
 echo "    ${ALLOCS} allocs/op (budget 1670)"
 [ "$ALLOCS" -le 1670 ] || { echo "allocation gate: ${ALLOCS} allocs/op exceeds budget of 1670" >&2; exit 1; }
+
+# Hand-in check: every step above ran in the foreground, so a daemon, load
+# generator, benchmark, test binary or go command alive now is a straggler
+# (of this run or of whatever ran before it) and has to be stopped first.
+# The brackets keep the probing shell's own command line from matching.
+echo "==> straggler check"
+stragglers=$(pgrep -fa '[f]aultsimd|[l]oadgen|bench_build/[b]enchmark|[.]test|go [r]un|go [t]est' || true)
+if [ -n "$stragglers" ]; then
+	echo "processes left running:" >&2
+	echo "$stragglers" >&2
+	exit 1
+fi
 
 echo "verify: OK"
