@@ -20,8 +20,7 @@ lint:
 
 # End-to-end daemon smoke: boot faultsimd, submit a tiny campaign over
 # HTTP, check artifacts and metrics, shut down gracefully; then the same
-# on a coordinator + 2 workers, with a loadgen burst (specs/loadtest.json)
-# checking admission accounting and artifact identity under load.
+# on a coordinator + 2 workers with one worker killed mid-run.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -372,7 +372,7 @@ func BenchmarkAblationPersistence(b *testing.B) {
 				d.Persistence = pers
 				d.TransientAt = uint64(i % 97)
 				d.DutyCycle = 8
-				_, outcome, err := sess.Run(d, rand.New(rand.NewSource(int64(i))))
+				_, outcome, err := sess.Run(d)
 				if err != nil {
 					b.Fatal(err)
 				}

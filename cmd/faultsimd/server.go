@@ -15,9 +15,8 @@ import (
 )
 
 // telSubmitSeconds times the POST /jobs round trip server-side — decode,
-// admission, checkpoint — into the shared latency bucketing, so the
-// daemon's own view of submission latency is comparable with loadgen's
-// client-side histograms on /metrics.
+// admission, checkpoint — into the shared latency bucketing: the daemon's
+// own view of submission latency on /metrics.
 var telSubmitSeconds = telemetry.Default().Histogram(
 	"http_submit_seconds", "POST /jobs handling latency",
 	telemetry.LatencyBuckets())
@@ -121,10 +120,10 @@ func newServer(deps serverDeps) http.Handler {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		// A client-propagated trace context (loadgen stamps one per
-		// submission) links the client's run trace to the job: the
-		// submit point span parents under the client's span, and its
-		// job attribute names the job trace the scheduler opens.
+		// A client-propagated trace context links the client's run trace
+		// to the job: the submit point span parents under the client's
+		// span, and its job attribute names the job trace the scheduler
+		// opens.
 		tc := telemetry.ParseTraceContext(r.Header.Get(telemetry.TraceHeader))
 		st, err := s.SubmitWith(spec, jobs.SubmitOptions{Class: class})
 		if err != nil {

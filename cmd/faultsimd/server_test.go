@@ -153,21 +153,43 @@ func TestSubmitAndFetchArtifacts(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBadSpecs: a spec that is malformed, names something
+// unknown, carries a field the job spec no longer has, or asks for a
+// campaign past the size ceilings answers 400 naming the problem, and
+// leaves no job and no submission count behind.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
-	_, srv, _ := newTestDaemon(t, t.TempDir())
-	for _, body := range []string{
-		`{"seed":1,"apps":["no-such-app"]}`,
-		`{"seed":1,"bogus_field":3}`,
-		`not json`,
+	sched, srv, _ := newTestDaemon(t, t.TempDir())
+	const submitted = "jobs_submitted_total"
+	before := fetchMetrics(t, srv.URL).Registry.Counters[submitted]
+	for _, tc := range []struct{ body, wantErr string }{
+		{`{"seed":1,"apps":["no-such-app"]}`, "no-such-app"},
+		{`{"seed":1,"bogus_field":3}`, "bogus_field"},
+		{`not json`, "bad spec"},
+		{`{"seed":1,"engine":"full"}`, `unknown field "engine"`},
+		{`{"seed":1,"collapse":true}`, `unknown field "collapse"`},
+		{`{"seed":1,"injections":1000000000000}`, "injections 1000000000000 exceeds the limit of 100000"},
+		{`{"seed":1,"max_patterns":409601}`, "max_patterns 409601 exceeds the limit of 409600"},
+		{`{"seed":1,"injections":-1}`, "negative"},
 	} {
-		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e map[string]string
+		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("body %q: status %d, want 400", tc.body, resp.StatusCode)
 		}
+		if !strings.Contains(e["error"], tc.wantErr) {
+			t.Errorf("body %q: error %q does not mention %q", tc.body, e["error"], tc.wantErr)
+		}
+	}
+	if n := len(sched.Jobs()); n != 0 {
+		t.Errorf("rejected submissions created %d job(s)", n)
+	}
+	if after := fetchMetrics(t, srv.URL).Registry.Counters[submitted]; after != before {
+		t.Errorf("%s moved %d -> %d on rejected submissions", submitted, before, after)
 	}
 }
 
@@ -179,7 +201,7 @@ func TestSubmitRejectsOversizeBodies(t *testing.T) {
 	pad := strings.Repeat(" ", maxSpecBody)
 	for _, tc := range []struct{ name, body string }{
 		{"valid spec behind whitespace", pad + tinySpecJSON},
-		{"oversize string field", `{"seed":7,"engine":"` + pad + `"}`},
+		{"oversize string field", `{"seed":7,"apps":["` + pad + `"]}`},
 	} {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -32,16 +32,9 @@ func main() {
 	maxPatterns := flag.Int("patterns", 512, "exciting patterns per unit campaign")
 	unitName := flag.String("unit", "all", "unit to inject: wsc, fetch, decoder, all")
 	workers := flag.Int("workers", 0, "intra-campaign fault-batch workers per unit campaign (0 = GOMAXPROCS, 1 = serial); selected units additionally run concurrently, so this knob scales a single campaign instead of capping out at the 3 runnable units")
-	collapse := flag.Bool("collapse", false, "statically collapse the fault list before simulation (identical results, fewer simulated faults)")
-	engineName := flag.String("engine", "event", "simulation engine: event (levelized event-driven) or full (dense re-evaluation); results are byte-identical")
 	jsonPath := flag.String("json", "", "also write a JSON artifact per unit to <path>_<unit>.json")
 	telemetryPath := flag.String("telemetry", "", "write an end-of-run telemetry report (metrics + spans) to this JSON file")
 	flag.Parse()
-
-	eng, err := gatesim.ParseEngine(*engineName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	runSpan := telemetry.StartSpan("gatefi")
 
@@ -74,7 +67,7 @@ func main() {
 	outs, _ := campaign.ParallelMapCtx(context.Background(), targets, 0, func(u *units.Unit) *campaign.UnitOutcome {
 		sp := runSpan.Child("gate:" + u.Name)
 		defer sp.End()
-		return campaign.GateStep(u, patterns, *collapse, eng, *workers)
+		return campaign.GateStep(u, patterns, true, gatesim.EngineEvent, *workers)
 	})
 	fmt.Printf("campaigns finished in %.2fs\n\n", tm.Stop())
 
@@ -89,11 +82,10 @@ func main() {
 		cols[u.Name] = outs[i].Collector
 		totals[u.Name] = u.NL.NumFaults()
 		fmt.Printf("  multi-model faults: %d\n", outs[i].Collector.MultiModelFaults())
-		if s := outs[i].Summary; s.SimulatedSites < s.TotalSites {
-			fmt.Printf("  collapsed: simulated %d of %d fault sites (%.1f%% fewer)\n",
-				s.SimulatedSites, s.TotalSites,
-				100*(1-float64(s.SimulatedSites)/float64(s.TotalSites)))
-		}
+		s := outs[i].Summary
+		fmt.Printf("  collapsed: simulated %d of %d fault sites (%.1f%% fewer)\n",
+			s.SimulatedSites, s.TotalSites,
+			100*(1-float64(s.SimulatedSites)/float64(s.TotalSites)))
 		if *jsonPath != "" {
 			path := fmt.Sprintf("%s_%s.json", *jsonPath, u.Name)
 			f, err := os.Create(path)

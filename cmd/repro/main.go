@@ -20,7 +20,6 @@ import (
 	"gpufaultsim/internal/campaign"
 	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/errmodel"
-	"gpufaultsim/internal/gatesim"
 	"gpufaultsim/internal/isa"
 	"gpufaultsim/internal/mitigate"
 	"gpufaultsim/internal/perfi"
@@ -64,7 +63,6 @@ func run(args []string, w io.Writer) error {
 	scaleName := fs.String("scale", "default", "quick|default|paper")
 	workers := fs.Int("workers", 0, "parallel workers across units and apps (0 = GOMAXPROCS)")
 	batchWorkers := fs.Int("batch-workers", 0, "intra-campaign fault-batch workers per gate-level campaign (0 = GOMAXPROCS, 1 = serial); results are byte-identical at any width")
-	engineName := fs.String("engine", "event", "gate-level simulation engine: event or full (byte-identical results)")
 	telemetryPath := fs.String("telemetry", "", "write an end-of-run telemetry report (metrics + spans) to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,9 +71,6 @@ func run(args []string, w io.Writer) error {
 	sc, ok := scales[*scaleName]
 	if !ok {
 		return fmt.Errorf("unknown scale %q", *scaleName)
-	}
-	if _, err := gatesim.ParseEngine(*engineName); err != nil {
-		return err
 	}
 	runSpan := telemetry.StartSpan("repro")
 	defer runSpan.End()
@@ -177,7 +172,7 @@ func run(args []string, w io.Writer) error {
 			EvalApps:     cnn.Evaluation15(),
 			Workers:      *workers,
 			BatchWorkers: *batchWorkers,
-			Engine:       *engineName,
+			Collapse:     true,
 		})
 		sp.End()
 		if err != nil {

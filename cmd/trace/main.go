@@ -75,7 +75,7 @@ func main() {
 	if grr.Hung() {
 		log.Fatalf("golden run trapped: %v", grr.Trap)
 	}
-	faulty, frr := run(perfi.New(desc, rand.New(rand.NewSource(*seed))))
+	faulty, frr := run(perfi.New(desc, nil))
 
 	fmt.Printf("app=%s descriptor: %v\n", w.Name(), desc)
 	fmt.Printf("outcome: %v", workloads.Classify(grr.Output, frr))

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
@@ -88,7 +87,7 @@ func main() {
 		fdev.Global[n+i] = floatBits(float32(2 * i))
 	}
 	frec := &trace.Recorder{}
-	fdev.AddHook(perfi.New(desc, rand.New(rand.NewSource(1))))
+	fdev.AddHook(perfi.New(desc, nil))
 	fdev.AddHook(frec)
 	fres, err := fdev.Launch(prog, lc)
 	if err != nil {

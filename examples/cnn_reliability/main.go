@@ -36,7 +36,7 @@ func main() {
 		var masked, sdc, due, critical int
 		for i := 0; i < injections; i++ {
 			d := errmodel.Random(m, rng, 8, sess.Device.PPBsPerSM)
-			rr, outcome, err := sess.Run(d, rand.New(rand.NewSource(seed+int64(i))))
+			rr, outcome, err := sess.Run(d)
 			if err != nil {
 				log.Fatal(err)
 			}

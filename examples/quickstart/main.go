@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
@@ -41,7 +40,7 @@ func main() {
 
 	// 4-5. Faulty run with the injector hooked into the device, classified
 	//      against the golden output: Masked, SDC or DUE.
-	faulty, outcome, err := sess.Run(desc, rand.New(rand.NewSource(1)))
+	faulty, outcome, err := sess.Run(desc)
 	if err != nil {
 		log.Fatal(err)
 	}

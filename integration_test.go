@@ -187,7 +187,7 @@ func TestCNNCriticalSDCsExist(t *testing.T) {
 	for i := 0; i < 40 && critical == 0; i++ {
 		d := errmodel.Random(errmodel.IAT, rng, 8, 1)
 		fdev := newDev(job.Footprint() + 64)
-		fdev.AddHook(perfi.New(d, rand.New(rand.NewSource(int64(i)))))
+		fdev.AddHook(perfi.New(d, nil))
 		rr, err := job.Run(fdev)
 		if err != nil {
 			t.Fatal(err)

@@ -33,11 +33,11 @@ func ProfileStep(cfg TwoLevelConfig) (*profiler.Profile, error) {
 
 // GateStep runs steps 2-3 for one unit: the stuck-at campaign over the
 // exciting patterns with inline error classification. collapse prunes the
-// fault list through the static analyzer first (results are identical,
-// just cheaper); eng selects the simulation engine and batchWorkers the
-// intra-campaign fault-batch parallelism (0 = GOMAXPROCS, 1 = serial).
-// Engines and worker counts are all byte-identical in their outputs —
-// these knobs only change how fast the same artifact is produced.
+// fault list through the static analyzer first; eng selects the simulation
+// engine and batchWorkers the intra-campaign fault-batch parallelism
+// (0 = GOMAXPROCS, 1 = serial). Production passes (true, EngineEvent);
+// the other combinations exist for the benchmark's variants and the
+// oracle tests, and every one yields byte-identical classifications.
 func GateStep(u *units.Unit, patterns []units.Pattern, collapse bool, eng gatesim.Engine, batchWorkers int) *UnitOutcome {
 	cfg := gatesim.Config{Engine: eng, Workers: batchWorkers}
 	col := errclass.NewCollector(u.Name)

@@ -53,12 +53,10 @@ type TwoLevelConfig struct {
 	// before each gate-level campaign and simulates only one representative
 	// fault per equivalence class. Summaries and classifications still
 	// cover the full fault universe — gatesim expands the collapsed
-	// results back — so the outputs are identical, just cheaper.
+	// results back — so the outputs are identical, just cheaper. Every
+	// production caller sets it; it stays a field because the benchmark
+	// pins Summary.SimulatedSites for the uncollapsed run.
 	Collapse bool
-	// Engine selects the gate-level simulation engine: "event" (levelized
-	// event-driven delta simulation, the default) or "full" (dense
-	// re-evaluation, the reference). Both produce byte-identical results.
-	Engine string
 }
 
 // UnitOutcome couples one unit's gate-level campaign artifacts.
@@ -128,9 +126,6 @@ func (cfg TwoLevelConfig) Defaults() TwoLevelConfig {
 	if cfg.Injections == 0 {
 		cfg.Injections = 50
 	}
-	if cfg.Engine == "" {
-		cfg.Engine = gatesim.EngineEvent.String()
-	}
 	return cfg
 }
 
@@ -142,10 +137,6 @@ func (cfg TwoLevelConfig) Defaults() TwoLevelConfig {
 // next step or chunk boundary and returns ctx.Err().
 func RunTwoLevelCtx(ctx context.Context, cfg TwoLevelConfig) (*Results, error) {
 	cfg = cfg.Defaults()
-	eng, err := gatesim.ParseEngine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
 	res := &Results{}
 	root := telemetry.StartSpan("twolevel")
 	defer root.End()
@@ -169,7 +160,7 @@ func RunTwoLevelCtx(ctx context.Context, cfg TwoLevelConfig) (*Results, error) {
 	outcomes, err := ParallelMapCtx(ctx, units.All(), cfg.Workers, func(u *units.Unit) *UnitOutcome {
 		sp := gateSpan.Child("gate:" + u.Name)
 		defer sp.End()
-		return GateStep(u, patterns, cfg.Collapse, eng, cfg.BatchWorkers)
+		return GateStep(u, patterns, cfg.Collapse, gatesim.EngineEvent, cfg.BatchWorkers)
 	})
 	if err != nil {
 		return nil, err

@@ -84,18 +84,6 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", uint8(e))
 }
 
-// ParseEngine maps a config string to an Engine. The empty string selects
-// the default (event).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "event":
-		return EngineEvent, nil
-	case "full":
-		return EngineFull, nil
-	}
-	return 0, fmt.Errorf("gatesim: unknown engine %q (want \"event\" or \"full\")", s)
-}
-
 // FaultClass is the paper's Table 4 taxonomy.
 type FaultClass int
 

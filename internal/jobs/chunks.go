@@ -20,8 +20,10 @@ import (
 // Schema history:
 //
 //	1: initial resumable-campaign cache.
-//	2: gate keys carry the simulation engine (event vs full), so results
-//	   from the two engines can never alias in the cache.
+//	2: gate keys carried the simulation engine (event vs full). Engine and
+//	   collapse have since left the key without a bump: production runs one
+//	   configuration, payloads kept their shape, and entries under the old
+//	   keys are never asked for again and age out of the LRU.
 const chunkSchema = 2
 
 // Phase names a stage of the methodology; chunks group under phases for
@@ -113,8 +115,6 @@ type gateKeyMaterial struct {
 	NetlistDigest  string `json:"netlist_digest"`
 	PatternsDigest string `json:"patterns_digest"`
 	Seed           int64  `json:"seed"`
-	Collapse       bool   `json:"collapse"`
-	Engine         string `json:"engine"`
 }
 
 func gateKey(spec Spec, u *units.Unit, patternsDigest string) (string, error) {
@@ -122,8 +122,7 @@ func gateKey(spec Spec, u *units.Unit, patternsDigest string) (string, error) {
 		Schema: chunkSchema, Kind: "gate", Unit: u.Name,
 		NetlistDigest:  artifact.NetlistDigest(u.NL),
 		PatternsDigest: patternsDigest,
-		Seed:           spec.Seed, Collapse: spec.Collapse,
-		Engine: spec.Engine,
+		Seed:           spec.Seed,
 	})
 }
 
@@ -203,16 +202,13 @@ func computeProfile(spec Spec) ([]byte, error) {
 	})
 }
 
-// computeGate runs one unit's gate-level campaign chunk. The payload is
-// the unit's final gate artifact, byte-for-byte. batchWorkers is the
-// intra-campaign fault-batch parallelism — an execution knob that stays
-// out of gateKey because summaries are byte-identical at every width.
+// computeGate runs one unit's gate-level campaign chunk, collapsed and on
+// the event engine. The payload is the unit's final gate artifact,
+// byte-for-byte. batchWorkers is the intra-campaign fault-batch
+// parallelism — an execution knob that stays out of gateKey because
+// summaries are byte-identical at every width.
 func computeGate(spec Spec, u *units.Unit, patterns []units.Pattern, batchWorkers int) ([]byte, error) {
-	eng, err := gatesim.ParseEngine(spec.Engine)
-	if err != nil {
-		return nil, err
-	}
-	out := campaign.GateStep(u, patterns, spec.Collapse, eng, batchWorkers)
+	out := campaign.GateStep(u, patterns, true, gatesim.EngineEvent, batchWorkers)
 	return artifact.Canonical(artifact.NewGateReport(spec.Seed, out.Summary, out.Collector))
 }
 

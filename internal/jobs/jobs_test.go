@@ -3,10 +3,18 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"gpufaultsim/internal/artifact"
+	"gpufaultsim/internal/campaign"
+	"gpufaultsim/internal/gatesim"
 	"gpufaultsim/internal/store"
+	"gpufaultsim/internal/units"
 )
 
 // tinySpec keeps campaigns fast enough for unit tests while still
@@ -93,6 +101,63 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := tinySpec().Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Campaign sizes are bounded above: the limit itself passes, one past
+	// it is rejected with the field and the limit in the message.
+	for _, tc := range []struct {
+		spec Spec
+		want string // "" = valid
+	}{
+		{Spec{MaxPatterns: maxSpecPatterns, Injections: maxSpecInjections}, ""},
+		{Spec{MaxPatterns: maxSpecPatterns + 1}, "max_patterns 409601 exceeds the limit of 409600"},
+		{Spec{Injections: maxSpecInjections + 1}, "injections 100001 exceeds the limit of 100000"},
+	} {
+		err := tc.spec.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%+v: %v", tc.spec, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: error %v, want one containing %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestGateChunkMatchesDenseUncollapsedOracle: the one configuration
+// production runs (collapsed fault list, event engine) yields, through
+// ComputeChunk, the bytes of the dense engine over the full fault list.
+func TestGateChunkMatchesDenseUncollapsedOracle(t *testing.T) {
+	spec := tinySpec().WithDefaults()
+	profBytes, err := ComputeChunk(ChunkRequest{
+		Chunk: Chunk{ID: "profile", Phase: PhaseProfile}, Spec: spec,
+	}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prof profilePayload
+	if err := json.Unmarshal(profBytes, &prof); err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.Patterns) == 0 {
+		t.Fatal("profile chunk produced no patterns")
+	}
+	dep := func(string) ([]byte, error) { return profBytes, nil }
+	for _, u := range units.All() {
+		got, err := ComputeChunk(ChunkRequest{
+			Chunk: Chunk{ID: "gate:" + u.Name, Phase: PhaseGate, Arg: u.Name},
+			Spec:  spec, ProfileKey: "profile",
+		}, dep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := campaign.GateStep(u, prof.Patterns, false, gatesim.EngineFull, 1)
+		want, err := artifact.Canonical(artifact.NewGateReport(spec.Seed, o.Summary, o.Collector))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: gate chunk payload differs from the dense uncollapsed campaign (%d vs %d bytes)",
+				u.Name, len(got), len(want))
+		}
 	}
 }
 
@@ -243,6 +308,78 @@ func TestRecoverRestoresFinishedJob(t *testing.T) {
 		b, okB := s2.Artifact(st.ID, name)
 		if !okB || !bytes.Equal(a, b) {
 			t.Fatalf("recovered artifact %s differs or missing", name)
+		}
+	}
+}
+
+// oldCheckpoint is a job checkpoint as the daemon wrote it while the spec
+// still carried "engine": interrupted with the profile and one gate chunk
+// done under cache keys this store has never seen.
+const oldCheckpoint = `{
+  "schema": 1,
+  "id": "j000003-5f0c2a9e",
+  "digest": "5f0c2a9e6d1b4c7783a1f0e2d3c4b5a697887766554433221100ffeeddccbbaa",
+  "spec": {
+    "seed": 7,
+    "max_patterns": 16,
+    "injections": 2,
+    "engine": "event",
+    "apps": ["vectoradd"],
+    "profiling": ["vectoradd", "gemm"]
+  },
+  "state": "running",
+  "created": "2026-01-02T03:04:05Z",
+  "chunks": [
+    {"id": "profile", "phase": "profile", "arg": "", "done": true,
+     "cache_key": "1111111111111111111111111111111111111111111111111111111111111111"},
+    {"id": "gate:wsc", "phase": "gate", "arg": "wsc", "done": true,
+     "cache_key": "2222222222222222222222222222222222222222222222222222222222222222"},
+    {"id": "gate:fetch", "phase": "gate", "arg": "fetch", "done": false},
+    {"id": "gate:decoder", "phase": "gate", "arg": "decoder", "done": false},
+    {"id": "sw:vectoradd", "phase": "software", "arg": "vectoradd", "done": false}
+  ]
+}`
+
+// TestRecoverAcceptsOldSpecFields: a checkpoint written before Engine and
+// Collapse left the spec still recovers, and the resumed job's artifacts
+// are byte-identical to a fresh submission of the same campaign.
+func TestRecoverAcceptsOldSpecFields(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	ref := newTestScheduler(t, t.TempDir())
+	ref.Start(ctx)
+	defer ref.Stop()
+	refSt, err := ref.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFinal := waitState(t, ref, refSt.ID, StateDone)
+
+	dir := t.TempDir()
+	s := newTestScheduler(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "j000003-5f0c2a9e.json"), []byte(oldCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requeued, errs := s.Recover()
+	if len(errs) != 0 {
+		t.Fatalf("recover errors: %v", errs)
+	}
+	if requeued != 1 {
+		t.Fatalf("requeued = %d, want 1", requeued)
+	}
+	s.Start(ctx)
+	defer s.Stop()
+	final := waitState(t, s, "j000003-5f0c2a9e", StateDone)
+
+	if len(final.Artifacts) != len(refFinal.Artifacts) {
+		t.Fatalf("artifacts = %v, want %v", final.Artifacts, refFinal.Artifacts)
+	}
+	for _, name := range refFinal.Artifacts {
+		want, _ := ref.Artifact(refSt.ID, name)
+		got, ok := s.Artifact(final.ID, name)
+		if !ok || !bytes.Equal(got, want) {
+			t.Errorf("artifact %s of the recovered job differs from a fresh run", name)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"gpufaultsim/internal/artifact"
 	"gpufaultsim/internal/campaign"
-	"gpufaultsim/internal/gatesim"
 	"gpufaultsim/internal/workloads"
 )
 
@@ -28,16 +27,6 @@ type Spec struct {
 	Seed        int64 `json:"seed"`
 	MaxPatterns int   `json:"max_patterns,omitempty"` // 0 = 512
 	Injections  int   `json:"injections,omitempty"`   // 0 = 50
-	Collapse    bool  `json:"collapse,omitempty"`
-
-	// Engine selects the gate-level simulation engine: "event" (default)
-	// or "full". Both engines produce byte-identical campaign artifacts —
-	// the differential harness in package gatesim holds them to that —
-	// but the engine still enters every gate chunk's cache key, so a
-	// result computed by one engine is never served as a cache hit for
-	// the other: an engine-difference bug would surface as a digest
-	// mismatch instead of silently aliasing.
-	Engine string `json:"engine,omitempty"`
 
 	// Apps are the software-injection targets by Table-1 name
 	// (empty = the 13 non-CNN evaluation apps).
@@ -56,9 +45,6 @@ func (s Spec) WithDefaults() Spec {
 	if s.Injections == 0 {
 		s.Injections = 50
 	}
-	if s.Engine == "" {
-		s.Engine = gatesim.EngineEvent.String()
-	}
 	if len(s.Apps) == 0 {
 		for _, w := range workloads.Evaluation() {
 			s.Apps = append(s.Apps, w.Name())
@@ -72,14 +58,27 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
-// Validate checks that every named workload resolves.
+// Campaign-size ceilings for specs arriving over the network: 100x the
+// paper scale (cmd/repro -scale paper runs 4096 patterns and 1000
+// injections per app per model). Anything larger is a typo or an attempt
+// to pin a job worker, not a campaign.
+const (
+	maxSpecPatterns   = 100 * 4096
+	maxSpecInjections = 100 * 1000
+)
+
+// Validate checks the campaign sizes against their bounds and that every
+// named workload resolves.
 func (s Spec) Validate() error {
 	s = s.WithDefaults()
 	if s.MaxPatterns < 0 || s.Injections < 0 {
 		return fmt.Errorf("jobs: negative campaign size")
 	}
-	if _, err := gatesim.ParseEngine(s.Engine); err != nil {
-		return err
+	if s.MaxPatterns > maxSpecPatterns {
+		return fmt.Errorf("jobs: max_patterns %d exceeds the limit of %d", s.MaxPatterns, maxSpecPatterns)
+	}
+	if s.Injections > maxSpecInjections {
+		return fmt.Errorf("jobs: injections %d exceeds the limit of %d", s.Injections, maxSpecInjections)
 	}
 	for _, name := range append(append([]string{}, s.Apps...), s.Profiling...) {
 		if workloads.ByName(name) == nil {
@@ -115,8 +114,6 @@ func (s Spec) campaignConfig() campaign.TwoLevelConfig {
 		Seed:               s.Seed,
 		MaxPatterns:        s.MaxPatterns,
 		Injections:         s.Injections,
-		Collapse:           s.Collapse,
-		Engine:             s.Engine,
 		ProfilingWorkloads: resolve(s.Profiling),
 		EvalApps:           resolve(s.Apps),
 	}

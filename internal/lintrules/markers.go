@@ -29,7 +29,6 @@ var DeterministicPkgs = []string{
 	"internal/netlist",
 	"internal/report",
 	"internal/syndrome",
-	"internal/workload",
 }
 
 // InstrumentedFiles are the telemetry-instrumented files formerly

@@ -118,7 +118,7 @@ func Evaluate(w workloads.Workload, cfg Config) ([]Detection, error) {
 
 			// Faulty primary run (with CFC signature).
 			fsig := &cfcHook{}
-			rr, outcome, err := sess.Run(d, rand.New(rand.NewSource(cfg.Seed^int64(i))), fsig)
+			rr, outcome, err := sess.Run(d, fsig)
 			if err != nil {
 				return nil, err
 			}
@@ -135,7 +135,7 @@ func Evaluate(w workloads.Workload, cfg Config) ([]Detection, error) {
 
 			// Replica run: same fault, work displaced one slot.
 			ds := shiftWarps(d, maxWarps, ppbs)
-			rs, _, err := sess.Run(ds, rand.New(rand.NewSource(cfg.Seed^int64(i))))
+			rs, _, err := sess.Run(ds)
 			if err != nil {
 				return nil, err
 			}

@@ -93,7 +93,7 @@ func RunApp(w workloads.Workload, cfg Config) (*AppResult, error) {
 		var tally Tally
 		for i := 0; i < cfg.Injections; i++ {
 			d := errmodel.Random(m, rng, sess.MaxWarps, sess.Device.PPBsPerSM)
-			_, outcome, err := sess.Run(d, rand.New(rand.NewSource(cfg.Seed^int64(i)<<17)))
+			_, outcome, err := sess.Run(d)
 			if err != nil {
 				return nil, fmt.Errorf("perfi: %s/%v injection %d: %w",
 					w.Name(), m, i, err)

@@ -22,8 +22,6 @@ import (
 type Injector struct {
 	D errmodel.Descriptor
 
-	rng *rand.Rand
-
 	// Scratch carried from Before to After of the current instruction.
 	saved     [isa.WarpSize]uint32
 	saved2    [isa.WarpSize]uint32
@@ -58,11 +56,11 @@ func (inj *Injector) fire() bool {
 	}
 }
 
-// New builds an injector for the descriptor. The rng drives per-instruction
-// choices that the descriptor leaves open (it is part of the injection's
-// identity, so pass a deterministically seeded source).
-func New(d errmodel.Descriptor, rng *rand.Rand) *Injector {
-	return &Injector{D: d, rng: rng}
+// New builds an injector for the descriptor. The second parameter is
+// ignored — a faulty run is a pure function of (job, descriptor) — and is
+// kept because the repository benchmark calls New with it; pass nil.
+func New(d errmodel.Descriptor, _ *rand.Rand) *Injector {
+	return &Injector{D: d}
 }
 
 // lanes returns the targeted lanes among mask, or 0 if the warp is not

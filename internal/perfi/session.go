@@ -71,12 +71,11 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 	}, nil
 }
 
-// Run executes the job with descriptor d injected (the injector draws from
-// rng) followed by the extra hooks, and classifies the run against the
-// golden output.
-func (s *Session) Run(d errmodel.Descriptor, rng *rand.Rand, extra ...gpu.Hook) (*workloads.RunResult, workloads.Outcome, error) {
+// Run executes the job with descriptor d injected followed by the extra
+// hooks, and classifies the run against the golden output.
+func (s *Session) Run(d errmodel.Descriptor, extra ...gpu.Hook) (*workloads.RunResult, workloads.Outcome, error) {
 	s.faulty.ClearHooks()
-	s.faulty.AddHook(New(d, rng))
+	s.faulty.AddHook(New(d, nil))
 	for _, h := range extra {
 		s.faulty.AddHook(h)
 	}

@@ -1,10 +1,9 @@
 package telemetry
 
 // Fixed-bucket quantile estimation. The registry's histograms are the
-// only latency record the daemon and the load generator keep — no raw
-// sample arrays — so tail reporting (p50/p99 on /metrics, the loadgen
-// SLO gate) interpolates quantiles from bucket counts, exactly the way
-// Prometheus histogram_quantile does:
+// only latency record the daemon keeps — no raw sample arrays — so tail
+// reporting (p50/p99 on /metrics) interpolates quantiles from bucket
+// counts, exactly the way Prometheus histogram_quantile does:
 //
 //   - locate the bucket where the cumulative count crosses q*count;
 //   - interpolate linearly between the bucket's lower and upper bound

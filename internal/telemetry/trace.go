@@ -6,7 +6,7 @@ import (
 )
 
 // TraceHeader is the HTTP header carrying an encoded TraceContext
-// between processes (loadgen → daemon, coordinator ↔ worker).
+// from a submitting client to the daemon.
 const TraceHeader = "X-Gpufaultsim-Trace"
 
 // TraceContext is the compact propagation format for distributed
@@ -16,7 +16,7 @@ const TraceHeader = "X-Gpufaultsim-Trace"
 //   - Trace: the logical run ID (the job ID for daemon work) grouping
 //     every span of one run across all processes.
 //   - Origin: the process/role that owns the parent span ("coordinator",
-//     a worker name, a loadgen client).
+//     a worker name, a submitting client).
 //   - Span: the parent span's ID in the origin's recorder.
 //   - Chunk: the chunk key the context travels with, when there is one.
 //

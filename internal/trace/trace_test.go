@@ -43,7 +43,7 @@ func TestInjectionShowsDivergence(t *testing.T) {
 	golden, _ := record(t, nil)
 	desc := errmodel.Descriptor{Model: errmodel.WV, Warps: []int{0},
 		Threads: 0xFFFFFFFF, BitErrMask: 0}
-	faulty, _ := record(t, perfi.New(desc, rand.New(rand.NewSource(1))))
+	faulty, _ := record(t, perfi.New(desc, nil))
 	d := Diff(golden, faulty)
 	if !d.Diverged() {
 		t.Fatal("WV injection on the guard predicate produced no control-flow divergence")
@@ -96,7 +96,7 @@ func TestIALDisableDivergesThroughIndexing(t *testing.T) {
 	golden, _ := record(t, nil)
 	desc := errmodel.Descriptor{Model: errmodel.IAL, Warps: []int{0},
 		Threads: 0x1, ErrOperLoc: 0}
-	faulty, _ := record(t, perfi.New(desc, rand.New(rand.NewSource(1))))
+	faulty, _ := record(t, perfi.New(desc, nil))
 	if d := Diff(golden, faulty); !d.Diverged() {
 		t.Fatal("IAL-disable left the issue trace intact (expected divergence via corrupted indexing)")
 	}

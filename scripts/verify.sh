@@ -59,7 +59,6 @@ go test -race ./...
 echo "==> fuzz smoke"
 go test ./internal/kasm -run '^$' -fuzz '^FuzzKasmParse$' -fuzztime 5s
 go test ./internal/gatesim -run '^$' -fuzz '^FuzzNetlistEval$' -fuzztime 5s
-go test ./internal/workload -run '^$' -fuzz '^FuzzWorkloadSpec$' -fuzztime 5s
 
 # Golden end-to-end: the full default-scale repro output, byte-for-byte
 # (timing masked). Runs without -race on purpose — the test skips itself
@@ -114,12 +113,12 @@ ALLOCS=$(go test ./internal/gatesim -run '^$' -bench '^BenchmarkEventCampaign$' 
 echo "    ${ALLOCS} allocs/op (budget 1670)"
 [ "$ALLOCS" -le 1670 ] || { echo "allocation gate: ${ALLOCS} allocs/op exceeds budget of 1670" >&2; exit 1; }
 
-# Hand-in check: every step above ran in the foreground, so a daemon, load
-# generator, benchmark, test binary or go command alive now is a straggler
+# Hand-in check: every step above ran in the foreground, so a daemon,
+# benchmark, test binary or go command alive now is a straggler
 # (of this run or of whatever ran before it) and has to be stopped first.
 # The brackets keep the probing shell's own command line from matching.
 echo "==> straggler check"
-stragglers=$(pgrep -fa '[f]aultsimd|[l]oadgen|bench_build/[b]enchmark|[.]test|go [r]un|go [t]est' || true)
+stragglers=$(pgrep -fa '[f]aultsimd|bench_build/[b]enchmark|[.]test|go [r]un|go [t]est' || true)
 if [ -n "$stragglers" ]; then
 	echo "processes left running:" >&2
 	echo "$stragglers" >&2
