@@ -156,7 +156,8 @@ func TestSubmitAndFetchArtifacts(t *testing.T) {
 // TestSubmitRejectsBadSpecs: a spec that is malformed, names something
 // unknown, carries a field the job spec no longer has, or asks for a
 // campaign past the size ceilings answers 400 naming the problem, and
-// leaves no job and no submission count behind.
+// leaves no job and no submission count behind. Every Table-1 name is
+// accepted, the two CNNs included.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	sched, srv, _ := newTestDaemon(t, t.TempDir())
 	const submitted = "jobs_submitted_total"
@@ -191,6 +192,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if after := fetchMetrics(t, srv.URL).Registry.Counters[submitted]; after != before {
 		t.Errorf("%s moved %d -> %d on rejected submissions", submitted, before, after)
 	}
+	st := submitJob(t, srv.URL, `{"seed":7,"max_patterns":16,"injections":1,`+
+		`"apps":["lenet","yolov3"],"profiling":["vectoradd"]}`)
+	waitDone(t, srv.URL, st.ID)
 }
 
 // TestSubmitRejectsOversizeBodies: POST /jobs answers 413 to a body past

@@ -100,3 +100,62 @@ func TestMaskTimings(t *testing.T) {
 		t.Errorf("maskTimings:\n got: %q\nwant: %q", got, want)
 	}
 }
+
+// TestRootTranscriptMatchesGolden: the checked-in default transcript at the
+// repository root is the golden output with its timings unmasked.
+func TestRootTranscriptMatchesGolden(t *testing.T) {
+	root, err := os.ReadFile(filepath.Join("..", "..", "repro_default_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "repro_default_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maskTimings(string(root)) != string(golden) {
+		t.Fatal("repro_default_output.txt differs from testdata/repro_default_output.txt beyond its timing lines")
+	}
+}
+
+// TestExhibitSelectionChangesNoNumber: a single exhibit prints exactly its
+// part of the all-exhibits output, although it skips the steps it does not
+// read (table3 and table4 skip the software step).
+func TestExhibitSelectionChangesNoNumber(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick-scale campaigns; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("skipped under -race, like the golden test")
+	}
+	var all bytes.Buffer
+	if err := run([]string{"-scale", "quick"}, &all); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []string{"table3", "table4", "fig10"} {
+		var one bytes.Buffer
+		if err := run([]string{"-scale", "quick", "-exhibit", ex}, &one); err != nil {
+			t.Fatalf("%s: %v", ex, err)
+		}
+		sep := strings.Repeat("=", 72) + "\n\n"
+		body, ok := strings.CutPrefix(one.String(), sep)
+		if !ok || body == "" {
+			t.Fatalf("%s: output is not one section:\n%s", ex, one.String())
+		}
+		if !strings.Contains(all.String(), body) {
+			t.Errorf("%s: output differs from its section of -exhibit all:\n%s", ex, body)
+		}
+	}
+}
+
+// TestUnknownExhibitRejected: a misspelt exhibit is an error naming the
+// valid ones, not a silent empty run.
+func TestUnknownExhibitRejected(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-exhibit", "tabel4"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), exhibits) {
+		t.Fatalf("run -exhibit tabel4: err = %v, want one naming %s", err, exhibits)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("run -exhibit tabel4 printed %q", buf.String())
+	}
+}

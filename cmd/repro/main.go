@@ -1,5 +1,6 @@
 // Command repro regenerates every table and figure of the paper's
 // evaluation in one run (or a selected exhibit), at a configurable scale.
+// It runs only the methodology steps the selected exhibits read.
 //
 //	repro                 # everything, scaled-down defaults
 //	repro -exhibit fig10  # one exhibit
@@ -15,6 +16,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"gpufaultsim/internal/campaign"
@@ -39,6 +41,9 @@ type scale struct {
 	tmxmStride  int
 }
 
+// exhibits are the -exhibit values, in the flag's help-text form.
+const exhibits = "table1|table2|table3|table4|table5|fig2|fig45|fig6|fig7|fig8|fig9|fig10|fig11|speedup|discussion|mitigation|all"
+
 var scales = map[string]scale{
 	"quick":   {patterns: 128, injections: 20, microValues: 1, microLanes: 1, tmxmValues: 1, tmxmStride: 32},
 	"default": {patterns: 512, injections: 100, microValues: 2, microLanes: 2, tmxmValues: 2, tmxmStride: 8},
@@ -58,11 +63,8 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "campaign seed")
-	exhibit := fs.String("exhibit", "all",
-		"table1|table2|table3|table4|table5|fig2|fig45|fig6|fig7|fig8|fig9|fig10|fig11|speedup|discussion|mitigation|all")
+	exhibit := fs.String("exhibit", "all", exhibits)
 	scaleName := fs.String("scale", "default", "quick|default|paper")
-	workers := fs.Int("workers", 0, "parallel workers across units and apps (0 = GOMAXPROCS)")
-	batchWorkers := fs.Int("batch-workers", 0, "intra-campaign fault-batch workers per gate-level campaign (0 = GOMAXPROCS, 1 = serial); results are byte-identical at any width")
 	telemetryPath := fs.String("telemetry", "", "write an end-of-run telemetry report (metrics + spans) to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,6 +73,9 @@ func run(args []string, w io.Writer) error {
 	sc, ok := scales[*scaleName]
 	if !ok {
 		return fmt.Errorf("unknown scale %q", *scaleName)
+	}
+	if !slices.Contains(strings.Split(exhibits, "|"), *exhibit) {
+		return fmt.Errorf("unknown exhibit %q (want %s)", *exhibit, exhibits)
 	}
 	runSpan := telemetry.StartSpan("repro")
 	defer runSpan.End()
@@ -165,14 +170,18 @@ func run(args []string, w io.Writer) error {
 	if want("table3", "table4", "table5", "fig9", "fig10", "fig11", "speedup", "discussion") {
 		sp := runSpan.Child("exhibits:twolevel")
 		section("")
+		// The software step is most of a two-level run: unless an exhibit
+		// reads it, pass empty (non-nil) apps, which skip it.
+		apps := cnn.Evaluation15()
+		if !want("fig10", "fig11", "speedup", "discussion") {
+			apps = []workloads.Workload{}
+		}
 		res, err := campaign.RunTwoLevelCtx(context.Background(), campaign.TwoLevelConfig{
-			Seed:         *seed,
-			MaxPatterns:  sc.patterns,
-			Injections:   sc.injections,
-			EvalApps:     cnn.Evaluation15(),
-			Workers:      *workers,
-			BatchWorkers: *batchWorkers,
-			Collapse:     true,
+			Seed:        *seed,
+			MaxPatterns: sc.patterns,
+			Injections:  sc.injections,
+			EvalApps:    apps,
+			Collapse:    true,
 		})
 		sp.End()
 		if err != nil {
@@ -218,13 +227,7 @@ func run(args []string, w io.Writer) error {
 		defer sp.End()
 		section("")
 		for _, name := range []string{"mxm", "gemm"} {
-			var wl workloads.Workload
-			for _, cand := range cnn.Evaluation15() {
-				if cand.Name() == name {
-					wl = cand
-				}
-			}
-			dets, err := mitigate.Evaluate(wl, mitigate.Config{
+			dets, err := mitigate.Evaluate(cnn.ByName(name), mitigate.Config{
 				Injections: sc.injections / 2, Seed: *seed,
 			})
 			if err != nil {

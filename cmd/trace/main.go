@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/errmodel"
@@ -33,16 +32,9 @@ func main() {
 	context := flag.Int("context", 4, "trace context lines around the divergence")
 	flag.Parse()
 
-	var w workloads.Workload
-	for _, cand := range cnn.Evaluation15() {
-		if cand.Name() == *app {
-			w = cand
-		}
-	}
+	w := cnn.ByName(*app)
 	if w == nil {
-		if w = workloads.ByName(*app); w == nil {
-			log.Fatalf("unknown app %q", *app)
-		}
+		log.Fatalf("unknown app %q", *app)
 	}
 	m, err := errmodel.ParseModel(*model)
 	if err != nil {
@@ -53,32 +45,21 @@ func main() {
 		BitErrMask: uint32(*mask), ErrOperLoc: *loc,
 	}
 
-	job := w.Build(rand.New(rand.NewSource(*seed)))
-	cfg := gpu.DefaultConfig()
-	cfg.GlobalMemWords = job.Footprint() + 64
-
-	run := func(hook gpu.Hook) ([]trace.Event, *workloads.RunResult) {
-		dev := gpu.NewDevice(cfg)
-		rec := &trace.Recorder{}
-		if hook != nil {
-			dev.AddHook(hook)
-		}
-		dev.AddHook(rec)
-		rr, err := job.Run(dev)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rec.Events, rr
+	// Inject through the campaign's session, so this run gets a campaign's
+	// memory sizing and watchdog and the outcome a campaign would count.
+	goldenRec, faultyRec := &trace.Recorder{}, &trace.Recorder{}
+	sess, err := perfi.NewSession(w, *seed, gpu.Config{}, goldenRec)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	golden, grr := run(nil)
-	if grr.Hung() {
-		log.Fatalf("golden run trapped: %v", grr.Trap)
+	frr, outcome, err := sess.Run(desc, faultyRec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	faulty, frr := run(perfi.New(desc, nil))
+	golden, faulty := goldenRec.Events, faultyRec.Events
 
 	fmt.Printf("app=%s descriptor: %v\n", w.Name(), desc)
-	fmt.Printf("outcome: %v", workloads.Classify(grr.Output, frr))
+	fmt.Printf("outcome: %v", outcome)
 	if frr.Hung() {
 		fmt.Printf(" (%v: %s)", frr.Trap, frr.TrapInfo)
 	}
@@ -91,7 +72,7 @@ func main() {
 		maskDiffs, compared, flips)
 	if d.Diverged() {
 		fmt.Println("(control flow diverged: a CFC-style detector would flag this run)")
-	} else if workloads.Classify(grr.Output, frr) == workloads.OutcomeSDC {
+	} else if outcome == workloads.OutcomeSDC {
 		fmt.Println("(pure data corruption: invisible to control-flow checking)")
 	}
 }

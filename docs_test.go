@@ -147,3 +147,22 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsRunLiveCommands fails when a document tells the reader to
+// `go run ./cmd/<name>` for a command that no longer exists.
+func TestDocsRunLiveCommands(t *testing.T) {
+	goRunRE := regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
+	for _, doc := range docFiles {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range goRunRE.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
+					t.Errorf("%s:%d: `go run ./cmd/%s` names no cmd/ directory", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+}

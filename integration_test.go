@@ -119,6 +119,30 @@ func TestHeadlineTwoLevelClaims(t *testing.T) {
 	}
 }
 
+// TestSingleFaultsProduceMultipleErrorModels checks the Figure-9 finding
+// that one permanent fault can surface as several error models: every unit
+// has such faults even at a small pattern count. Empty (non-nil) EvalApps
+// skip the software step.
+func TestSingleFaultsProduceMultipleErrorModels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration campaign")
+	}
+	res, err := campaign.RunTwoLevelCtx(context.Background(), campaign.TwoLevelConfig{
+		Seed: 1, MaxPatterns: 48, EvalApps: []workloads.Workload{}, Collapse: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Apps) != 0 {
+		t.Errorf("empty EvalApps ran %d software campaigns", len(res.Apps))
+	}
+	for _, u := range res.Units {
+		if u.Collector.MultiModelFaults() == 0 {
+			t.Errorf("%s: no fault produced more than one error model", u.Unit.Name)
+		}
+	}
+}
+
 // TestHeadlineRTLClaims checks the Section-4 findings.
 func TestHeadlineRTLClaims(t *testing.T) {
 	if testing.Short() {

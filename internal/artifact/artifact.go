@@ -120,7 +120,8 @@ func NewSoftwareReport(seed int64, injections int, results []*perfi.AppResult) *
 	return r
 }
 
-// Write emits an artifact as indented JSON.
+// Write emits an artifact in its file form: two-space indented JSON and a
+// trailing newline (the daemon's job artifacts).
 func Write(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -35,8 +35,9 @@ type TwoLevelConfig struct {
 	// MaxPatterns caps the gate-level stimulus count (0 = 512; exhaustive
 	// dedup typically yields a few thousand).
 	MaxPatterns int
-	// EvalApps are the software-level injection targets (default: the 13
-	// non-CNN evaluation apps; callers add LeNet/YOLOv3 via cnn).
+	// EvalApps are the software-level injection targets. nil means the
+	// default, the 13 non-CNN evaluation apps (callers add LeNet/YOLOv3
+	// via cnn); an empty non-nil slice skips the software step.
 	EvalApps []workloads.Workload
 	// Injections per app per model for the software level.
 	Injections int

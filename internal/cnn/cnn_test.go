@@ -124,6 +124,19 @@ func TestEvaluation15HasPaperOrder(t *testing.T) {
 	}
 }
 
+// TestByNameCoversTable1AndProfiling: every evaluation app, the CNNs
+// included, and every profiling code resolves by name; nothing else does.
+func TestByNameCoversTable1AndProfiling(t *testing.T) {
+	for _, w := range append(Evaluation15(), workloads.Profiling()...) {
+		if got := ByName(w.Name()); got == nil || got.Name() != w.Name() {
+			t.Errorf("ByName(%q) = %v", w.Name(), got)
+		}
+	}
+	if ByName("nope") != nil {
+		t.Error("ByName invented a workload")
+	}
+}
+
 func TestLeNetUnderInjection(t *testing.T) {
 	// A quick end-to-end check that the CNN workloads work inside perfi
 	// campaigns (the paper's headline experiment on DNNs).

@@ -207,3 +207,18 @@ func CriticalSDCYOLO(golden, faulty []uint32) bool {
 func Evaluation15() []workloads.Workload {
 	return append(workloads.Evaluation(), LeNet{Digit: 3}, YOLOv3{Scene: 1})
 }
+
+// ByName returns the workload with the given Table-1 name from the union
+// of Evaluation15 and the profiling set, or nil: workloads.ByName plus the
+// two CNNs it cannot see.
+func ByName(name string) workloads.Workload {
+	if w := workloads.ByName(name); w != nil {
+		return w
+	}
+	for _, w := range Evaluation15() {
+		if w.Name() == name {
+			return w
+		}
+	}
+	return nil
+}

@@ -6,11 +6,11 @@ import (
 
 	"gpufaultsim/internal/artifact"
 	"gpufaultsim/internal/campaign"
+	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gatesim"
 	"gpufaultsim/internal/perfi"
 	"gpufaultsim/internal/units"
-	"gpufaultsim/internal/workloads"
 )
 
 // chunkSchema versions every cached payload and cache key. Bumping it
@@ -214,7 +214,7 @@ func computeGate(spec Spec, u *units.Unit, patterns []units.Pattern, batchWorker
 
 // computeSoftware runs one application's software-injection chunk.
 func computeSoftware(spec Spec, app string) ([]byte, error) {
-	w := workloads.ByName(app)
+	w := cnn.ByName(app)
 	if w == nil {
 		return nil, fmt.Errorf("jobs: unknown workload %q", app)
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -146,11 +147,19 @@ func (j *Job) closeSubsLocked() {
 // --- final artifact assembly ---------------------------------------------
 
 // assembleArtifacts reconstructs the job's output artifacts from its
-// chunk payloads: one indented gate report per unit plus the combined
-// software report. Deterministic given the payloads, so a resumed job
-// emits bytes identical to an uninterrupted run.
+// chunk payloads: one gate report per unit plus the combined software
+// report, each in artifact.Write's file form. Deterministic given the
+// payloads, so a resumed job emits bytes identical to an uninterrupted run.
 func assembleArtifacts(spec Spec, payloads map[string][]byte) (map[string][]byte, error) {
 	out := make(map[string][]byte)
+	put := func(name string, v any) error {
+		var buf bytes.Buffer
+		if err := artifact.Write(&buf, v); err != nil {
+			return fmt.Errorf("jobs: artifact %s: %w", name, err)
+		}
+		out[name] = buf.Bytes()
+		return nil
+	}
 	var swRows []artifact.AppRow
 	for _, c := range Chunks(spec) {
 		pl, ok := payloads[c.ID]
@@ -163,7 +172,9 @@ func assembleArtifacts(spec Spec, payloads map[string][]byte) (map[string][]byte
 			if err := json.Unmarshal(pl, &gr); err != nil {
 				return nil, fmt.Errorf("jobs: gate payload %s: %w", c.ID, err)
 			}
-			out["gate_"+c.Arg+".json"] = indent(&gr)
+			if err := put("gate_"+c.Arg+".json", &gr); err != nil {
+				return nil, err
+			}
 		case PhaseSoftware:
 			var sp softwarePayload
 			if err := json.Unmarshal(pl, &sp); err != nil {
@@ -176,16 +187,8 @@ func assembleArtifacts(spec Spec, payloads map[string][]byte) (map[string][]byte
 		Schema: artifact.Version, Seed: spec.Seed,
 		Injections: spec.Injections, Apps: swRows,
 	}
-	out["software.json"] = indent(sw)
-	return out, nil
-}
-
-// indent renders an artifact in the repo's canonical indented-JSON file
-// form (artifact.Write).
-func indent(v any) []byte {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		panic(err) // artifact types always marshal
+	if err := put("software.json", sw); err != nil {
+		return nil, err
 	}
-	return append(b, '\n')
+	return out, nil
 }

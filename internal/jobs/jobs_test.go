@@ -12,7 +12,9 @@ import (
 
 	"gpufaultsim/internal/artifact"
 	"gpufaultsim/internal/campaign"
+	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/gatesim"
+	"gpufaultsim/internal/perfi"
 	"gpufaultsim/internal/store"
 	"gpufaultsim/internal/units"
 )
@@ -92,6 +94,43 @@ func TestSpecDigestIgnoresDefaultSpelling(t *testing.T) {
 	}
 	if d1 != d2 {
 		t.Fatalf("digest differs for defaulted spec: %s vs %s", d1, d2)
+	}
+}
+
+// TestDefaultSpecDigestPinned: the default spec's digest — and with it the
+// default apps, the 13 of workloads.Evaluation — does not move when the
+// set of names a spec may use grows.
+func TestDefaultSpecDigestPinned(t *testing.T) {
+	const want = "95ec69c702bc201cac11e8d4224d12f1d3a5ff8cd60231f98a7e9d831e565b91"
+	if got, err := (Spec{}).Digest(); err != nil || got != want {
+		t.Fatalf("Spec{}.Digest() = %s, %v; want %s", got, err, want)
+	}
+}
+
+// TestSoftwareChunkRunsCNNs: a spec may name LeNet and YOLOv3, and a
+// sw:lenet chunk holds the row a direct software step over cnn.LeNet gives.
+func TestSoftwareChunkRunsCNNs(t *testing.T) {
+	spec := Spec{Seed: 7, Injections: 1, Apps: []string{"lenet", "yolov3"}}.WithDefaults()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ComputeChunk(ChunkRequest{
+		Chunk: Chunk{ID: "sw:lenet", Phase: PhaseSoftware, Arg: "lenet"}, Spec: spec,
+	}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.SoftwareStep(cnn.LeNet{Digit: 3}, spec.campaignConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := artifact.NewSoftwareReport(spec.Seed, spec.Injections, []*perfi.AppResult{res}).Apps[0]
+	want, err := artifact.Canonical(softwarePayload{Schema: chunkSchema, Row: row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sw:lenet payload differs from the direct step:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"gpufaultsim/internal/artifact"
 	"gpufaultsim/internal/campaign"
+	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/workloads"
 )
 
@@ -81,7 +82,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("jobs: injections %d exceeds the limit of %d", s.Injections, maxSpecInjections)
 	}
 	for _, name := range append(append([]string{}, s.Apps...), s.Profiling...) {
-		if workloads.ByName(name) == nil {
+		if cnn.ByName(name) == nil {
 			return fmt.Errorf("jobs: unknown workload %q", name)
 		}
 	}
@@ -98,7 +99,7 @@ func (s Spec) Digest() (string, error) {
 func resolve(names []string) []workloads.Workload {
 	out := make([]workloads.Workload, len(names))
 	for i, n := range names {
-		w := workloads.ByName(n)
+		w := cnn.ByName(n)
 		if w == nil {
 			panic(fmt.Sprintf("jobs: unresolved workload %q", n))
 		}

@@ -37,7 +37,6 @@ var DeterministicPkgs = []string{
 var InstrumentedFiles = []string{
 	"cmd/faultsimd/main.go",
 	"cmd/faultsimd/server.go",
-	"cmd/gatefi/main.go",
 	"cmd/repro/main.go",
 	"internal/campaign/pool.go",
 	"internal/campaign/twolevel.go",
