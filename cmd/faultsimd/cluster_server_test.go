@@ -16,15 +16,30 @@ import (
 	"gpufaultsim/internal/store"
 )
 
+// TestHealthzAlwaysOK: liveness does not follow readiness — a daemon
+// whose scheduler has not started answers /readyz 503 and /healthz 200.
 func TestHealthzAlwaysOK(t *testing.T) {
-	_, srv, _ := newTestDaemon(t, t.TempDir())
-	resp, err := http.Get(srv.URL + "/healthz")
+	dir := t.TempDir()
+	st, err := store.Open(dir+"/cache", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
+	sched, err := jobs.New(jobs.Options{Dir: dir + "/jobs", Store: st, JobWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newServer(serverDeps{sched: sched, store: st}))
+	defer srv.Close()
+
+	for path, want := range map[string]int{"/readyz": http.StatusServiceUnavailable, "/healthz": http.StatusOK} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s before Start = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -120,7 +135,7 @@ func newTestCluster(t *testing.T, maxPending int) string {
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); wk.Run(ctx) }()
-	t.Cleanup(func() { wk.Stop(); <-done })
+	t.Cleanup(func() { cancel(); <-done })
 	return srv.URL
 }
 
@@ -155,7 +170,6 @@ func TestBurstAdmissionOnCluster(t *testing.T) {
 		`{"max_patterns":4,"injections":1,"apps":["vectoradd"],"profiling":["vectoradd"]}`,
 		`{"max_patterns":8,"injections":1,"apps":["vectoradd"],"profiling":["vectoradd"]}`,
 	}
-	classes := []jobs.SLOClass{jobs.ClassInteractive, jobs.ClassBatch, jobs.ClassBackground}
 
 	base := newTestCluster(t, maxPending)
 	rejectedBefore := fetchMetrics(t, base).Registry.Counters[queueFull]
@@ -175,8 +189,7 @@ func TestBurstAdmissionOnCluster(t *testing.T) {
 			defer wg.Done()
 			o := &outcomes[i]
 			<-start
-			url := base + "/jobs?class=" + string(classes[i%len(classes)])
-			resp, err := http.Post(url, "application/json", strings.NewReader(specs[i/len(classes)%len(specs)]))
+			resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(specs[i%len(specs)]))
 			if err != nil {
 				o.err = err
 				return
@@ -254,16 +267,8 @@ func TestWorkerServerReadiness(t *testing.T) {
 	srv := httptest.NewServer(newWorkerServer(wk, st))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("worker healthz = %d, want 200", resp.StatusCode)
-	}
 	// Never exchanged a lease with the coordinator: not ready.
-	resp, err = http.Get(srv.URL + "/readyz")
+	resp, err := http.Get(srv.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

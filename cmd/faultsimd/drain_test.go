@@ -62,7 +62,7 @@ func TestDrainRejectsNewWorkButFinishesInFlight(t *testing.T) {
 	}
 	wkDone := make(chan struct{})
 	go func() { defer close(wkDone); wk.Run(ctx) }()
-	defer func() { wk.Stop(); <-wkDone }()
+	defer func() { cancel(); <-wkDone }()
 
 	// Two jobs: with one job worker the second queues behind the first,
 	// so the drain has both a running and a queued job to finish.

@@ -191,7 +191,6 @@ func runWorker(ctx context.Context, logger *slog.Logger, st *store.Store, addr, 
 	case <-ctx.Done():
 	}
 	logger.Info("worker shutting down; abandoning unfinished leases to TTL reassignment")
-	wk.Stop()
 	<-runc
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

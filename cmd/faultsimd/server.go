@@ -60,10 +60,33 @@ type serverDeps struct {
 func newServer(deps serverDeps) http.Handler {
 	s := deps.sched
 	mux := http.NewServeMux()
-
-	// Liveness: the process is up and serving. Always 200.
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	// The JSON /metrics body is the scheduler view plus the registry
+	// snapshot. The scheduler fields come from one consistent
+	// MetricsSnapshot pass rather than field-by-field getters, so a scrape
+	// never sees a queue depth from before a job transition paired with
+	// phase timings from after it; the pass also refreshes the
+	// queue-depth and pending gauges.
+	mountCommon(mux, telemetry.DefaultRecorder(), func() any {
+		v := s.MetricsSnapshot()
+		phases := make(map[string]float64, len(v.PhaseSec))
+		for ph, sec := range v.PhaseSec {
+			phases[string(ph)] = sec
+		}
+		return metrics{
+			Jobs:         v.Jobs,
+			QueueDepth:   v.QueueDepth,
+			Pending:      v.Pending,
+			CacheEntries: v.Cache.Entries,
+			CacheBytes:   v.Cache.Bytes,
+			CacheBudget:  v.Cache.Budget,
+			CacheHits:    v.Cache.Hits,
+			CacheMisses:  v.Cache.Misses,
+			CachePuts:    v.Cache.Puts,
+			Evictions:    v.Cache.Evictions,
+			CacheHitRate: v.Cache.HitRate(),
+			PhaseSec:     phases,
+			Registry:     telemetry.Default().Snapshot(),
+		}
 	})
 
 	// Readiness: the daemon can actually take work — the scheduler's
@@ -111,21 +134,12 @@ func newServer(deps serverDeps) http.Handler {
 			httpError(w, code, "bad spec: "+err.Error())
 			return
 		}
-		// SLO class rides the query string, not the spec body: it steers
-		// scheduling priority only and must stay out of spec digests and
-		// cache keys, so equal specs submitted under different classes
-		// still share results.
-		class, err := jobs.ParseClass(r.URL.Query().Get("class"))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 		// A client-propagated trace context links the client's run trace
 		// to the job: the submit point span parents under the client's
 		// span, and its job attribute names the job trace the scheduler
 		// opens.
 		tc := telemetry.ParseTraceContext(r.Header.Get(telemetry.TraceHeader))
-		st, err := s.SubmitWith(spec, jobs.SubmitOptions{Class: class})
+		st, err := s.Submit(spec)
 		if err != nil {
 			// Admission pushback is a retryable client condition, not a
 			// server fault: 429 with Retry-After tells a well-behaved
@@ -201,61 +215,6 @@ func newServer(deps serverDeps) http.Handler {
 		}
 	})
 
-	// /metrics serves the scheduler view plus the registry snapshot as
-	// JSON (default), or the full registry in Prometheus text exposition
-	// format with ?format=prometheus. The scheduler fields come from one
-	// consistent MetricsSnapshot pass rather than field-by-field getters,
-	// so a scrape never sees a queue depth from before a job transition
-	// paired with phase timings from after it.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Query().Get("format") {
-		case "", "json":
-			v := s.MetricsSnapshot()
-			phases := make(map[string]float64, len(v.PhaseSec))
-			for ph, sec := range v.PhaseSec {
-				phases[string(ph)] = sec
-			}
-			writeJSON(w, http.StatusOK, metrics{
-				Jobs:         v.Jobs,
-				QueueDepth:   v.QueueDepth,
-				Pending:      v.Pending,
-				CacheEntries: v.Cache.Entries,
-				CacheBytes:   v.Cache.Bytes,
-				CacheBudget:  v.Cache.Budget,
-				CacheHits:    v.Cache.Hits,
-				CacheMisses:  v.Cache.Misses,
-				CachePuts:    v.Cache.Puts,
-				Evictions:    v.Cache.Evictions,
-				CacheHitRate: v.Cache.HitRate(),
-				PhaseSec:     phases,
-				Registry:     telemetry.Default().Snapshot(),
-			})
-		case "prometheus":
-			s.MetricsSnapshot() // refresh queue-depth/pending gauges
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			telemetry.Default().WritePrometheus(w)
-		default:
-			httpError(w, http.StatusBadRequest, "unknown format (want json or prometheus)")
-		}
-	})
-
-	// /debug/trace exports the flight recorder: Chrome trace_event JSON
-	// by default (load in chrome://tracing or Perfetto), one span per
-	// line with ?format=ndjson.
-	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		rec := telemetry.DefaultRecorder()
-		switch r.URL.Query().Get("format") {
-		case "", "trace":
-			w.Header().Set("Content-Type", "application/json")
-			rec.WriteTrace(w)
-		case "ndjson":
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			rec.WriteNDJSON(w)
-		default:
-			httpError(w, http.StatusBadRequest, "unknown format (want trace or ndjson)")
-		}
-	})
-
 	if deps.enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -267,14 +226,16 @@ func newServer(deps serverDeps) http.Handler {
 	return mux
 }
 
-// newWorkerServer is the worker role's minimal surface: liveness,
-// readiness (joined to the coordinator + local store writable) and the
-// process telemetry registry. Workers take no job submissions — chunks
-// arrive by leasing from the coordinator.
+// newWorkerServer is the worker role's minimal surface: the common
+// routes, with the worker's own copy of every chunk trace subtree on
+// /debug/trace (the same spans it ships to the coordinator for
+// stitching), plus readiness (joined to the coordinator + local store
+// writable). Workers take no job submissions — chunks arrive by leasing
+// from the coordinator.
 func newWorkerServer(wk *cluster.Worker, st *store.Store) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	mountCommon(mux, wk.Recorder(), func() any {
+		return map[string]any{"registry": telemetry.Default().Snapshot()}
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		reasons := make(map[string]string)
@@ -290,21 +251,34 @@ func newWorkerServer(wk *cluster.Worker, st *store.Store) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
+	return mux
+}
+
+// mountCommon mounts the routes both daemon roles serve the same way.
+// GET /healthz is liveness: the process is up and serving, always 200.
+// GET /metrics renders the process registry in Prometheus text
+// exposition with ?format=prometheus, and view — the role's JSON body —
+// otherwise; view runs before the Prometheus rendering too, so gauges
+// it refreshes are current there. GET /debug/trace exports rec as
+// Chrome trace_event JSON (load in chrome://tracing or Perfetto), or
+// one span per line with ?format=ndjson.
+func mountCommon(mux *http.ServeMux, rec *telemetry.FlightRecorder, view func() any) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Query().Get("format") {
 		case "", "json":
-			writeJSON(w, http.StatusOK, map[string]any{"registry": telemetry.Default().Snapshot()})
+			writeJSON(w, http.StatusOK, view())
 		case "prometheus":
+			view()
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			telemetry.Default().WritePrometheus(w)
 		default:
 			httpError(w, http.StatusBadRequest, "unknown format (want json or prometheus)")
 		}
 	})
-	// The worker's own copy of every chunk trace subtree — the same
-	// spans it ships to the coordinator for stitching.
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		rec := wk.Recorder()
 		switch r.URL.Query().Get("format") {
 		case "", "trace":
 			w.Header().Set("Content-Type", "application/json")
@@ -316,7 +290,6 @@ func newWorkerServer(wk *cluster.Worker, st *store.Store) http.Handler {
 			httpError(w, http.StatusBadRequest, "unknown format (want trace or ndjson)")
 		}
 	})
-	return mux
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

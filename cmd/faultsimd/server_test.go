@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gpufaultsim/internal/cluster"
 	"gpufaultsim/internal/jobs"
 	"gpufaultsim/internal/report"
 	"gpufaultsim/internal/store"
@@ -378,14 +379,33 @@ func getJobDirect(t *testing.T, s *jobs.Scheduler, id string) jobs.Status {
 	return st
 }
 
+// TestHealthz: both roles answer liveness with 200, the worker even
+// before it has reached its coordinator.
 func TestHealthz(t *testing.T) {
-	_, srv, _ := newTestDaemon(t, t.TempDir())
-	resp, err := http.Get(srv.URL + "/healthz")
+	_, daemon, _ := newTestDaemon(t, t.TempDir())
+	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
+	wk, err := cluster.NewWorker(cluster.WorkerOptions{
+		Name: "w1", Coordinator: "http://127.0.0.1:0", Store: st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(newWorkerServer(wk, st))
+	defer worker.Close()
+
+	for role, base := range map[string]string{"single": daemon.URL, "worker": worker.URL} {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || body["status"] != "ok" {
+			t.Errorf("%s healthz = %d %v, want 200 ok", role, resp.StatusCode, body)
+		}
 	}
 }

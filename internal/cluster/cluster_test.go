@@ -13,6 +13,7 @@ import (
 
 	"gpufaultsim/internal/jobs"
 	"gpufaultsim/internal/store"
+	"gpufaultsim/internal/telemetry"
 )
 
 // testReq builds a minimal valid chunk request whose key is derived from
@@ -99,7 +100,7 @@ func TestGrantSignAndVerify(t *testing.T) {
 func TestLeaseCompleteRoundTrip(t *testing.T) {
 	_, led, st, srv := newTestCoordinator(t, time.Minute)
 	req := testReq(t, "sw:vectoradd")
-	led.Offer(req)
+	led.Offer(req, telemetry.TraceContext{})
 
 	var lr LeaseResponse
 	if code := postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "w1", Max: 4}, &lr); code != 200 {
@@ -157,7 +158,7 @@ func TestCompleteUnknownKeyRejected(t *testing.T) {
 func TestErrorCompleteFailsChunk(t *testing.T) {
 	_, led, st, srv := newTestCoordinator(t, time.Minute)
 	req := testReq(t, "sw:vectoradd")
-	led.Offer(req)
+	led.Offer(req, telemetry.TraceContext{})
 	var lr LeaseResponse
 	postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "w1", Max: 1}, &lr)
 	var cr CompleteResponse
@@ -176,7 +177,7 @@ func TestErrorCompleteFailsChunk(t *testing.T) {
 
 func TestHeartbeatRenewsAndReportsLost(t *testing.T) {
 	_, led, _, srv := newTestCoordinator(t, time.Minute)
-	led.Offer(testReq(t, "sw:vectoradd"))
+	led.Offer(testReq(t, "sw:vectoradd"), telemetry.TraceContext{})
 	var lr LeaseResponse
 	postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "w1", Max: 1}, &lr)
 
@@ -191,9 +192,52 @@ func TestHeartbeatRenewsAndReportsLost(t *testing.T) {
 	}
 }
 
+// TestOldWorkerHeartbeatRenewsLeases: a worker built while heartbeats
+// still pushed registry snapshots sends metrics_schema + metrics (this
+// one with the float_gauges map of an even older build) beside its
+// leases. The coordinator answers 200, renews the lease, and the
+// workers view carries no metrics or throughput keys.
+func TestOldWorkerHeartbeatRenewsLeases(t *testing.T) {
+	_, led, _, srv := newTestCoordinator(t, time.Minute)
+	led.Offer(testReq(t, "sw:vectoradd"), telemetry.TraceContext{})
+	var lr LeaseResponse
+	postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "old", Max: 1}, &lr)
+	if len(lr.Grants) != 1 {
+		t.Fatalf("grants = %d", len(lr.Grants))
+	}
+
+	old := json.RawMessage(`{"worker":"old","leases":["` + lr.Grants[0].Lease + `"],
+		"metrics_schema":1,"metrics":{
+		"counters":{"cluster_chunks_computed_total":3},"gauges":{},
+		"float_gauges":{"worker_rate{worker=\"old\"}":0.5},
+		"histograms":{}}}`)
+	var hr HeartbeatResponse
+	if code := postJSON(t, srv.URL+"/cluster/heartbeat", old, &hr); code != http.StatusOK {
+		t.Fatalf("old-worker heartbeat status = %d", code)
+	}
+	if hr.Renewed != 1 || len(hr.Lost) != 0 {
+		t.Fatalf("old-worker heartbeat renewed %d, lost %v; want 1 renewed, none lost", hr.Renewed, hr.Lost)
+	}
+
+	resp, err := http.Get(srv.URL + "/cluster/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(b), `"name":"old"`) {
+		t.Fatalf("/cluster/workers has no row for the old worker:\n%s", b)
+	}
+	for _, gone := range []string{"metrics", "throughput", "float_gauges"} {
+		if strings.Contains(string(b), gone) {
+			t.Fatalf("/cluster/workers carries %q:\n%s", gone, b)
+		}
+	}
+}
+
 func TestWorkersViewSortedWithLedgerStats(t *testing.T) {
 	_, led, _, srv := newTestCoordinator(t, time.Minute)
-	led.Offer(testReq(t, "sw:vectoradd"))
+	led.Offer(testReq(t, "sw:vectoradd"), telemetry.TraceContext{})
 	for _, w := range []string{"zeta", "alpha", "mid"} {
 		postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: w, Max: 1}, &LeaseResponse{})
 	}
@@ -256,7 +300,7 @@ func TestExpiredLeaseReassignedToSecondWorker(t *testing.T) {
 	c.Start(ctx)
 	defer c.Stop()
 
-	led.Offer(testReq(t, "sw:vectoradd"))
+	led.Offer(testReq(t, "sw:vectoradd"), telemetry.TraceContext{})
 	var lr LeaseResponse
 	postJSON(t, srv.URL+"/cluster/lease", LeaseRequest{Worker: "dead", Max: 1}, &lr)
 	if len(lr.Grants) != 1 {
@@ -299,7 +343,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 func TestOversizeBodiesRejectedBeforeState(t *testing.T) {
 	c, led, st, srv := newTestCoordinator(t, time.Minute)
 	req := testReq(t, "sw:vectoradd")
-	led.Offer(req)
+	led.Offer(req, telemetry.TraceContext{})
 	before := led.Stats()
 
 	for _, tc := range []struct {

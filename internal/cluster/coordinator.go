@@ -18,25 +18,16 @@ import (
 	"gpufaultsim/internal/telemetry"
 )
 
-// workerState tracks one worker's registration, its metric handles and
-// the latest registry snapshot it pushed. The per-worker handles are
-// label-baked per worker name and created once at registration (never in
-// a loop), so the hot lease path only touches atomics.
+// workerState tracks one worker's registration and its metric handles.
+// The per-worker handles are label-baked per worker name and created
+// once at registration (never in a loop), so the hot lease path only
+// touches atomics. The plain ints count even with telemetry off.
 type workerState struct {
 	name      string
 	lastSeen  time.Time
 	granted   int64
 	completed int64
 	failed    int64
-
-	// Latest pushed registry snapshot (nil until the first metrics
-	// heartbeat) and the high-water contribution floors that keep
-	// merged counters monotonic across a worker restart (a restarted
-	// worker's counters reset to zero; its floor does not).
-	metrics    *telemetry.Snapshot
-	metricsAt  time.Time
-	floorInt   map[string]int64
-	floorFloat map[string]float64
 
 	gLeases    *telemetry.Gauge
 	cGranted   *telemetry.Counter
@@ -176,8 +167,6 @@ func (c *Coordinator) touch(name string) *workerState {
 	if !ok {
 		w = &workerState{
 			name:       name,
-			floorInt:   make(map[string]int64),
-			floorFloat: make(map[string]float64),
 			gLeases:    c.reg.Gauge("cluster_worker_active_leases", "leases currently held, by worker", telemetry.L("worker", name)),
 			cGranted:   c.reg.Counter("cluster_worker_leases_total", "lease grants, by worker", telemetry.L("worker", name)),
 			cCompleted: c.reg.Counter("cluster_worker_completed_total", "chunk completions, by worker", telemetry.L("worker", name)),
@@ -212,7 +201,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/complete", c.handleComplete)
 	mux.HandleFunc("POST /cluster/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("GET /cluster/workers", c.handleWorkers)
-	mux.HandleFunc("GET /cluster/metrics", c.handleClusterMetrics)
 	mux.HandleFunc("GET /cluster/chunks/{key}", c.handleChunk)
 }
 
@@ -224,8 +212,9 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// Request-body bounds. Lease and heartbeat bodies are control messages (a
-// heartbeat's metrics snapshot is a few KiB); a completion carries one
+// Request-body bounds. Lease and heartbeat bodies are control messages
+// (an older worker's heartbeat still carries a registry snapshot of a
+// few KiB, which the decoder skips); a completion carries one
 // base64-encoded chunk payload plus its spans, about 0.7 MB for a profile
 // chunk at the 4096-pattern cap.
 const (
@@ -364,15 +353,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusBadRequest, "bad heartbeat request")
 		return
 	}
-	ws := c.touch(req.Worker)
-	if req.Metrics != nil {
-		if req.MetricsSchema == metricsSchema {
-			c.absorbMetrics(ws, req.Metrics)
-		} else {
-			c.log.Warn("ignoring metrics push with unknown schema",
-				"worker", req.Worker, "schema", req.MetricsSchema, "want", metricsSchema)
-		}
-	}
+	c.touch(req.Worker)
 	renewed, lost := c.ledger.Renew(req.Worker, req.Leases)
 	clusterJSON(w, http.StatusOK, HeartbeatResponse{Renewed: renewed, Lost: lost})
 }

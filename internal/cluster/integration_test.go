@@ -149,9 +149,11 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 		once.Do(func() { wedged <- req.Chunk.ID })
 		<-hctx.Done()
 	})
+	ctxA, cancelA := context.WithCancel(ctx)
+	defer cancelA()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); workerA.Run(ctx) }()
+	go func() { defer wg.Done(); workerA.Run(ctxA) }()
 
 	status, err := sched.Submit(campaignSpec())
 	if err != nil {
@@ -167,16 +169,17 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 
 	// Kill A mid-lease: Run's context unwinds, heartbeats cease, and the
 	// wedged chunk's completion never arrives.
-	workerA.Stop()
+	cancelA()
 	wg.Wait()
 
 	// Worker B joins and must finish everything, including the chunk A
 	// died holding, pulling A's profile payload over the remote
 	// read-through path (B's local store has never seen it).
 	workerB := newClusterWorker(t, "worker-b", srv.URL, nil)
+	ctxB, cancelB := context.WithCancel(ctx)
 	wg.Add(1)
-	go func() { defer wg.Done(); workerB.Run(ctx) }()
-	defer func() { workerB.Stop(); wg.Wait() }()
+	go func() { defer wg.Done(); workerB.Run(ctxB) }()
+	defer func() { cancelB(); wg.Wait() }()
 
 	final := waitJob(t, sched, status.ID)
 
@@ -236,19 +239,13 @@ func TestClusterTwoWorkersShareCampaign(t *testing.T) {
 	defer coord.Stop()
 
 	var wg sync.WaitGroup
-	var workers []*Worker
+	workerCtx, stopWorkers := context.WithCancel(ctx)
 	for _, name := range []string{"worker-a", "worker-b"} {
 		w := newClusterWorker(t, name, srv.URL, nil)
-		workers = append(workers, w)
 		wg.Add(1)
-		go func() { defer wg.Done(); w.Run(ctx) }()
+		go func() { defer wg.Done(); w.Run(workerCtx) }()
 	}
-	defer func() {
-		for _, w := range workers {
-			w.Stop()
-		}
-		wg.Wait()
-	}()
+	defer func() { stopWorkers(); wg.Wait() }()
 
 	status, err := sched.Submit(campaignSpec())
 	if err != nil {

@@ -17,15 +17,14 @@
 //	POST /cluster/complete   CompleteRequest -> CompleteResponse
 //	POST /cluster/heartbeat  HeartbeatRequest -> HeartbeatResponse
 //	GET  /cluster/workers    -> WorkersResponse
-//	GET  /cluster/metrics    -> ClusterMetrics (or Prometheus text with ?format=prometheus)
 //	GET  /cluster/chunks/{key} -> payload bytes (dependency read-through)
 //
-// Observability rides the same wire types: lease responses carry the
+// Tracing rides the same wire types: lease responses carry the
 // scheduler's per-chunk trace contexts (beside the signed grants, never
-// inside them), completions push the worker's span subtree for
-// stitching, and heartbeats piggyback schema-tagged registry snapshots
-// that the coordinator merges into the fleet-wide /cluster/metrics
-// view. None of it enters grant digests or cache keys.
+// inside them), and completions push the worker's span subtree for
+// stitching. Neither enters grant digests or cache keys. Metrics stay
+// with the process that counts them: every role serves its own registry
+// on its own GET /metrics.
 package cluster
 
 //vetsim:deterministic
@@ -44,13 +43,10 @@ import (
 // Schema history: 1 = PR 7 lease protocol; 2 = observability fields
 // (trace contexts on leases, span push on complete, metrics on
 // heartbeat). The workers view lost its throughput block without a bump:
-// only operators read that view, no worker does.
+// only operators read that view, no worker does. Heartbeats lost their
+// metrics snapshot without a bump too: the coordinator's decoder ignores
+// the fields an older worker still sends.
 const protocolSchema = 2
-
-// metricsSchema versions the registry-snapshot payload workers push on
-// heartbeats. The coordinator ignores snapshots with a different schema
-// instead of merging values whose semantics may have shifted.
-const metricsSchema = 1
 
 // LeaseRequest asks the coordinator for up to Max chunk leases.
 type LeaseRequest struct {
@@ -101,17 +97,10 @@ type CompleteResponse struct {
 	Status string `json:"status"`
 }
 
-// HeartbeatRequest renews the worker's active leases. Metrics, when
-// non-nil, is the worker's full registry snapshot tagged with
-// MetricsSchema; the coordinator keeps the latest per worker and merges
-// them (monotonic-counter-safe) into GET /cluster/metrics. Workers with
-// no active leases still heartbeat on a metrics cadence, so an idle
-// fleet stays visible.
+// HeartbeatRequest renews the worker's active leases.
 type HeartbeatRequest struct {
-	Worker        string              `json:"worker"`
-	Leases        []string            `json:"leases,omitempty"`
-	MetricsSchema int                 `json:"metrics_schema,omitempty"`
-	Metrics       *telemetry.Snapshot `json:"metrics,omitempty"`
+	Worker string   `json:"worker"`
+	Leases []string `json:"leases,omitempty"`
 }
 
 // HeartbeatResponse lists the leases that could not be renewed (expired
@@ -136,27 +125,6 @@ type WorkerInfo struct {
 type WorkersResponse struct {
 	Workers []WorkerInfo     `json:"workers"`
 	Ledger  jobs.LedgerStats `json:"ledger"`
-}
-
-// WorkerMetrics is one worker's contribution to GET /cluster/metrics:
-// the latest snapshot it pushed, how old that push is, and whether it
-// is stale (older than the liveness window — the merged totals still
-// include it, marked, rather than silently dropping completed work).
-type WorkerMetrics struct {
-	Worker   string             `json:"worker"`
-	AgeSec   float64            `json:"age_sec"`
-	Stale    bool               `json:"stale"`
-	Snapshot telemetry.Snapshot `json:"snapshot"`
-}
-
-// ClusterMetrics is the canonical JSON body of GET /cluster/metrics:
-// the coordinator's own registry snapshot, each worker's latest pushed
-// snapshot, and the fleet-wide merge.
-type ClusterMetrics struct {
-	Schema      int                `json:"schema"`
-	Coordinator telemetry.Snapshot `json:"coordinator"`
-	Workers     []WorkerMetrics    `json:"workers"`
-	Merged      telemetry.Snapshot `json:"merged"`
 }
 
 // grantKeyMaterial is the digested content of a lease grant.

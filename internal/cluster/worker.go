@@ -43,15 +43,12 @@ type WorkerOptions struct {
 	MaxLeases int
 	// Poll is the idle/backoff poll interval (<=0 selects 250ms).
 	Poll time.Duration
-	// MetricsEvery is the cadence of metrics-bearing heartbeats (<=0
-	// selects 2s). These run independently of lease renewal so an idle
-	// worker stays visible in /cluster/metrics.
-	MetricsEvery time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
-	// Registry is the registry snapshotted on metrics pushes (nil selects
-	// the process default). Tests model separate processes by giving each
-	// worker its own registry.
+	// Registry receives the worker's metrics (nil selects the process
+	// default, which the worker role serves on its own GET /metrics).
+	// Tests model separate processes by giving each worker its own
+	// registry.
 	Registry *telemetry.Registry
 	// Recorder receives the worker's copy of every chunk span subtree
 	// (nil selects the process default). If it has no origin yet it is
@@ -71,16 +68,13 @@ type WorkerOptions struct {
 // keys. Run loops until its context is canceled; heartbeats renew the
 // active lease while a chunk computes, so a wedged or dead worker loses
 // its leases to TTL expiry and nothing else. Each completion also ships
-// the chunk's span subtree (rooted under the coordinator's chunk span)
-// and a metrics goroutine pushes registry snapshots on heartbeats.
+// the chunk's span subtree (rooted under the coordinator's chunk span).
 type Worker struct {
 	opts      WorkerOptions
 	client    *http.Client
-	reg       *telemetry.Registry
 	rec       *telemetry.FlightRecorder
 	log       *slog.Logger
 	connected atomic.Bool
-	stop      context.CancelFunc
 
 	telComputed  *telemetry.Counter
 	telErrors    *telemetry.Counter
@@ -99,9 +93,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 250 * time.Millisecond
-	}
-	if opts.MetricsEvery <= 0 {
-		opts.MetricsEvery = 2 * time.Second
 	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.Default()
@@ -125,7 +116,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	return &Worker{
 		opts:   opts,
 		client: client,
-		reg:    opts.Registry,
 		rec:    opts.Recorder,
 		log:    opts.Log,
 		telComputed: opts.Registry.Counter("cluster_chunks_computed_total",
@@ -147,20 +137,9 @@ func (w *Worker) Connected() bool { return w.connected.Load() }
 // every chunk trace) for debug endpoints and tests.
 func (w *Worker) Recorder() *telemetry.FlightRecorder { return w.rec }
 
-// Stop cancels a running Run loop.
-func (w *Worker) Stop() {
-	if w.stop != nil {
-		w.stop()
-	}
-}
-
 // Run is the worker main loop: lease, compute, complete, repeat. It
-// returns the context's error once canceled (via ctx or Stop). A
-// sibling goroutine pushes metrics snapshots for the loop's lifetime.
+// returns the context's error once ctx is canceled.
 func (w *Worker) Run(ctx context.Context) error {
-	ctx, w.stop = context.WithCancel(ctx)
-	defer w.stop()
-	go w.metricsLoop(ctx)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -184,36 +163,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.process(ctx, g, resp.Traces[g.Lease])
 		}
 	}
-}
-
-// metricsLoop pushes registry snapshots on the metrics cadence until the
-// run scope ends. Push failures are dropped silently: the next tick
-// carries a fresher snapshot anyway, and lease heartbeats report
-// connectivity loss already.
-func (w *Worker) metricsLoop(ctx context.Context) {
-	t := time.NewTicker(w.opts.MetricsEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			_ = w.PushMetrics(ctx)
-		}
-	}
-}
-
-// PushMetrics sends one metrics-bearing heartbeat (no lease renewal):
-// the full registry snapshot tagged with the metrics schema. Exported so
-// tests and shutdown paths can force a final push.
-func (w *Worker) PushMetrics(ctx context.Context) error {
-	snap := w.reg.Snapshot()
-	var resp HeartbeatResponse
-	return w.post(ctx, "/cluster/heartbeat", HeartbeatRequest{
-		Worker:        w.opts.Name,
-		MetricsSchema: metricsSchema,
-		Metrics:       &snap,
-	}, &resp)
 }
 
 // process executes one granted chunk end to end, recording its span

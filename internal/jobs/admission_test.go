@@ -11,7 +11,7 @@ import (
 	"gpufaultsim/internal/store"
 )
 
-// TestConcurrentSubmissionsRaceAdmissionLimit hammers SubmitWith from
+// TestConcurrentSubmissionsRaceAdmissionLimit hammers Submit from
 // many goroutines against a small MaxPending. Under -race this is the
 // proof that admission control holds its invariant exactly: every
 // attempt is either admitted (distinct job, runs to completion) or
@@ -71,7 +71,7 @@ func TestConcurrentSubmissionsRaceAdmissionLimit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := s.SubmitWith(tinySpec(), SubmitOptions{Class: ClassBatch})
+			st, err := s.Submit(tinySpec())
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -147,105 +147,35 @@ func TestConcurrentSubmissionsRaceAdmissionLimit(t *testing.T) {
 	}
 }
 
-// TestDispatchOrdersByClassThenFIFO pins the priority dispatch rule:
-// with the worker pool not yet running, queued jobs dequeue interactive
-// first, then batch in submission order, then background — and the
-// class never reaches the spec digest, so priority cannot change
-// artifacts.
-func TestDispatchOrdersByClassThenFIFO(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestScheduler(t, dir)
-
-	submit := func(class SLOClass, seed int64) Status {
+// TestDispatchFollowsSubmissionOrder: with one job worker, jobs queued
+// before the pool starts run one after another in submission order —
+// each starts only after the one submitted before it has finished.
+func TestDispatchFollowsSubmissionOrder(t *testing.T) {
+	s := newTestScheduler(t, t.TempDir()) // JobWorkers: 1
+	var ids []string
+	for seed := int64(1); seed <= 4; seed++ {
 		sp := tinySpec()
 		sp.Seed = seed
-		st, err := s.SubmitWith(sp, SubmitOptions{Class: class})
+		st, err := s.Submit(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		ids = append(ids, st.ID)
 	}
-	bg := submit(ClassBackground, 1)
-	b1 := submit(ClassBatch, 2)
-	ia := submit(ClassInteractive, 3)
-	b2 := submit(ClassBatch, 4)
-
-	want := []string{ia.ID, b1.ID, b2.ID, bg.ID}
-	for i, w := range want {
-		s.mu.Lock()
-		got := s.dequeueLocked()
-		s.mu.Unlock()
-		if got != w {
-			t.Fatalf("dequeue %d = %s, want %s (order: interactive, batch FIFO, background)", i, got, w)
-		}
-	}
-
-	// Same spec submitted under different classes digests identically:
-	// class is scheduling-only.
-	spec := tinySpec()
-	d1, err := spec.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stA, err := s.SubmitWith(spec, SubmitOptions{Class: ClassInteractive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := s.SubmitWith(spec, SubmitOptions{Class: ClassBackground})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA.Digest != d1 || stB.Digest != d1 {
-		t.Fatalf("class leaked into spec digest: %s / %s vs %s", stA.Digest, stB.Digest, d1)
-	}
-	if stA.Class != ClassInteractive || stB.Class != ClassBackground {
-		t.Fatalf("status classes = %s / %s", stA.Class, stB.Class)
-	}
-}
-
-// TestParseClass covers the class vocabulary and its default.
-func TestParseClass(t *testing.T) {
-	for in, want := range map[string]SLOClass{
-		"":            ClassBatch,
-		"batch":       ClassBatch,
-		"interactive": ClassInteractive,
-		"background":  ClassBackground,
-	} {
-		got, err := ParseClass(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseClass(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseClass("realtime"); err == nil {
-		t.Fatal("unknown class accepted")
-	}
-}
-
-// TestRecoveredJobKeepsClass checks a checkpointed class survives
-// restart, so a recovered interactive job does not lose its priority.
-func TestRecoveredJobKeepsClass(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestScheduler(t, dir)
-	st, err := s.SubmitWith(tinySpec(), SubmitOptions{Class: ClassInteractive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Never started: the job stays queued with its checkpoint on disk.
-
-	s2 := newTestScheduler(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s2.Start(ctx)
-	defer s2.Stop()
-	if _, errs := s2.Recover(); len(errs) > 0 {
-		t.Fatalf("recover: %v", errs)
+	s.Start(ctx)
+	defer s.Stop()
+	for _, id := range ids {
+		waitState(t, s, id, StateDone)
 	}
-	got, ok := s2.Job(st.ID)
-	if !ok {
-		t.Fatalf("job %s not recovered", st.ID)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := 1; k < len(ids); k++ {
+		prev, next := s.jobs[ids[k-1]], s.jobs[ids[k]]
+		if next.started.Before(prev.finished) {
+			t.Errorf("job %s (submitted %d) started before job %s (submitted %d) finished", next.ID, k, prev.ID, k-1)
+		}
 	}
-	if got.Class != ClassInteractive {
-		t.Fatalf("recovered class = %q, want interactive", got.Class)
-	}
-	waitState(t, s2, st.ID, StateDone)
 }

@@ -16,13 +16,14 @@ const checkpointSchema = 1
 // checkpoint is the durable record of a job: its spec plus per-chunk
 // completion state referencing payloads in the content-addressed store.
 // Payload bytes never live here — the checkpoint stays small and the
-// store stays the single source of result truth.
+// store stays the single source of result truth. Fields an older daemon
+// wrote that this one no longer has (the job's "slo_class", the spec's
+// "engine") are ignored on load, so they need no schema bump.
 type checkpoint struct {
 	Schema  int          `json:"schema"`
 	ID      string       `json:"id"`
 	Digest  string       `json:"digest"`
 	Spec    Spec         `json:"spec"`
-	Class   SLOClass     `json:"slo_class,omitempty"`
 	State   State        `json:"state"`
 	Err     string       `json:"error,omitempty"`
 	Created time.Time    `json:"created"`
@@ -38,7 +39,7 @@ func checkpointPath(dir, jobID string) string {
 func saveCheckpoint(dir string, j *Job) error {
 	cp := checkpoint{
 		Schema: checkpointSchema, ID: j.ID, Digest: j.Digest, Spec: j.Spec,
-		Class: j.class, State: j.state, Err: j.err, Created: j.created,
+		State: j.state, Err: j.err, Created: j.created,
 		Chunks: j.chunks,
 	}
 	b, err := json.MarshalIndent(cp, "", "  ")

@@ -29,7 +29,6 @@ type Job struct {
 	Spec   Spec // defaulted
 	Digest string
 
-	class    SLOClass // scheduling priority only; never enters digests
 	state    State
 	chunks   []ChunkState
 	err      string
@@ -47,7 +46,6 @@ type Job struct {
 type Status struct {
 	ID        string       `json:"id"`
 	State     State        `json:"state"`
-	Class     SLOClass     `json:"slo_class,omitempty"`
 	Spec      Spec         `json:"spec"`
 	Digest    string       `json:"digest"`
 	Chunks    []ChunkState `json:"chunks"`
@@ -110,7 +108,6 @@ func (j *Job) statusLocked() Status {
 	done := Status{
 		ID:      j.ID,
 		State:   j.state,
-		Class:   j.class,
 		Spec:    j.Spec,
 		Digest:  j.Digest,
 		Chunks:  append([]ChunkState(nil), j.chunks...),

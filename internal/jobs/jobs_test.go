@@ -379,10 +379,48 @@ const oldCheckpoint = `{
   ]
 }`
 
+// classCheckpoint is a job checkpoint as the daemon wrote it while jobs
+// still carried an SLO class: submitted as "interactive", never started.
+const classCheckpoint = `{
+  "schema": 1,
+  "id": "j000001-37efabfa",
+  "digest": "37efabfaa2151bc83b1009494233135228a31f621f253290ef004ca68488f2c7",
+  "spec": {"seed": 7, "max_patterns": 16, "injections": 2,
+    "apps": ["vectoradd"], "profiling": ["vectoradd", "gemm"]},
+  "slo_class": "interactive",
+  "state": "queued",
+  "created": "2026-10-15T11:33:33.316193114Z",
+  "chunks": [
+    {"id": "profile", "phase": "profile", "arg": "", "done": false},
+    {"id": "gate:wsc", "phase": "gate", "arg": "wsc", "done": false},
+    {"id": "gate:fetch", "phase": "gate", "arg": "fetch", "done": false},
+    {"id": "gate:decoder", "phase": "gate", "arg": "decoder", "done": false},
+    {"id": "sw:vectoradd", "phase": "software", "arg": "vectoradd", "done": false}
+  ]
+}`
+
 // TestRecoverAcceptsOldSpecFields: a checkpoint written before Engine and
 // Collapse left the spec still recovers, and the resumed job's artifacts
 // are byte-identical to a fresh submission of the same campaign.
 func TestRecoverAcceptsOldSpecFields(t *testing.T) {
+	recoverLikeFresh(t, "j000003-5f0c2a9e", oldCheckpoint)
+}
+
+// TestRecoverAcceptsOldClassField: a checkpoint written while jobs
+// carried an SLO class recovers, keeps the digest a fresh submission
+// gets, and finishes with the same artifacts.
+func TestRecoverAcceptsOldClassField(t *testing.T) {
+	recovered, fresh := recoverLikeFresh(t, "j000001-37efabfa", classCheckpoint)
+	if recovered.Digest != fresh.Digest {
+		t.Errorf("recovered digest %s, a fresh submission gets %s", recovered.Digest, fresh.Digest)
+	}
+}
+
+// recoverLikeFresh recovers the literal checkpoint of job id on an empty
+// store, checks the job finishes with the artifacts of a fresh
+// submission of tinySpec, and returns both final statuses.
+func recoverLikeFresh(t *testing.T, id, checkpoint string) (recovered, fresh Status) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -397,7 +435,7 @@ func TestRecoverAcceptsOldSpecFields(t *testing.T) {
 
 	dir := t.TempDir()
 	s := newTestScheduler(t, dir)
-	if err := os.WriteFile(filepath.Join(dir, "jobs", "j000003-5f0c2a9e.json"), []byte(oldCheckpoint), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), []byte(checkpoint), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	requeued, errs := s.Recover()
@@ -409,7 +447,7 @@ func TestRecoverAcceptsOldSpecFields(t *testing.T) {
 	}
 	s.Start(ctx)
 	defer s.Stop()
-	final := waitState(t, s, "j000003-5f0c2a9e", StateDone)
+	final := waitState(t, s, id, StateDone)
 
 	if len(final.Artifacts) != len(refFinal.Artifacts) {
 		t.Fatalf("artifacts = %v, want %v", final.Artifacts, refFinal.Artifacts)
@@ -421,6 +459,7 @@ func TestRecoverAcceptsOldSpecFields(t *testing.T) {
 			t.Errorf("artifact %s of the recovered job differs from a fresh run", name)
 		}
 	}
+	return final, refFinal
 }
 
 func TestDrainRejectsNewSubmissions(t *testing.T) {

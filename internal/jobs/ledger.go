@@ -177,19 +177,15 @@ func NewLedger(opts LedgerOptions) *Ledger {
 // TTL returns the lease TTL.
 func (l *Ledger) TTL() time.Duration { return l.ttl }
 
-// Offer registers a chunk for remote execution. Offering an existing key
-// is idempotent; offering a failed key revives it to pending so a
-// resubmitted job retries the chunk.
-func (l *Ledger) Offer(req ChunkRequest) {
-	l.OfferTraced(req, telemetry.TraceContext{})
-}
-
-// OfferTraced is Offer plus the offering scheduler's span context for
-// the chunk. The context rides on grants and completion spans so the
-// coordinator and workers stitch into the job's trace; it never touches
-// the request, its digest, or the cache key. A non-zero context on a
-// re-offer (job resubmitted) replaces the stored one.
-func (l *Ledger) OfferTraced(req ChunkRequest, tc telemetry.TraceContext) {
+// Offer registers a chunk for remote execution under the offering
+// scheduler's span context for it. Offering an existing key is
+// idempotent; offering a failed key revives it to pending so a
+// resubmitted job retries the chunk. The context rides on grants and
+// completion spans so the coordinator and workers stitch into the job's
+// trace; it never touches the request, its digest, or the cache key. A
+// non-zero context on a re-offer (job resubmitted) replaces the stored
+// one.
+func (l *Ledger) Offer(req ChunkRequest, tc telemetry.TraceContext) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if e, ok := l.entries[req.Key]; ok {

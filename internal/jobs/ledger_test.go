@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gpufaultsim/internal/telemetry"
 )
 
 // fakeClock is an injectable ledger clock tests advance by hand.
@@ -45,8 +47,8 @@ func TestLedgerLeaseExpireReassign(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	l := NewLedger(LedgerOptions{TTL: time.Minute, Now: clk.Now})
 	req := ledgerReq(t, 1)
-	l.Offer(req)
-	l.Offer(req) // idempotent
+	l.Offer(req, telemetry.TraceContext{})
+	l.Offer(req, telemetry.TraceContext{}) // idempotent
 
 	grants := l.Lease("w1", 4)
 	if len(grants) != 1 {
@@ -107,7 +109,7 @@ func TestLedgerLeaseExpireReassign(t *testing.T) {
 func TestLedgerFailureAndRevival(t *testing.T) {
 	l := NewLedger(LedgerOptions{TTL: time.Minute})
 	req := ledgerReq(t, 2)
-	l.Offer(req)
+	l.Offer(req, telemetry.TraceContext{})
 	g := l.Lease("w1", 1)
 	if out := l.Complete(g[0].Lease, "w1", req.Key, "compute exploded"); out != CompleteOK {
 		t.Fatalf("error complete = %v", out)
@@ -120,7 +122,7 @@ func TestLedgerFailureAndRevival(t *testing.T) {
 
 	// A resubmitted job re-offers the key: failed revives to pending and
 	// the retry can succeed.
-	l.Offer(req)
+	l.Offer(req, telemetry.TraceContext{})
 	if st := l.Stats(); st.Pending != 1 || st.Failed != 0 {
 		t.Fatalf("revived stats = %+v", st)
 	}
@@ -142,7 +144,7 @@ func TestLedgerWaitUnknownKeyAndCancel(t *testing.T) {
 		t.Fatal("wait on unoffered key returned nil")
 	}
 	req := ledgerReq(t, 3)
-	l.Offer(req)
+	l.Offer(req, telemetry.TraceContext{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := l.Wait(ctx, req.Key); err == nil {
@@ -162,7 +164,7 @@ func TestLedgerConcurrentLeaseCompleteExpire(t *testing.T) {
 	reqs := make([]ChunkRequest, chunks)
 	for i := range reqs {
 		reqs[i] = ledgerReq(t, 100+i)
-		l.Offer(reqs[i])
+		l.Offer(reqs[i], telemetry.TraceContext{})
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

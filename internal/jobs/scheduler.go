@@ -86,7 +86,7 @@ var (
 )
 
 // Scheduler runs campaign jobs: deterministic chunking, bounded
-// parallelism, SLO-class priority dispatch, per-chunk checkpointing and
+// parallelism, dispatch in submission order, per-chunk checkpointing and
 // content-addressed caching.
 type Scheduler struct {
 	opts  Options
@@ -96,7 +96,7 @@ type Scheduler struct {
 	cond    *sync.Cond // signals ready-queue growth and stop transitions
 	jobs    map[string]*Job
 	order   []string
-	ready   []string // queued job IDs in submission order; dispatch picks by class rank
+	ready   []string // queued job IDs, dispatched front first
 	seq     int
 	closed  bool
 	started bool
@@ -157,27 +157,13 @@ func (s *Scheduler) Start(ctx context.Context) {
 					s.mu.Unlock()
 					return
 				}
-				id := s.dequeueLocked()
+				id := s.ready[0]
+				s.ready = s.ready[1:]
 				s.mu.Unlock()
 				s.runJob(ctx, id)
 			}
 		}()
 	}
-}
-
-// dequeueLocked removes and returns the next job to dispatch: the
-// earliest-submitted job of the most urgent SLO class present. Caller
-// holds s.mu and has checked len(s.ready) > 0.
-func (s *Scheduler) dequeueLocked() string {
-	best, bestRank := 0, s.jobs[s.ready[0]].class.rank()
-	for i := 1; i < len(s.ready) && bestRank > 0; i++ {
-		if r := s.jobs[s.ready[i]].class.rank(); r < bestRank {
-			best, bestRank = i, r
-		}
-	}
-	id := s.ready[best]
-	s.ready = append(s.ready[:best], s.ready[best+1:]...)
-	return id
 }
 
 // Stop cancels in-flight work at the next chunk boundary and waits for
@@ -300,33 +286,15 @@ func (s *Scheduler) PhaseTimings() map[Phase]float64 {
 	return out
 }
 
-// SubmitOptions carries per-submission attributes that live outside the
-// Spec: they influence scheduling, never results, so they stay out of
-// the spec digest and every cache key.
-type SubmitOptions struct {
-	// Class is the SLO class ("" = batch). Validate with ParseClass.
-	Class SLOClass
-}
-
-// Submit validates the spec, registers a new job at the default batch
-// class and enqueues it. See SubmitWith.
-func (s *Scheduler) Submit(spec Spec) (Status, error) {
-	return s.SubmitWith(spec, SubmitOptions{})
-}
-
-// SubmitWith validates the spec, applies admission control, registers a
-// new job and enqueues it for class-priority dispatch. Every admitted
+// Submit validates the spec, applies admission control, registers a new
+// job and enqueues it behind every job already queued. Every admitted
 // submission is a distinct job; result reuse happens underneath in the
 // content-addressed cache, so resubmitting an identical spec completes
 // almost entirely from cache. Rejections (ErrQueueFull past MaxPending,
 // ErrDraining during shutdown) happen before any state is created: a
 // rejected submission leaves no job, no checkpoint and no queue entry.
-func (s *Scheduler) SubmitWith(spec Spec, opts SubmitOptions) (Status, error) {
+func (s *Scheduler) Submit(spec Spec) (Status, error) {
 	if err := spec.Validate(); err != nil {
-		return Status{}, err
-	}
-	class, err := ParseClass(string(opts.Class))
-	if err != nil {
 		return Status{}, err
 	}
 	spec = spec.WithDefaults()
@@ -351,7 +319,6 @@ func (s *Scheduler) SubmitWith(spec Spec, opts SubmitOptions) (Status, error) {
 		ID:      fmt.Sprintf("j%06d-%s", s.seq, digest[:8]),
 		Spec:    spec,
 		Digest:  digest,
-		class:   class,
 		state:   StateQueued,
 		created: time.Now().UTC(), //vetsim:ignore determinism status-only submission timestamp; never enters artifacts or cache keys
 	}
@@ -389,7 +356,6 @@ func (s *Scheduler) Recover() (int, []error) {
 		}
 		j := &Job{
 			ID: cp.ID, Spec: cp.Spec.WithDefaults(), Digest: cp.Digest,
-			class: cp.Class,
 			state: cp.State, err: cp.Err, created: cp.Created,
 			chunks: cp.Chunks,
 		}
@@ -752,7 +718,7 @@ func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, s
 func (s *Scheduler) ensureRemote(ctx context.Context, j *Job, req ChunkRequest, sp *telemetry.Span) ([]byte, error) {
 	tc := sp.Context()
 	tc.Chunk = req.Chunk.ID
-	s.opts.Ledger.OfferTraced(req, tc)
+	s.opts.Ledger.Offer(req, tc)
 	wait := sp.Child("remote-wait")
 	err := s.opts.Ledger.Wait(ctx, req.Key)
 	wait.End()

@@ -41,7 +41,6 @@ var InstrumentedFiles = []string{
 	"internal/campaign/pool.go",
 	"internal/campaign/twolevel.go",
 	"internal/cluster/coordinator.go",
-	"internal/cluster/metrics.go",
 	"internal/cluster/worker.go",
 	"internal/gatesim/gatesim.go",
 	"internal/gatesim/shard.go",

@@ -25,51 +25,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	return writePromFamilies(w, fams, snap)
-}
-
-// WriteSnapshotPrometheus renders a Snapshot — possibly one merged from
-// several registries (see MergeInto) — in the Prometheus text format.
-// Families are inferred from the snapshot keys, so the renderer needs
-// no registry; HELP lines are omitted (the types still carry TYPE).
-func WriteSnapshotPrometheus(w io.Writer, snap Snapshot) error {
-	byName := make(map[string]*family)
-	add := func(key, typ string) {
-		name := key
-		if i := strings.IndexByte(key, '{'); i >= 0 {
-			name = key[:i]
-		}
-		f, ok := byName[name]
-		if !ok {
-			f = &family{name: name, typ: typ}
-			byName[name] = f
-		}
-		if f.typ == typ {
-			f.keys = append(f.keys, key)
-		}
-	}
-	for k := range snap.Counters {
-		add(k, "counter")
-	}
-	for k := range snap.FloatCounters {
-		add(k, "counter")
-	}
-	for k := range snap.Gauges {
-		add(k, "gauge")
-	}
-	for k := range snap.Histograms {
-		add(k, "histogram")
-	}
-	fams := make([]*family, 0, len(byName))
-	for _, f := range byName {
-		sort.Strings(f.keys)
-		fams = append(fams, f)
-	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return writePromFamilies(w, fams, snap)
-}
-
-func writePromFamilies(w io.Writer, fams []*family, snap Snapshot) error {
 	for _, f := range fams {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {

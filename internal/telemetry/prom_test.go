@@ -55,3 +55,45 @@ func TestPrometheusLinesWellFormed(t *testing.T) {
 		}
 	}
 }
+
+func TestFloatCounterAndGauge(t *testing.T) {
+	SetEnabled(true)
+	r := NewRegistry()
+	fc := r.FloatCounter("idle_seconds_test", "t")
+	fc.Add(1.5)
+	fc.Add(0.25)
+	fc.Add(-3) // ignored: monotonic
+	fc.Add(0)  // ignored
+	if got := fc.Value(); got != 1.75 {
+		t.Fatalf("FloatCounter = %v, want 1.75", got)
+	}
+	g := r.Gauge("leases_test", "t", L("worker", "a"))
+	g.Set(5)
+	g.Set(2)
+	if got := g.Value(); got != 2 {
+		t.Fatalf("Gauge = %v, want 2", got)
+	}
+	snap := r.Snapshot()
+	if snap.FloatCounters["idle_seconds_test"] != 1.75 {
+		t.Fatalf("snapshot float counter: %+v", snap.FloatCounters)
+	}
+	if snap.Gauges[`leases_test{worker="a"}`] != 2 {
+		t.Fatalf("snapshot gauge: %+v", snap.Gauges)
+	}
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE idle_seconds_test counter",
+		"idle_seconds_test 1.75",
+		"# TYPE leases_test gauge",
+		`leases_test{worker="a"} 2`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}

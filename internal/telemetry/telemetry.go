@@ -21,7 +21,6 @@ package telemetry
 
 import (
 	"os"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -56,27 +55,10 @@ type Label struct {
 // L builds a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// recorderCapFromEnv sizes the default flight recorder: the
-// GPUFAULTSIM_TRACE_SPANS environment variable overrides the
-// DefaultRecorderCap of 4096 (values < 1 and junk fall back to the
-// default). The GPUFAULTSIM_TELEMETRY=off kill switch still applies on
-// top — capacity only matters while telemetry is on.
-func recorderCapFromEnv() int {
-	v := strings.TrimSpace(os.Getenv("GPUFAULTSIM_TRACE_SPANS"))
-	if v == "" {
-		return DefaultRecorderCap
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return DefaultRecorderCap
-	}
-	return n
-}
-
 // defaultRegistry and defaultRecorder are the process-wide singletons.
 var (
 	defaultRegistry = NewRegistry()
-	defaultRecorder = NewFlightRecorder(recorderCapFromEnv())
+	defaultRecorder = NewFlightRecorder(DefaultRecorderCap)
 )
 
 // Default returns the process-wide metric registry.
