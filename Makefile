@@ -24,9 +24,10 @@ lint:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Paper exhibit and design-ablation benchmarks, one iteration each: they
-# regenerate the exhibits' headline numbers. Speed is measured by the
-# repository benchmark instead (sh benchmark/run.sh, benchmark/README.md).
+# Design-ablation benchmarks, one iteration each: they report each
+# ablation's headline number. The paper's exhibits come from
+# `go run ./cmd/repro -exhibit …`; speed is measured by the repository
+# benchmark (sh benchmark/run.sh, benchmark/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

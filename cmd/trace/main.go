@@ -14,8 +14,8 @@ import (
 	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
+	"gpufaultsim/internal/microscope"
 	"gpufaultsim/internal/perfi"
-	"gpufaultsim/internal/trace"
 	"gpufaultsim/internal/workloads"
 )
 
@@ -47,7 +47,7 @@ func main() {
 
 	// Inject through the campaign's session, so this run gets a campaign's
 	// memory sizing and watchdog and the outcome a campaign would count.
-	goldenRec, faultyRec := &trace.Recorder{}, &trace.Recorder{}
+	goldenRec, faultyRec := &microscope.Recorder{}, &microscope.Recorder{}
 	sess, err := perfi.NewSession(w, *seed, gpu.Config{}, goldenRec)
 	if err != nil {
 		log.Fatal(err)
@@ -65,9 +65,9 @@ func main() {
 	}
 	fmt.Println()
 
-	d := trace.Diff(golden, faulty)
-	fmt.Print(trace.Render(d, golden, faulty, *context))
-	compared, maskDiffs, flips := trace.MaskDriftStats(golden, faulty)
+	d := microscope.Diff(golden, faulty)
+	fmt.Print(microscope.Render(d, golden, faulty, *context))
+	compared, maskDiffs, flips := microscope.MaskDriftStats(golden, faulty)
 	fmt.Printf("mask drift: %d/%d issues differ, %d lane flips total\n",
 		maskDiffs, compared, flips)
 	if d.Diverged() {

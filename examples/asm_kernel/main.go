@@ -11,8 +11,8 @@ import (
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
 	"gpufaultsim/internal/kasm"
+	"gpufaultsim/internal/microscope"
 	"gpufaultsim/internal/perfi"
-	"gpufaultsim/internal/trace"
 	"gpufaultsim/internal/workloads"
 )
 
@@ -64,7 +64,7 @@ func main() {
 		Params: []uint32{0, n, n, floatBits(0.5)},
 	}
 
-	rec := &trace.Recorder{}
+	rec := &microscope.Recorder{}
 	dev.AddHook(rec)
 	res, err := dev.Launch(prog, lc)
 	if err != nil || res.Hung() {
@@ -86,7 +86,7 @@ func main() {
 		fdev.Global[i] = floatBits(float32(i))
 		fdev.Global[n+i] = floatBits(float32(2 * i))
 	}
-	frec := &trace.Recorder{}
+	frec := &microscope.Recorder{}
 	fdev.AddHook(perfi.New(desc, nil))
 	fdev.AddHook(frec)
 	fres, err := fdev.Launch(prog, lc)
@@ -101,8 +101,8 @@ func main() {
 	fmt.Printf("faulty (%v): outcome %v, corrupted elements %v\n\n",
 		desc, outcome, workloads.CorruptedElements(golden, faulty))
 
-	d := trace.Diff(rec.Events, frec.Events)
-	fmt.Print(trace.Render(d, rec.Events, frec.Events, 3))
+	d := microscope.Diff(rec.Events, frec.Events)
+	fmt.Print(microscope.Render(d, rec.Events, frec.Events, 3))
 }
 
 func floatBits(f float32) uint32 { return math.Float32bits(f) }

@@ -36,18 +36,6 @@ type Levelization struct {
 	DFFFlat []int32
 }
 
-// Readers returns the combinational cells that read net n, in ascending
-// node order.
-func (lv *Levelization) Readers(n netlist.Node) []netlist.Node {
-	return lv.ReadersFlat[lv.ReadersOff[n]:lv.ReadersOff[n+1]]
-}
-
-// DFFReaders returns the DFFs (as indices into Netlist.DFFs) whose
-// next-state input is net n.
-func (lv *Levelization) DFFReaders(n netlist.Node) []int32 {
-	return lv.DFFFlat[lv.DFFOff[n]:lv.DFFOff[n+1]]
-}
-
 // Levelize computes the levelized fanout view of a netlist. It reuses the
 // builder's validated evaluation order (Netlist.EvalOrder), so a single
 // forward sweep suffices: every input of a swept gate already has its
@@ -135,28 +123,4 @@ func Levelize(nl *netlist.Netlist) *Levelization {
 		dcur[d]++
 	}
 	return lv
-}
-
-// FanoutCone returns every combinational cell reachable from node n
-// through gate inputs (n excluded), in ascending node order. It bounds
-// the work an event-driven pass can do for a fault seeded at n; static
-// analyses use it to reason about worst-case event counts.
-func (lv *Levelization) FanoutCone(n netlist.Node) []netlist.Node {
-	seen := make(map[netlist.Node]bool)
-	var out []netlist.Node
-	var walk func(netlist.Node)
-	walk = func(x netlist.Node) {
-		for _, r := range lv.Readers(x) {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-				walk(r)
-			}
-		}
-	}
-	walk(n)
-	// Reader rows are ascending per net, but the DFS interleaves them;
-	// restore a deterministic global order.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -285,15 +285,9 @@ func (t *Testability) ConstantValue(n netlist.Node) (v, constant bool) {
 	return false, false
 }
 
-// ClassifyFault grades one stuck-at fault. Delay faults are graded by the
-// same rules with activation meaning "the net can toggle": both values
-// must be reachable.
+// ClassifyFault grades one stuck-at fault.
 func (t *Testability) ClassifyFault(f netlist.Fault) StaticClass {
-	if f.Kind == netlist.Delay {
-		if !t.Controllable(f.Node, false) || !t.Controllable(f.Node, true) {
-			return StaticUncontrollable
-		}
-	} else if !t.Controllable(f.Node, !f.Stuck) {
+	if !t.Controllable(f.Node, !f.Stuck) {
 		return StaticUncontrollable
 	}
 	if t.CO[f.Node].IsInf() {

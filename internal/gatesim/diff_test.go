@@ -166,21 +166,3 @@ func TestEventEngineMatchesFullOnRandomNetlists(t *testing.T) {
 		diffEngines(t, u, patterns, analyze.Collapse(u.NL))
 	}
 }
-
-// TestEventEngineMatchesFullOnDelayFaults: delay-fault batches fall back
-// to the full simulator inside the event engine's campaign path, so a
-// mixed-engine run over the delay list must also be byte-identical.
-func TestEventEngineMatchesFullOnDelayFaults(t *testing.T) {
-	u := units.Decoder()
-	patterns := diffPatterns(7, 8)
-	faults := netlist.DelayFaultList(u.NL)
-	fullSink, eventSink := &recordingSink{}, &recordingSink{}
-	fullSum := CampaignFaultsCfg(u, patterns, faults, fullSink, Config{Engine: EngineFull})
-	eventSum := CampaignFaultsCfg(u, patterns, faults, eventSink, Config{Engine: EngineEvent})
-	if !reflect.DeepEqual(fullSum, eventSum) {
-		t.Errorf("delay summaries diverge:\n full: %+v\nevent: %+v", fullSum, eventSum)
-	}
-	if !reflect.DeepEqual(fullSink.events, eventSink.events) {
-		t.Errorf("delay event streams diverge")
-	}
-}

@@ -77,10 +77,6 @@ type vec = [Slots]uint64
 // Clock must run after every BeginCycle — besides capturing flip-flop
 // divergence it retires the cycle's delta vectors, the invariant the next
 // cycle's branch-free operand loads rest on.
-//
-// Delay faults are not supported (they need the previous evaluation's raw
-// value at every node); campaigns route batches containing them to the
-// full simulator.
 type Sim struct {
 	nl   *netlist.Netlist
 	lv   *analyze.Levelization
@@ -136,8 +132,8 @@ type Sim struct {
 	isOut      []bool
 	outTouched []netlist.Node
 
-	// readSlot selects the pattern slot served by Node/OutputWord/
-	// OutputSlice (SetReadSlot); grading loops switch it per slot.
+	// readSlot selects the pattern slot served by Node (SetReadSlot);
+	// grading loops switch it per slot.
 	readSlot int
 }
 
@@ -209,12 +205,6 @@ func (s *Sim) BindGoldenPack(traces [][][]uint64) {
 	s.divWord = s.divWord[:0]
 }
 
-// BindGolden is BindGoldenPack for a single pattern — the pre-packing
-// protocol, kept for single-trace callers.
-func (s *Sim) BindGolden(golden [][]uint64) {
-	s.BindGoldenPack([][][]uint64{golden})
-}
-
 // SetFaults installs a group of up to 64 stuck-at faults, fault i on lane
 // i, replacing the previous group. The group is shared by every pattern
 // slot. Divergence state is reset.
@@ -230,9 +220,6 @@ func (s *Sim) SetFaults(group []netlist.Fault) {
 	}
 	s.faultNodes = s.faultNodes[:0]
 	for lane, f := range group {
-		if f.Kind != netlist.StuckAt {
-			panic("engine: only stuck-at faults are event-driven; route delay faults to the full simulator")
-		}
 		n := f.Node
 		if s.ovr[n] == ([2]uint64{}) {
 			s.faultNodes = append(s.faultNodes, n)
@@ -246,11 +233,6 @@ func (s *Sim) SetFaults(group []netlist.Fault) {
 	}
 	s.divNode = s.divNode[:0]
 	s.divWord = s.divWord[:0]
-}
-
-// val returns node n's faulty word for the current cycle in the read slot.
-func (s *Sim) val(n netlist.Node) uint64 {
-	return s.gqcur[n][s.readSlot] ^ s.delta[n][s.readSlot]
 }
 
 // seed installs a known faulty base vector at node n (the latched state of
@@ -308,8 +290,8 @@ func (s *Sim) markTouched(n netlist.Node) {
 // BeginCycle evaluates cycle c of the faulty machines as a delta over the
 // golden traces, all pattern slots at once: diverged DFFs and fault sites
 // are seeded, then deltas propagate level-by-level through the fanout. On
-// return, Node and OutputWord serve exactly the values the full simulator
-// would hold after its Eval of cycle c under the read slot's pattern.
+// return, Node serves exactly the values the full simulator would hold
+// after its Eval of cycle c under the read slot's pattern.
 //
 //vetsim:hotpath
 func (s *Sim) BeginCycle(c int) {
@@ -446,13 +428,6 @@ func (s *Sim) Active() bool { return len(s.touched) > 0 }
 // measure sparsity.
 func (s *Sim) Touched() []netlist.Node { return s.touched }
 
-// OutputsActive reports whether any primary-output node may deviate from
-// golden this cycle in any slot. It is a conservative upper bound (a
-// marked node can settle back to its golden value), so a false return
-// guarantees every output field grades clean in every slot and the
-// campaign can skip comparison.
-func (s *Sim) OutputsActive() bool { return len(s.outTouched) > 0 }
-
 // OutTouched returns the primary-output nodes marked dirty this cycle — a
 // conservative superset of the outputs deviating from golden in any slot.
 // Campaigns use it with DirtySlots to grade only the (field, slot) pairs a
@@ -473,8 +448,8 @@ func (s *Sim) DirtySlots(n netlist.Node) uint32 {
 	return m
 }
 
-// SetReadSlot selects the pattern slot served by Node, OutputWord and
-// OutputSlice. Grading loops switch it as they walk the real slots.
+// SetReadSlot selects the pattern slot served by Node. Grading loops
+// switch it as they walk the real slots.
 func (s *Sim) SetReadSlot(r int) { s.readSlot = r }
 
 // Clock captures cycle c's DFF next-state inputs, recording only the
@@ -516,30 +491,6 @@ func (s *Sim) Clock(c int) {
 
 // Node returns node n's current value word under the read slot's pattern,
 // one machine per bit lane.
-func (s *Sim) Node(n netlist.Node) uint64 { return s.val(n) }
-
-// OutputWord assembles the value of a named output field for machine
-// lane under the read slot's pattern, LSB first — the same contract as
-// netlist.Simulator.OutputWord.
-func (s *Sim) OutputWord(field string, lane int) uint64 {
-	var v uint64
-	for _, o := range s.nl.Outputs {
-		if o.Field == field && s.val(o.Node)>>lane&1 == 1 {
-			v |= 1 << o.Bit
-		}
-	}
-	return v
-}
-
-// OutputSlice assembles a field value for machine lane from an explicit
-// output-bit list under the read slot's pattern, LSB first — the same
-// contract as netlist.Simulator.OutputSlice.
-func (s *Sim) OutputSlice(outs []netlist.Output, lane int) uint64 {
-	var v uint64
-	for _, o := range outs {
-		if s.val(o.Node)>>lane&1 == 1 {
-			v |= 1 << o.Bit
-		}
-	}
-	return v
+func (s *Sim) Node(n netlist.Node) uint64 {
+	return s.gqcur[n][s.readSlot] ^ s.delta[n][s.readSlot]
 }

@@ -70,8 +70,7 @@ const (
 	// default.
 	EngineEvent Engine = iota
 	// EngineFull re-evaluates the entire netlist every cycle of every
-	// batch (netlist.Simulator) — the reference implementation and the
-	// fallback for delay faults.
+	// batch (netlist.Simulator) — the reference implementation.
 	EngineFull
 )
 
@@ -166,7 +165,7 @@ type Config struct {
 	Engine Engine
 	// Workers is the intra-campaign parallelism: each round's (pattern
 	// quad × 64-lane fault group) work items are sharded across this many
-	// workers, every worker owning its own simulator, event engine and
+	// workers, every worker owning its own simulator (the Engine's) and
 	// grading scratch. Workers record corruption events per item and the
 	// campaign replays them to the sink pattern-major, so summaries,
 	// classifications and sink event streams are byte-identical at every
@@ -182,11 +181,8 @@ func CampaignCfg(u *units.Unit, patterns []units.Pattern, sink EventSink, cfg Co
 	return CampaignFaultsCfg(u, patterns, netlist.FaultList(u.NL), sink, cfg)
 }
 
-// CampaignFaultsCfg runs a campaign over an explicit fault list — e.g. the
-// delay-fault list (netlist.DelayFaultList), the extension the paper
-// mentions alongside stuck-at faults. Batches containing delay faults
-// always run on the full simulator (the event engine's delta
-// representation has no previous-evaluation values for clean nodes).
+// CampaignFaultsCfg runs a campaign over an explicit stuck-at fault list,
+// e.g. a statistical sample of it (SampleFaults).
 func CampaignFaultsCfg(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, sink EventSink, cfg Config) *Summary {
 	return campaignRun(u, patterns, faults, faults, nil, sink, cfg)
 }
@@ -244,17 +240,6 @@ type grader struct {
 	sink        EventSink
 }
 
-// groupHasDelay reports whether a fault batch contains a delay fault and
-// must therefore run on the full simulator.
-func groupHasDelay(group []netlist.Fault) bool {
-	for _, f := range group {
-		if f.Kind == netlist.Delay {
-			return true
-		}
-	}
-	return false
-}
-
 // evStats accumulates the event-engine sparsity counters of one campaign
 // (or one shard worker) in plain locals; the campaign merges and flushes
 // them with a handful of atomic adds at the end.
@@ -299,9 +284,8 @@ type campaignCtx struct {
 	activated []bool
 	maxOuts   int
 
-	gsim       *netlist.Simulator
-	nGroups    int    // 64-lane fault groups in sim
-	groupDelay []bool // per group: contains a delay fault (full-sim fallback)
+	gsim    *netlist.Simulator
+	nGroups int // 64-lane fault groups in sim
 
 	// Golden state of the current block, rebuilt by goldenPassBlock and
 	// read-only until the next block:
@@ -374,8 +358,7 @@ func (cc *campaignCtx) goldenPassBlock(block []units.Pattern) {
 // markActivatedBlock grades activation over the full fault list from the
 // block's packed golden trace, all patterns of the block at once: a
 // stuck-at (n, v) is activated when any lane's golden value at n differs
-// from v in any cycle; a delay fault when any lane toggles between
-// consecutive cycles. Activation is a pure OR over (pattern, cycle), so
+// from v in any cycle. Activation is a pure OR over (pattern, cycle), so
 // the lane-parallel form accumulates exactly what the per-pattern scan
 // did.
 //
@@ -388,15 +371,6 @@ func (cc *campaignCtx) markActivatedBlock(blockLen int) {
 			continue
 		}
 		n := f.Node
-		if f.Kind == netlist.Delay {
-			for c := 1; c < u.Cycles; c++ {
-				if (cc.packedNode[c][n]^cc.packedNode[c-1][n])&lanes != 0 {
-					cc.activated[fi] = true
-					break
-				}
-			}
-			continue
-		}
 		want := uint64(0) // lanes where golden equals the stuck level
 		if f.Stuck {
 			want = ^uint64(0)
@@ -461,10 +435,6 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 
 	blockCap := min(goldenLanes, len(patterns))
 	nGroups := (len(sim) + 63) / 64
-	groupDelay := make([]bool, nGroups)
-	for gi := range groupDelay {
-		groupDelay[gi] = groupHasDelay(sim[gi*64 : min(gi*64+64, len(sim))])
-	}
 
 	// Per-campaign golden arenas, sized once and reused block after block
 	// (steady-state allocation stays flat in the pattern count):
@@ -502,7 +472,6 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 		maxOuts:     maxOuts,
 		gsim:        netlist.NewSimulator(nl),
 		nGroups:     nGroups,
-		groupDelay:  groupDelay,
 		packedNode:  packedNode,
 		goldenView:  goldenView,
 		goldenField: goldenField,

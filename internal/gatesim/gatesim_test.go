@@ -79,31 +79,6 @@ func TestMorePatternsNeverReduceActivation(t *testing.T) {
 	}
 }
 
-func TestDelayFaultCampaign(t *testing.T) {
-	pats := somePatterns()
-	u := units.Decoder()
-	sum := CampaignFaultsCfg(u, pats, netlist.DelayFaultList(u.NL), nil, Config{})
-	if got := sum.NumUncontrollable + sum.NumMasked + sum.NumHang + sum.NumSWError; got != len(sum.Faults) {
-		t.Fatalf("classes sum to %d, want %d", got, len(sum.Faults))
-	}
-	// Delay faults on stable nets mask; toggling nets can propagate. Both
-	// classes should exist on a real unit driven by varied patterns.
-	if sum.NumSWError == 0 {
-		t.Error("no delay fault propagated")
-	}
-	if sum.NumUncontrollable+sum.NumMasked == 0 {
-		t.Error("every delay fault propagated (implausible)")
-	}
-	// A delay campaign should find fewer software-visible faults per site
-	// than stuck-at: the fault only matters on toggling cycles.
-	st := CampaignCfg(u, pats, nil, Config{})
-	delayRate := float64(sum.NumSWError) / float64(len(sum.Faults))
-	stuckRate := float64(st.NumSWError) / float64(len(st.Faults))
-	if delayRate > stuckRate {
-		t.Errorf("delay SW-error rate %.2f exceeds stuck-at %.2f", delayRate, stuckRate)
-	}
-}
-
 func TestSampledCampaignMatchesExhaustiveWithinMargin(t *testing.T) {
 	pats := somePatterns()
 	u := units.WSC()

@@ -178,22 +178,15 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedMixedFaultListMatchesSerial sweeps the round boundaries, and
-// covers the dense-simulator fallback inside the traversal. The fault
-// list is the decoder's stuck-at list twice over — enough 64-fault groups
-// for rounds shorter than the golden block — plus delay faults, which
-// make some items run on a worker's event engine and others on its full
-// simulator within the same round. Pattern counts straddle the round
-// boundary (round−1, round, round+1), span two rounds and a partial third,
-// and cross into a second golden block mid-round.
+// TestShardedMixedFaultListMatchesSerial sweeps the round boundaries. The
+// fault list is the decoder's stuck-at list twice over — enough 64-fault
+// groups for rounds shorter than the golden block. Pattern counts
+// straddle the round boundary (round−1, round, round+1), span two rounds
+// and a partial third, and cross into a second golden block mid-round.
 func TestShardedMixedFaultListMatchesSerial(t *testing.T) {
 	u := units.Decoder()
 	stuck := netlist.FaultList(u.NL)
-	delay := netlist.DelayFaultList(u.NL)
-	var faults []netlist.Fault
-	faults = append(faults, stuck...)
-	faults = append(faults, delay[:min(96, len(delay))]...)
-	faults = append(faults, stuck...)
+	faults := append(append([]netlist.Fault(nil), stuck...), stuck...)
 	r := roundQuads((len(faults)+63)/64) * engine.Slots
 	if r >= goldenLanes {
 		t.Fatalf("%d faults give %d-pattern rounds; the sweep needs rounds shorter than the %d-pattern block", len(faults), r, goldenLanes)
@@ -211,6 +204,29 @@ func TestShardedMixedFaultListMatchesSerial(t *testing.T) {
 		solos := soloRuns(run, eng, patterns[:counts[len(counts)-1]])
 		for _, n := range counts {
 			checkAgainstSolos(t, fmt.Sprintf("mixed eng=%v", eng), run, eng, patterns[:n], solos[:n], []int{1, 2, 8})
+		}
+	}
+}
+
+// TestEventCampaignNeverReachesDenseSimulator: under EngineEvent every
+// (pattern, fault group) item runs on the event engine, so the campaign's
+// event-cycle count is exactly Cycles × reduced patterns × groups. An item
+// that ran on a dense simulator would add nothing to it.
+func TestEventCampaignNeverReachesDenseSimulator(t *testing.T) {
+	u := units.Decoder()
+	cm := analyze.Collapse(u.NL)
+	patterns := reducedPatterns(t, u, 23, 2*engine.Slots+1)
+	groups := (len(cm.SimFaults()) + 63) / 64
+	want := int64(u.Cycles) * int64(len(patterns)) * int64(groups)
+	for _, workers := range []int{1, 2} {
+		cycles0, patterns0 := telEventCycles.Value(), telPatterns.Value()
+		CampaignCollapsedCfg(u, patterns, cm, nil, Config{Engine: EngineEvent, Workers: workers})
+		if telPatterns.Value() == patterns0 {
+			t.Skip("telemetry disabled; the event-cycle counter does not move")
+		}
+		if got := telEventCycles.Value() - cycles0; got != want {
+			t.Errorf("workers=%d: %d event-engine cycles, want %d (%d cycles x %d patterns x %d groups)",
+				workers, got, want, u.Cycles, len(patterns), groups)
 		}
 	}
 }

@@ -8,10 +8,10 @@
 // block in rounds: a round's roundQuads×nGroups items drain through a
 // dynamic (work-stealing) counter into P workers — worker 0 is the
 // calling goroutine itself, workers 1..P-1 are persistent helper
-// goroutines. Each worker owns a private full simulator, event engine and
-// grading scratch, so the simulation inner loops take no locks and share
-// no mutable state. At width 1 there are no helpers and a round is a
-// plain loop.
+// goroutines. Each worker owns a private simulator (the event engine, or
+// the full simulator under EngineFull) and grading scratch, so the
+// simulation inner loops take no locks and share no mutable state. At
+// width 1 there are no helpers and a round is a plain loop.
 //
 // Determinism: workers do not touch the grader. Instead each item records
 // its corruption occurrences — (field, sim-index, golden, faulty) tuples,
@@ -136,13 +136,14 @@ type evSpan struct {
 	worker, start, end int32
 }
 
-// shardWorker is the per-worker mutable state: private simulators,
+// shardWorker is the per-worker mutable state: a private simulator,
 // grading scratch and per-slot event buffers, plus event-engine counters
-// merged once per campaign.
+// merged once per campaign. Exactly one of esim and fsim is set, by the
+// campaign's Engine.
 type shardWorker struct {
-	fsim  *netlist.Simulator
-	esim  *engine.Sim // nil for EngineFull
-	ws    []uint64    // lane words of the field under grade
+	esim  *engine.Sim        // EngineEvent
+	fsim  *netlist.Simulator // EngineFull
+	ws    []uint64           // lane words of the field under grade
 	evbuf [engine.Slots][]shardEvent
 	lastQ int // pattern quad the engine's golden is bound to
 	ev    evStats
@@ -229,16 +230,16 @@ func (cc *campaignCtx) recordQuadCycle(es *engine.Sim, q0, qlen, base, groupLen,
 // runBatch simulates one work item — fault group gi under the pattern
 // quad starting at block slot q0 — on this worker's private machines,
 // recording corruption occurrences into the worker's per-slot buffers.
-// This is the one item body, and the one place the dense simulator runs
-// faulty machines. The event engine's golden binding is cached per quad
-// (lastQ), so stride runs over one quad rebind nothing.
+// This is the one item body, and under EngineFull the one place the dense
+// simulator runs faulty machines. The event engine's golden binding is
+// cached per quad (lastQ), so stride runs over one quad rebind nothing.
 //
 //vetsim:hotpath
 func (w *shardWorker) runBatch(cc *campaignCtx, block []units.Pattern, qb, q0, qlen, gi int) {
 	u := cc.u
 	base := gi * 64
 	group := cc.sim[base:min(base+64, len(cc.sim))]
-	if w.esim != nil && !cc.groupDelay[gi] {
+	if w.esim != nil {
 		// Event-driven: seed only the faulty pins and diverged flip-flops,
 		// propagate deltas through the fanout — all slots in one pass —
 		// and skip output grading entirely on quiet cycles.
@@ -259,9 +260,8 @@ func (w *shardWorker) runBatch(cc *campaignCtx, block []units.Pattern, qb, q0, q
 		}
 		return
 	}
-	// Full-simulator fallback: delay faults in the batch, or EngineFull.
-	// One full pass per real slot — the packed engine's width does not
-	// apply here, but the per-slot recording and replay do.
+	// EngineFull: one full pass per real slot — the packed engine's width
+	// does not apply here, but the per-slot recording and replay do.
 	for r := 0; r < qlen; r++ {
 		p := block[q0+r]
 		gf := cc.goldenField[q0+r]
@@ -336,9 +336,11 @@ func (cc *campaignCtx) run(p int) {
 	}
 	workers := make([]*shardWorker, p)
 	for i := range workers {
-		w := &shardWorker{fsim: netlist.NewSimulator(nl), ws: make([]uint64, cc.maxOuts)}
+		w := &shardWorker{ws: make([]uint64, cc.maxOuts)}
 		if cc.eng == EngineEvent {
 			w.esim = engine.New(nl, lv)
+		} else {
+			w.fsim = netlist.NewSimulator(nl)
 		}
 		workers[i] = w
 	}

@@ -96,11 +96,6 @@ func (p *Pass) suppressed(pos token.Position) bool {
 	return false
 }
 
-// FileDirectives returns every directive in the file, keyed by line.
-func (p *Pass) FileDirectives(filename string) map[int][]Directive {
-	return p.directives[filename]
-}
-
 // HasPackageDirective reports whether any file of the package carries a
 // directive of the given kind (e.g. "deterministic").
 func (p *Pass) HasPackageDirective(kind string) bool {

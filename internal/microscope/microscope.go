@@ -1,9 +1,9 @@
-// Package trace records instruction-level execution traces and diffs a
-// golden trace against a faulty one — the software-side equivalent of the
+// Package microscope records instruction-level execution traces and diffs
+// a golden trace against a faulty one — the software-side equivalent of the
 // paper's per-instruction fault-propagation tracking ("we track the
 // execution of the complete instruction across the GPU architecture to
 // guarantee the identification of any possible fault propagation").
-package trace
+package microscope
 
 import (
 	"fmt"
@@ -29,11 +29,13 @@ func (e Event) String() string {
 		e.Seq, e.SM, e.CTA, e.Warp, e.PC, e.Op, e.ExecMask)
 }
 
-// Recorder is a gpu.Hook that captures the issue stream. Cap bounds memory
-// (0 = 1<<20 events); Total keeps counting past the cap.
+// maxEvents bounds a Recorder's memory; Total keeps counting past it.
+const maxEvents = 1 << 20
+
+// Recorder is a gpu.Hook that captures the issue stream, up to maxEvents
+// events.
 type Recorder struct {
 	Events []Event
-	Cap    int
 	Total  uint64
 }
 
@@ -42,11 +44,7 @@ func (r *Recorder) Before(ctx *gpu.InstrCtx) {}
 
 // After implements gpu.Hook.
 func (r *Recorder) After(ctx *gpu.InstrCtx) {
-	cap := r.Cap
-	if cap == 0 {
-		cap = 1 << 20
-	}
-	if len(r.Events) < cap {
+	if len(r.Events) < maxEvents {
 		r.Events = append(r.Events, Event{
 			Seq: r.Total, SM: ctx.W.SM, CTA: ctx.W.CTA, Warp: ctx.W.IDInSM,
 			PC: ctx.PC, Op: ctx.Instr.Op, ExecMask: ctx.ExecMask,

@@ -1,4 +1,4 @@
-package trace
+package microscope
 
 import (
 	"math/rand"
@@ -116,15 +116,16 @@ func TestTruncatedTraceDiverges(t *testing.T) {
 func TestRecorderCap(t *testing.T) {
 	job := workloads.VectorAdd{}.Build(rand.New(rand.NewSource(1)))
 	dev := gpu.NewDevice(gpu.DefaultConfig())
-	rec := &Recorder{Cap: 10}
+	// Start two events short of the bound, with room for exactly those two.
+	rec := &Recorder{Events: make([]Event, maxEvents-2, maxEvents)}
 	dev.AddHook(rec)
 	if _, err := job.Run(dev); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events) != 10 {
-		t.Errorf("captured %d events, cap 10", len(rec.Events))
+	if len(rec.Events) != maxEvents {
+		t.Errorf("captured %d events, bound %d", len(rec.Events), maxEvents)
 	}
-	if rec.Total <= 10 {
-		t.Errorf("total %d should exceed the cap", rec.Total)
+	if rec.Total <= 2 {
+		t.Errorf("total %d should keep counting past the bound", rec.Total)
 	}
 }

@@ -55,15 +55,6 @@ func (b *Builder) BufBus(a []Node) []Node {
 	return out
 }
 
-// NotBus inverts every bit.
-func (b *Builder) NotBus(a []Node) []Node {
-	out := make([]Node, len(a))
-	for i, n := range a {
-		out[i] = b.Not(n)
-	}
-	return out
-}
-
 // XorBus returns a⊕c bitwise.
 func (b *Builder) XorBus(a, c []Node) []Node {
 	if !b.sameLen(a, c, "XorBus") {

@@ -2,29 +2,13 @@ package netlist
 
 import "fmt"
 
-// FaultKind selects the defect model of a fault site.
-type FaultKind uint8
-
-const (
-	// StuckAt forces the node to the Stuck level (the paper's model).
-	StuckAt FaultKind = iota
-	// Delay makes the node present its previous-cycle value: a slow path
-	// that misses the capture edge (the paper lists delay faults as a
-	// natural extension of the methodology).
-	Delay
-)
-
-// Fault is a fault on a cell output.
+// Fault is a stuck-at fault on a cell output.
 type Fault struct {
 	Node  Node
-	Kind  FaultKind
-	Stuck bool // for StuckAt: false = stuck-at-0, true = stuck-at-1
+	Stuck bool // false = stuck-at-0, true = stuck-at-1
 }
 
 func (f Fault) String() string {
-	if f.Kind == Delay {
-		return fmt.Sprintf("delay@%d", f.Node)
-	}
 	v := 0
 	if f.Stuck {
 		v = 1
@@ -43,15 +27,6 @@ func FaultList(nl *Netlist) []Fault {
 	return out
 }
 
-// DelayFaultList returns one delay fault per cell output.
-func DelayFaultList(nl *Netlist) []Fault {
-	out := make([]Fault, 0, len(nl.Cells))
-	for id := range nl.Cells {
-		out = append(out, Fault{Node: Node(id), Kind: Delay})
-	}
-	return out
-}
-
 // Simulator evaluates a netlist 64 machines at a time: bit k of every
 // signal word is the value in machine k. All machines see the same input
 // pattern; they differ only in the injected fault, which makes exhaustive
@@ -66,12 +41,8 @@ type Simulator struct {
 	laneMask uint64   // lanes SetInput writes; ^0 broadcasts (the default)
 
 	// Per-group fault overrides, dense by node: setArr bits are forced to
-	// 1, clrArr bits to 0, and delayArr bits take the node's previous-
-	// evaluation value in the lane owning the fault.
-	setArr, clrArr, delayArr []uint64
-	rawPrev                  []uint64 // pre-delay node values of the last Eval
-	hasFaults                bool
-	hasDelay                 bool
+	// 1, clrArr bits to 0.
+	setArr, clrArr []uint64
 }
 
 // NewSimulator builds a simulator with all state reset to 0.
@@ -91,18 +62,13 @@ func NewSimulator(nl *Netlist) *Simulator {
 		in:       make([]uint64, len(nl.Inputs)),
 		setArr:   make([]uint64, len(nl.Cells)),
 		clrArr:   make([]uint64, len(nl.Cells)),
-		delayArr: make([]uint64, len(nl.Cells)),
-		rawPrev:  make([]uint64, len(nl.Cells)),
 	}
 }
 
-// Reset clears DFF state and delay history (between exciting patterns).
+// Reset clears DFF state (between exciting patterns).
 func (s *Simulator) Reset() {
 	for i := range s.state {
 		s.state[i] = 0
-	}
-	for i := range s.rawPrev {
-		s.rawPrev[i] = 0
 	}
 }
 
@@ -115,18 +81,11 @@ func (s *Simulator) SetFaults(group []Fault) {
 	for i := range s.setArr {
 		s.setArr[i] = 0
 		s.clrArr[i] = 0
-		s.delayArr[i] = 0
 	}
-	s.hasFaults = len(group) > 0
-	s.hasDelay = false
 	for lane, f := range group {
-		switch {
-		case f.Kind == Delay:
-			s.delayArr[f.Node] |= 1 << lane
-			s.hasDelay = true
-		case f.Stuck:
+		if f.Stuck {
 			s.setArr[f.Node] |= 1 << lane
-		default:
+		} else {
 			s.clrArr[f.Node] |= 1 << lane
 		}
 	}
@@ -164,30 +123,15 @@ func (s *Simulator) SetInputBus(base, width int, value uint64) {
 // The combinational sweep streams through the netlist's precompiled
 // kernel program (Kernels): one branch-free truth-table expression per
 // gate, no per-gate kind dispatch. Stuck-at masks are applied
-// unconditionally on the fast path — they are identically zero when no
-// fault is installed — so the only per-Eval branch left is the delay
-// split.
+// unconditionally — they are identically zero when no fault is installed —
+// so Eval carries no per-node branch.
 //
 //vetsim:hotpath
 func (s *Simulator) Eval() {
 	vals := s.vals
 	set, clr := s.setArr, s.clrArr
 
-	apply := func(id Node, v uint64) {
-		if s.hasFaults {
-			v = (v | set[id]) &^ clr[id]
-			if s.hasDelay {
-				if m := s.delayArr[id]; m != 0 {
-					// The slow path missed the capture edge: affected
-					// lanes observe the previous evaluation's value.
-					old := s.rawPrev[id]
-					s.rawPrev[id] = v
-					v = (v &^ m) | (old & m)
-				}
-			}
-		}
-		vals[id] = v
-	}
+	apply := func(id Node, v uint64) { vals[id] = (v | set[id]) &^ clr[id] }
 
 	k := s.kern
 	inIdx := 0
@@ -203,25 +147,14 @@ func (s *Simulator) Eval() {
 	}
 
 	in0, in1, in2 := k.PIn0, k.PIn1, k.PIn2
-	outn := k.POut
 	tlo, thi := k.PLo, k.PHi
-	if !s.hasDelay {
-		for i, id := range outn {
-			a, b, c := vals[in0[i]], vals[in1[i]], vals[in2[i]]
-			ml, mh := &KernelMasks[tlo[i]], &KernelMasks[thi[i]]
-			vl := (ml[0]&^a|ml[1]&a)&^b | (ml[2]&^a|ml[3]&a)&b
-			vh := (mh[0]&^a|mh[1]&a)&^b | (mh[2]&^a|mh[3]&a)&b
-			v := vl&^c | vh&c
-			vals[id] = (v | set[id]) &^ clr[id]
-		}
-		return
-	}
-	for i, id := range outn {
+	for i, id := range k.POut {
 		a, b, c := vals[in0[i]], vals[in1[i]], vals[in2[i]]
 		ml, mh := &KernelMasks[tlo[i]], &KernelMasks[thi[i]]
 		vl := (ml[0]&^a|ml[1]&a)&^b | (ml[2]&^a|ml[3]&a)&b
 		vh := (mh[0]&^a|mh[1]&a)&^b | (mh[2]&^a|mh[3]&a)&b
-		apply(Node(id), vl&^c|vh&c)
+		v := vl&^c | vh&c
+		vals[id] = (v | set[id]) &^ clr[id]
 	}
 }
 
@@ -256,11 +189,6 @@ func (s *Simulator) OutputWord(field string, lane int) uint64 {
 		}
 	}
 	return v
-}
-
-// OutputBit returns output o's value in machine lane.
-func (s *Simulator) OutputBit(o Output, lane int) bool {
-	return s.vals[o.Node]>>lane&1 == 1
 }
 
 // OutputSlice assembles a field value for machine lane from an explicit

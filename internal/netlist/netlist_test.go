@@ -385,109 +385,6 @@ func TestOutputFieldsOrder(t *testing.T) {
 	}
 }
 
-func TestDelayFaultPresentsPreviousValue(t *testing.T) {
-	// A buffer with a delay fault outputs last cycle's input.
-	b := NewBuilder("delay")
-	a := b.Input("a")
-	y := b.Buf(a)
-	b.Output("y", 0, y)
-	nl := b.MustBuild()
-	sim := NewSimulator(nl)
-	sim.SetFaults([]Fault{{Node: y, Kind: Delay}})
-
-	sim.SetInput(0, true)
-	sim.Eval()
-	if got := sim.OutputWord("y", 0); got != 0 {
-		t.Fatalf("first eval y = %d, want 0 (history empty)", got)
-	}
-	sim.SetInput(0, false)
-	sim.Eval()
-	if got := sim.OutputWord("y", 0); got != 1 {
-		t.Fatalf("second eval y = %d, want previous input 1", got)
-	}
-	sim.SetInput(0, false)
-	sim.Eval()
-	if got := sim.OutputWord("y", 0); got != 0 {
-		t.Fatalf("third eval y = %d, want 0", got)
-	}
-}
-
-func TestDelayFaultOnStableSignalIsMasked(t *testing.T) {
-	// A delay fault on a signal that never changes has no effect.
-	b := NewBuilder("stable")
-	a := b.Input("a")
-	y := b.Buf(a)
-	b.Output("y", 0, y)
-	nl := b.MustBuild()
-	sim := NewSimulator(nl)
-	sim.SetFaults([]Fault{{Node: y, Kind: Delay}})
-	sim.SetInput(0, false)
-	for i := 0; i < 5; i++ {
-		sim.Eval()
-		if got := sim.OutputWord("y", 0); got != 0 {
-			t.Fatalf("cycle %d: y = %d, want 0", i, got)
-		}
-	}
-}
-
-func TestDelayAndStuckFaultsCoexistInOneGroup(t *testing.T) {
-	b := NewBuilder("mixed")
-	a := b.Input("a")
-	y := b.Buf(a)
-	b.Output("y", 0, y)
-	nl := b.MustBuild()
-	sim := NewSimulator(nl)
-	sim.SetFaults([]Fault{
-		{Node: y, Kind: Delay},  // lane 0
-		{Node: y, Stuck: true},  // lane 1
-		{Node: y, Stuck: false}, // lane 2
-	})
-	sim.SetInput(0, false)
-	sim.Eval() // seed history with 0
-	sim.SetInput(0, true)
-	sim.Eval()
-	if got := sim.OutputWord("y", 0); got != 0 {
-		t.Errorf("delay lane = %d, want 0", got)
-	}
-	if got := sim.OutputWord("y", 1); got != 1 {
-		t.Errorf("sa1 lane = %d, want 1", got)
-	}
-	if got := sim.OutputWord("y", 2); got != 0 {
-		t.Errorf("sa0 lane = %d, want 0", got)
-	}
-}
-
-func TestDelayFaultListSize(t *testing.T) {
-	nl := buildAdder(4)
-	dl := DelayFaultList(nl)
-	if len(dl) != nl.NumCells() {
-		t.Fatalf("delay list %d, want %d", len(dl), nl.NumCells())
-	}
-	for _, f := range dl {
-		if f.Kind != Delay {
-			t.Fatal("non-delay fault in delay list")
-		}
-	}
-}
-
-func TestResetClearsDelayHistory(t *testing.T) {
-	b := NewBuilder("rst")
-	a := b.Input("a")
-	y := b.Buf(a)
-	b.Output("y", 0, y)
-	nl := b.MustBuild()
-	sim := NewSimulator(nl)
-	sim.SetFaults([]Fault{{Node: y, Kind: Delay}})
-	sim.SetInput(0, true)
-	sim.Eval()
-	sim.Reset()
-	sim.SetInput(0, true)
-	sim.Eval()
-	if got := sim.OutputWord("y", 0); got != 0 {
-		t.Fatalf("post-reset y = %d, want 0 (history cleared)", got)
-	}
-}
-
 func TestMuxNArityReportedByBuild(t *testing.T) {
 	b := NewBuilder("muxn")
 	sel := b.InputBus("sel", 2) // 2 select bits but only 3 options

@@ -40,9 +40,6 @@ func (m Module) String() string {
 	return fmt.Sprintf("Module(%d)", int(m))
 }
 
-// Modules lists all RTL injection targets.
-func Modules() []Module { return []Module{ModFP32, ModINT, ModSFU, ModSched, ModPipe} }
-
 // Stage identifies the datapath structure a site belongs to. The stage
 // determines both how the fault perturbs a computation and when it is
 // architecturally active.

@@ -154,16 +154,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds starting at start, spaced width
-// apart.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // SecondsBuckets is the default latency bucketing: 1ms to ~65s,
 // quadrupling.
 func SecondsBuckets() []float64 { return ExponentialBuckets(0.001, 4, 9) }

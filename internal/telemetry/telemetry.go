@@ -42,9 +42,6 @@ func init() {
 // SetEnabled turns the telemetry subsystem on or off at runtime.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether metric updates and span records are live.
-func Enabled() bool { return enabled.Load() }
-
 // Label is one static key="value" pair attached to a metric at
 // registration. Labels are baked into the metric handle (there is no
 // per-observation label allocation).

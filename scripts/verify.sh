@@ -83,15 +83,22 @@ smoke=$(go run ./benchmark -workload all -smoke -seconds 0) || {
 #
 # Telemetry overhead smoke: the instrumented event-engine campaign must
 # stay within 5% of its cost with telemetry disabled. Three short runs
-# per mode, best-of (min ns/op) to shed scheduler noise.
+# per mode, interleaved (on, off, on, off, ...) so host drift hits both
+# sides alike, best-of (min ns/op) per side to shed scheduler noise.
 echo "==> telemetry overhead smoke (BenchmarkEventCampaign on vs off)"
 bench_ns() {
 	GPUFAULTSIM_TELEMETRY="$1" go test ./internal/gatesim \
-		-run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -count 3 |
-		awk '/^BenchmarkEventCampaign/ { if (best == 0 || $3 < best) best = $3 } END { print best }'
+		-run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -count 1 |
+		awk '/^BenchmarkEventCampaign/ { print $3 }'
 }
-ON=$(bench_ns on)
-OFF=$(bench_ns off)
+min_of() { printf '%s\n' "$@" | sort -g | head -n 1; }
+ON_RUNS="" OFF_RUNS=""
+for round in 1 2 3; do
+	ON_RUNS="$ON_RUNS $(bench_ns on)"
+	OFF_RUNS="$OFF_RUNS $(bench_ns off)"
+done
+ON=$(min_of $ON_RUNS)
+OFF=$(min_of $OFF_RUNS)
 [ -n "$ON" ] && [ -n "$OFF" ] || { echo "overhead smoke: benchmark produced no numbers" >&2; exit 1; }
 echo "    enabled: ${ON} ns/op   disabled: ${OFF} ns/op"
 awk -v on="$ON" -v off="$OFF" 'BEGIN {
