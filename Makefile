@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint bench fmt serve-smoke
+.PHONY: build test verify stragglers lint bench fmt serve-smoke
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 # + golden repro + benchmark smoke oracle (the CI verify job runs exactly this).
 verify:
 	sh scripts/verify.sh
+
+# Fails, listing them, if a daemon, benchmark, test binary or go command
+# is still running; prints nothing otherwise. The last command of a
+# session that started any of them.
+stragglers:
+	@sh scripts/stragglers.sh
 
 # Invariant analyzers only: determinism, cachekey, telemetry, hotpath
 # (see internal/lintrules and DESIGN.md "Static analysis & invariants").

@@ -70,6 +70,8 @@ type launchState struct {
 	warps  []*Warp  // reset by buildWarps
 	smem   []uint32 // SharedMemWords long; shared is the running CTA's share
 	shared []uint32 // zeroed by runCTA
+	rr     int      // the scheduler's round-robin cursor; reset by schedule
+	seq    uint64   // counts the device's launches; names this one
 	ctx    InstrCtx // handed to hooks by pointer; reset by issue
 }
 
@@ -93,6 +95,7 @@ func (d *Device) Launch(prog *kasm.Program, lc LaunchConfig) (Result, error) {
 	}
 	st := &d.st
 	st.lc, st.res, st.shared = lc, Result{}, nil
+	st.seq++
 	// Decoded per launch and not in kasm: a Program's Code is the caller's
 	// to build and to change between launches.
 	st.code = st.code[:0]
@@ -188,10 +191,10 @@ func (st *launchState) buildWarps(cta Dim3) {
 //vetsim:hotpath
 func (st *launchState) schedule() {
 	warps := st.warps
-	rr := 0
+	st.rr = 0
 	for {
 		allDone, progressed := true, false
-		k := rr
+		k := st.rr
 		for range warps {
 			w := warps[k]
 			if k++; k == len(warps) {
@@ -205,7 +208,7 @@ func (st *launchState) schedule() {
 			if !ok {
 				continue // parked at barrier
 			}
-			rr = k
+			st.rr = k
 			st.issue(w, mask, pc)
 			progressed = true
 			st.maybeReleaseBarrier()

@@ -46,6 +46,7 @@ var InstrumentedFiles = []string{
 	"internal/gatesim/shard.go",
 	"internal/jobs/ledger.go",
 	"internal/jobs/scheduler.go",
+	"internal/perfi/session.go",
 	"internal/store/store.go",
 }
 

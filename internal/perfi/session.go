@@ -1,3 +1,5 @@
+//vetsim:instrumented
+
 package perfi
 
 import (
@@ -6,7 +8,15 @@ import (
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
+	"gpufaultsim/internal/telemetry"
 	"gpufaultsim/internal/workloads"
+)
+
+var (
+	telIssues = telemetry.Default().Counter("perfi_issues_simulated_total",
+		"warp-instructions issued by the faulty runs of perfi sessions")
+	telHangsProved = telemetry.Default().Counter("perfi_hangs_proved_total",
+		"faulty runs ended as a watchdog DUE by a hang proof instead of the watchdog")
 )
 
 // Session is the injection policy for one application, stated once: how
@@ -25,6 +35,7 @@ type Session struct {
 	MaxWarps int
 
 	faulty *gpu.Device
+	prover hangProver
 }
 
 // NewSession builds the workload's job from seed and runs it fault-free
@@ -59,6 +70,7 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 	// keeps campaign time linear.
 	faultyCfg := dev
 	faultyCfg.MaxIssues = golden.Issues*8 + 10000
+	faulty := gpu.NewDevice(faultyCfg)
 
 	maxWarps := 1
 	for _, k := range job.Kernels {
@@ -67,15 +79,34 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 	return &Session{
 		Job: job, Golden: golden, Device: dev,
 		MaxWarps: min(maxWarps, dev.MaxWarpsPerSM),
-		faulty:   gpu.NewDevice(faultyCfg),
+		faulty:   faulty,
+		prover:   hangProver{dev: faulty, from: golden.Issues},
 	}, nil
 }
 
 // Run executes the job with descriptor d injected followed by the extra
 // hooks, and classifies the run against the golden output.
+//
+// Without extra hooks, a permanent descriptor's run that hangs may end
+// before the watchdog does: once the launch comes back to a state it was
+// in, the run is reported as the watchdog's DUE (TrapWatchdog, with a
+// "hang proved" TrapInfo), and its Issues count only the issues simulated.
+// The outcome is the one the watchdog would have given (DESIGN.md, "Hang
+// proof").
 func (s *Session) Run(d errmodel.Descriptor, extra ...gpu.Hook) (*workloads.RunResult, workloads.Outcome, error) {
 	s.faulty.ClearHooks()
-	s.faulty.AddHook(New(d, nil))
+	inj := New(d, nil)
+	// The proof needs hooks that carry no state from one issue to the
+	// next: the injector of a permanent descriptor and nothing else. A
+	// transient or intermittent one counts occurrences, and an extra hook
+	// is the caller's.
+	prove := len(extra) == 0 && d.Persistence == errmodel.Permanent
+	if prove {
+		s.prover.inj, s.prover.proved = inj, false
+		s.faulty.AddHook(&s.prover)
+	} else {
+		s.faulty.AddHook(inj)
+	}
 	for _, h := range extra {
 		s.faulty.AddHook(h)
 	}
@@ -83,5 +114,50 @@ func (s *Session) Run(d errmodel.Descriptor, extra ...gpu.Hook) (*workloads.RunR
 	if err != nil {
 		return nil, 0, err
 	}
+	telIssues.Add(int64(rr.Issues))
+	if prove && s.prover.proved {
+		telHangsProved.Inc()
+	}
 	return rr, workloads.Classify(s.Golden.Output, rr), nil
+}
+
+// hangProver is an injector with a hang proof behind it: after each of
+// the injector's After calls, the launch's state is all that decides what
+// it does next, and once that state recurs the launch is ended as a
+// watchdog DUE. It is one hook rather than two to spare every issue a
+// second hook dispatch.
+//
+// The proof starts when the launch has issued more than the whole golden
+// run (from), so a run that terminates pays a comparison per issue only
+// for the issues it runs past that. It samples as Brent's cycle detection
+// does: the state is captured again when the issues past from reach a
+// power of two, and every issue in between is held to the last capture.
+// A cycle of period c entered t issues past from is found before
+// 2*max(t, c) + c of them.
+type hangProver struct {
+	inj    *Injector
+	dev    *gpu.Device
+	from   uint64
+	next   uint64 // the launch issue count of the next capture
+	at     uint64 // the launch issue count of the last capture
+	snap   gpu.LaunchState
+	proved bool
+}
+
+// Before implements gpu.Hook.
+func (p *hangProver) Before(ctx *gpu.InstrCtx) { p.inj.Before(ctx) }
+
+// After implements gpu.Hook.
+func (p *hangProver) After(ctx *gpu.InstrCtx) {
+	p.inj.After(ctx)
+	switch n := p.dev.LaunchIssues(); {
+	case n <= p.from:
+		p.next = p.from + 1 // a launch of its own: nothing captured in it yet
+	case n >= p.next:
+		p.dev.Capture(&p.snap, ctx.W, ctx.PC)
+		p.at, p.next = n, n+(n-p.from)
+	case p.dev.Recurs(&p.snap, ctx.W, ctx.PC):
+		p.proved = true
+		ctx.RaiseTrap(gpu.TrapWatchdog, fmt.Sprintf("hang proved: the launch state of issue %d recurs", p.at))
+	}
 }

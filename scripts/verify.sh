@@ -66,6 +66,11 @@ go test ./internal/gatesim -run '^$' -fuzz '^FuzzNetlistEval$' -fuzztime 5s
 echo "==> golden end-to-end (cmd/repro)"
 go test ./cmd/repro -run '^TestReproGoldenDefault$' -count=1
 
+# The hang proof against the watchdog over a whole software campaign:
+# 2640 injections run twice, too long for -race, which skips it.
+echo "==> hang proof oracle (internal/perfi)"
+go test ./internal/perfi -run '^TestHangProofMatchesWatchdog$' -count=1
+
 # Benchmark oracle at smoke scale: expected.json output digests, the
 # stepwise==RunTwoLevelCtx and replay==perfi.RunApp guards, the gate
 # variant equivalences and the cold/warm/cluster artifact byte-identity.
@@ -121,15 +126,8 @@ echo "    ${ALLOCS} allocs/op (budget 1670)"
 [ "$ALLOCS" -le 1670 ] || { echo "allocation gate: ${ALLOCS} allocs/op exceeds budget of 1670" >&2; exit 1; }
 
 # Hand-in check: every step above ran in the foreground, so a daemon,
-# benchmark, test binary or go command alive now is a straggler
-# (of this run or of whatever ran before it) and has to be stopped first.
-# The brackets keep the probing shell's own command line from matching.
+# benchmark, test binary or go command alive now is a straggler.
 echo "==> straggler check"
-stragglers=$(pgrep -fa '[f]aultsimd|bench_build/[b]enchmark|[.]test|go [r]un|go [t]est' || true)
-if [ -n "$stragglers" ]; then
-	echo "processes left running:" >&2
-	echo "$stragglers" >&2
-	exit 1
-fi
+sh scripts/stragglers.sh
 
 echo "verify: OK"
