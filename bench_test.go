@@ -10,7 +10,6 @@
 package gpufaultsim
 
 import (
-	"math/rand"
 	"strconv"
 	"testing"
 
@@ -103,40 +102,6 @@ func BenchmarkMitigationCoverage(b *testing.B) {
 				b.ReportMetric(100*d.CombinedCoverage(), "iat-coverage-%")
 			}
 		}
-	}
-}
-
-// BenchmarkAblationPersistence compares permanent, intermittent and
-// transient injections of the same error model (the paper: permanent
-// faults are less likely to be masked than transient ones).
-func BenchmarkAblationPersistence(b *testing.B) {
-	for _, pers := range []errmodel.Persistence{
-		errmodel.Permanent, errmodel.Intermittent, errmodel.Transient,
-	} {
-		b.Run(pers.String(), func(b *testing.B) {
-			sess, err := perfi.NewSession(workloads.MxM{}, 1, gpu.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(2))
-			masked := 0
-			n := 0
-			for i := 0; i < b.N; i++ {
-				d := errmodel.Random(errmodel.IOC, rng, 8, 1)
-				d.Persistence = pers
-				d.TransientAt = uint64(i % 97)
-				d.DutyCycle = 8
-				_, outcome, err := sess.Run(d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if outcome == workloads.OutcomeMasked {
-					masked++
-				}
-				n++
-			}
-			b.ReportMetric(100*float64(masked)/float64(n), "masked-%")
-		})
 	}
 }
 

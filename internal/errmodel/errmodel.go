@@ -139,33 +139,6 @@ func (m Model) WarpWide() bool {
 	return false
 }
 
-// Persistence selects the temporal behaviour of the injected fault. The
-// paper evaluates permanent faults; the methodology explicitly extends to
-// transient and intermittent models, which the injector supports for
-// comparison studies.
-type Persistence int
-
-const (
-	// Permanent faults corrupt every dynamic instruction mapped to the
-	// broken unit (the paper's subject).
-	Permanent Persistence = iota
-	// Transient faults corrupt exactly one dynamic occurrence (an
-	// SEU-style upset).
-	Transient
-	// Intermittent faults corrupt every DutyCycle-th occurrence (marginal
-	// hardware that fails under specific conditions).
-	Intermittent
-)
-
-var persistenceNames = [...]string{"permanent", "transient", "intermittent"}
-
-func (p Persistence) String() string {
-	if int(p) < len(persistenceNames) {
-		return persistenceNames[p]
-	}
-	return fmt.Sprintf("Persistence(%d)", int(p))
-}
-
 // Descriptor links a permanent hardware defect to the portion of a
 // parallel application it corrupts. Fields mirror the paper's error
 // descriptor: SM, sub-partition, warp set, thread set, plus model-specific
@@ -175,13 +148,6 @@ type Descriptor struct {
 
 	SM  int // target streaming multiprocessor
 	PPB int // target sub-partition within the SM
-
-	// Persistence selects permanent (default), transient or intermittent
-	// behaviour; TransientAt picks the corrupted occurrence for transient
-	// faults, DutyCycle the period for intermittent ones (min 2).
-	Persistence Persistence
-	TransientAt uint64
-	DutyCycle   int
 
 	// Warps holds warp slots (IDs within the SM) bound to the faulty
 	// sub-partition where the error manifests.
@@ -224,19 +190,25 @@ var fpReplacements = []isa.Opcode{
 	isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFMIN, isa.OpFMAX,
 }
 
-// ReplacementFor picks an IOC replacement opcode for an instruction of the
-// given unit class, never returning the original operation.
-func ReplacementFor(rng *rand.Rand, unit isa.UnitClass, orig isa.Opcode) isa.Opcode {
-	cands := intReplacements
-	if unit == isa.UnitFP32 {
-		cands = fpReplacements
+// Replacement is the operation IOC executes in place of orig: ReplOp for
+// an integer instruction and the FP32 candidate at ReplOp's index for a
+// floating point one, never orig itself.
+func (d *Descriptor) Replacement(orig isa.Opcode) isa.Opcode {
+	if orig.Unit() == isa.UnitFP32 {
+		op := fpReplacements[int(d.ReplOp)%len(fpReplacements)]
+		if op == orig {
+			op = fpReplacements[(int(d.ReplOp)+1)%len(fpReplacements)]
+		}
+		return op
 	}
-	for {
-		op := cands[rng.Intn(len(cands))]
-		if op != orig {
-			return op
+	op := d.ReplOp
+	if op == orig {
+		op = isa.OpIXOR
+		if orig == isa.OpIXOR {
+			op = isa.OpIADD
 		}
 	}
+	return op
 }
 
 // Random builds a random descriptor for the model, targeting one

@@ -2,6 +2,7 @@ package errmodel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpufaultsim/internal/isa"
@@ -116,14 +117,24 @@ func TestTargetsWarp(t *testing.T) {
 	}
 }
 
-func TestReplacementForNeverIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		if op := ReplacementFor(rng, isa.UnitINT, isa.OpIADD); op == isa.OpIADD {
-			t.Fatal("ReplacementFor returned the original opcode")
-		}
-		if op := ReplacementFor(rng, isa.UnitFP32, isa.OpFMUL); op == isa.OpFMUL {
-			t.Fatal("ReplacementFor returned the original opcode")
+// TestReplacementNeverIdentity: for every ReplOp that Random draws and
+// every INT or FP32 opcode, IOC replaces the opcode with a different
+// candidate of its own unit.
+func TestReplacementNeverIdentity(t *testing.T) {
+	for _, repl := range intReplacements {
+		d := Descriptor{Model: IOC, ReplOp: repl}
+		for orig := isa.Opcode(0); orig.Valid(); orig++ {
+			cands := intReplacements
+			switch orig.Unit() {
+			case isa.UnitINT:
+			case isa.UnitFP32:
+				cands = fpReplacements
+			default:
+				continue
+			}
+			if op := d.Replacement(orig); op == orig || !slices.Contains(cands, op) {
+				t.Errorf("ReplOp %v: %v is replaced by %v", repl, orig, op)
+			}
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 // TestPooledStateDoesNotLeakBetweenLaunches: warps, shared memory, decoded
 // program and hook list are the device's to reuse, so whatever an injected
 // run leaves in them must not reach the next. One device runs, for every
-// evaluation job, a run that traps mid-way (IVOC), a run that hangs into
+// evaluation job, a run that a hook traps mid-way, a run that hangs into
 // the watchdog with the other warps parked or running (IAC detention), and
 // then a clean run whose issue stream and output must be a fresh device's.
 func TestPooledStateDoesNotLeakBetweenLaunches(t *testing.T) {
@@ -89,9 +89,9 @@ func TestPooledStateDoesNotLeakBetweenLaunches(t *testing.T) {
 		}
 		return observed{rr.Issues, h.Sum64(), rr.Output}
 	}
-	inject := func(dev *gpu.Device, job *workloads.Job, d errmodel.Descriptor) gpu.TrapKind {
+	inject := func(dev *gpu.Device, job *workloads.Job, h gpu.Hook) gpu.TrapKind {
 		dev.ClearHooks()
-		dev.AddHook(perfi.New(d, rand.New(rand.NewSource(1))))
+		dev.AddHook(h)
 		rr, err := job.Run(dev)
 		if err != nil {
 			t.Fatal(err)
@@ -115,24 +115,22 @@ func TestPooledStateDoesNotLeakBetweenLaunches(t *testing.T) {
 		longest = max(longest, fresh[len(fresh)-1].issues)
 	}
 	cfg.MaxIssues = 2*longest + 1000 // the watchdog of the hung runs
-	allWarps := make([]int, cfg.MaxWarpsPerSM)
-	for i := range allWarps {
-		allWarps[i] = i
-	}
 
 	dev := gpu.NewDevice(cfg)
 	for i, job := range jobs {
 		name := apps[i].Name()
 		lastWarp := (job.Kernels[0].Cfg.Block.Count()+isa.WarpSize-1)/isa.WarpSize - 1
-		if trap := inject(dev, job, errmodel.Descriptor{
-			Model: errmodel.IVOC, Warps: allWarps, Threads: ^uint32(0),
-			Persistence: errmodel.Transient, TransientAt: fresh[i].issues / 2,
-		}); trap != gpu.TrapIllegalInstr {
-			t.Fatalf("%s: IVOC at issue %d ended %v, want %v", name, fresh[i].issues/2, trap, gpu.TrapIllegalInstr)
+		issues := uint64(0)
+		if trap := inject(dev, job, gpu.HookFuncs{BeforeFn: func(ctx *gpu.InstrCtx) {
+			if issues++; issues > fresh[i].issues/2 {
+				ctx.RaiseTrap(gpu.TrapIllegalInstr, "trap mid-run")
+			}
+		}}); trap != gpu.TrapIllegalInstr {
+			t.Fatalf("%s: a trap at issue %d ended %v, want %v", name, fresh[i].issues/2, trap, gpu.TrapIllegalInstr)
 		}
-		if trap := inject(dev, job, errmodel.Descriptor{
+		if trap := inject(dev, job, perfi.New(errmodel.Descriptor{
 			Model: errmodel.IAC, ErrOperLoc: 1, Warps: []int{lastWarp}, Threads: ^uint32(0),
-		}); trap != gpu.TrapWatchdog {
+		}, nil)); trap != gpu.TrapWatchdog {
 			t.Fatalf("%s: IAC detention of warp %d ended %v, want %v", name, lastWarp, trap, gpu.TrapWatchdog)
 		}
 		got := observe(dev, job)

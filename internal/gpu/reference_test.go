@@ -3,6 +3,7 @@ package gpu_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpufaultsim/internal/cnn"
@@ -70,8 +71,7 @@ func (m *refMemory) step(t *refThread, raw isa.Word) gpu.TrapKind {
 		return gpu.TrapNone // guard fails: the thread skips the instruction
 	}
 	a, b, c := t.reg(in.Rs1), t.reg(in.Rs2), t.reg(in.Rs3)
-	fa, fb, fc := math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c)
-	fbits := math.Float32bits
+	fa, fb := math.Float32frombits(a), math.Float32frombits(b)
 	addr := int64(int32(a)) + int64(in.SImm())
 	var v uint32 // the value an Op.WritesReg instruction commits to Rd
 
@@ -84,52 +84,8 @@ func (m *refMemory) step(t *refThread, raw isa.Word) gpu.TrapKind {
 			return gpu.TrapBadPC
 		}
 		t.pc = int32(in.Imm)
-	case isa.OpIADD:
-		v = a + b
-	case isa.OpISUB:
-		v = a - b
-	case isa.OpIMUL:
-		v = uint32(int32(a) * int32(b))
-	case isa.OpIMAD:
-		v = uint32(int32(a)*int32(b) + int32(c))
-	case isa.OpIMIN:
-		v = uint32(min(int32(a), int32(b)))
-	case isa.OpIMAX:
-		v = uint32(max(int32(a), int32(b)))
-	case isa.OpIAND:
-		v = a & b
-	case isa.OpIOR:
-		v = a | b
-	case isa.OpIXOR:
-		v = a ^ b
-	case isa.OpSHL:
-		v = a << (in.Imm % 32)
-	case isa.OpSHR:
-		v = a >> (in.Imm % 32)
-	case isa.OpFADD:
-		v = fbits(fa + fb)
-	case isa.OpFSUB:
-		v = fbits(fa - fb)
-	case isa.OpFMUL:
-		v = fbits(fa * fb)
-	case isa.OpFFMA: // one rounding, from the double-precision product and sum
-		v = fbits(float32(float64(fa)*float64(fb) + float64(fc)))
-	case isa.OpFMIN:
-		v = fbits(float32(math.Min(float64(fa), float64(fb))))
-	case isa.OpFMAX:
-		v = fbits(float32(math.Max(float64(fa), float64(fb))))
-	case isa.OpFSIN:
-		v = fbits(float32(math.Sin(float64(fa))))
-	case isa.OpFEXP:
-		v = fbits(float32(math.Exp2(float64(fa))))
-	case isa.OpFRCP:
-		v = fbits(1 / fa)
-	case isa.OpFSQRT:
-		v = fbits(float32(math.Sqrt(float64(fa))))
-	case isa.OpI2F:
-		v = fbits(float32(int32(a)))
-	case isa.OpF2I:
-		v = uint32(int32(fa))
+	case isa.OpSHL, isa.OpSHR: // the shift count is the immediate
+		v = isa.Eval(in.Op, a, uint32(in.Imm), 0)
 	case isa.OpMOV, isa.OpSEL: // SEL's guard picked this thread, so it takes Rs1
 		v = a
 	case isa.OpMOV32I:
@@ -177,6 +133,8 @@ func (m *refMemory) step(t *refThread, raw isa.Word) gpu.TrapKind {
 		if p := in.DestPred(); p != isa.PT {
 			t.preds[p] = r
 		}
+	default: // register arithmetic
+		v = isa.Eval(in.Op, a, b, c)
 	}
 	if in.Op.WritesReg() && in.Rd != isa.RZ {
 		t.regs[in.Rd] = v
@@ -305,6 +263,84 @@ func sameWords(t *testing.T, what string, got, want []uint32) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s: word %d = %#x, reference %#x", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestExecuteMatchesEval holds the warp-wide execution core to isa.Eval,
+// the one-thread statement of what a register-arithmetic opcode computes
+// that IOC's replacement and rtlfi's fault-free results use. Every opcode
+// Eval defines runs on 256 threads: every pair of edge operands (NaN,
+// ±Inf, ±0, denormals, INT32_MIN with -1) and random ones, with shift
+// counts 0, 1, 31 and 32. Every other opcode evaluates to 0.
+func TestExecuteMatchesEval(t *testing.T) {
+	edges := []uint32{
+		0, 0x80000000, 1, 0xFFFFFFFF, 0x7FFFFFFF, // ±0 and INT32_MIN, the least denormal, -1 (a NaN), INT32_MAX
+		0x7FC00000, 0x7F800000, 0xFF800000, 0x807FFFFF, // NaN, +Inf, -Inf, a negative denormal
+		0x3F800000, 0xBF800000, 0x4F000000, 0x7F7FFFFF, // 1, -1, 2^31, the largest float
+	}
+	var a, b, c []uint32
+	for i, x := range edges {
+		for j, y := range edges {
+			a, b, c = append(a, x), append(b, y), append(c, edges[(i+j)%len(edges)])
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for len(a) < 256 {
+		a, b, c = append(a, rng.Uint32()), append(b, rng.Uint32()), append(c, rng.Uint32())
+	}
+	n := len(a)
+	dev := gpu.NewDevice(gpu.DefaultConfig())
+	check := func(op isa.Opcode, count int) {
+		kb := kasm.New("eval")
+		kb.S2R(0, isa.SRTidX).GLD(1, 0, 0).GLD(2, 0, n).GLD(3, 0, 2*n)
+		switch {
+		case op == isa.OpSHL:
+			kb.SHL(4, 1, count)
+		case op == isa.OpSHR:
+			kb.SHR(4, 1, count)
+		case op.SrcRegs() == 1:
+			kb.Op1(op, 4, 1)
+		case op.SrcRegs() == 2:
+			kb.Op2(op, 4, 1, 2)
+		default:
+			kb.Op3(op, 4, 1, 2, 3)
+		}
+		kb.GST(0, 3*n, 4).EXIT()
+		dev.ResetGlobal()
+		dev.WriteGlobal(0, a)
+		dev.WriteGlobal(n, b)
+		dev.WriteGlobal(2*n, c)
+		res, err := dev.Launch(kb.MustBuild(), gpu.LaunchConfig{Grid: gpu.Dim3{X: 1}, Block: gpu.Dim3{X: n}})
+		if err != nil || res.Hung() {
+			t.Fatalf("%v: %v %v", op, err, res)
+		}
+		for i := range n {
+			bi := b[i]
+			if op == isa.OpSHL || op == isa.OpSHR {
+				bi = uint32(count)
+			}
+			if got, want := dev.Global[3*n+i], isa.Eval(op, a[i], bi, c[i]); got != want {
+				t.Errorf("%v(%#x, %#x, %#x): device %#x, Eval %#x", op, a[i], bi, c[i], got, want)
+			}
+		}
+	}
+	defined := []isa.Opcode{
+		isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD, isa.OpIMIN, isa.OpIMAX,
+		isa.OpIAND, isa.OpIOR, isa.OpIXOR, isa.OpSHL, isa.OpSHR,
+		isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFFMA, isa.OpFMIN, isa.OpFMAX,
+		isa.OpFSIN, isa.OpFEXP, isa.OpFRCP, isa.OpFSQRT, isa.OpI2F, isa.OpF2I,
+	}
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		switch {
+		case op == isa.OpSHL || op == isa.OpSHR:
+			for _, count := range []int{0, 1, 31, 32} {
+				check(op, count)
+			}
+		case slices.Contains(defined, op):
+			check(op, 0)
+		case isa.Eval(op, 1, 2, 3) != 0:
+			t.Errorf("Eval(%v) = %#x, want 0 for an opcode it does not define", op, isa.Eval(op, 1, 2, 3))
 		}
 	}
 }

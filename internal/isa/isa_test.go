@@ -186,9 +186,6 @@ func TestImmediateAndMemoryClassification(t *testing.T) {
 	if !OpMOV32I.HasImmediate() || OpIADD.HasImmediate() {
 		t.Error("HasImmediate misclassifies")
 	}
-	if !OpBRA.IsControlFlow() || OpMOV.IsControlFlow() {
-		t.Error("IsControlFlow misclassifies")
-	}
 }
 
 func TestDecodeArbitraryWordsNeverPanics(t *testing.T) {

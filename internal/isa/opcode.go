@@ -164,16 +164,6 @@ func (op Opcode) IsMemory() bool {
 // IsSharedMem reports whether the opcode accesses shared memory.
 func (op Opcode) IsSharedMem() bool { return op == OpLDS || op == OpSTS }
 
-// IsControlFlow reports whether the opcode affects control flow or
-// predicates.
-func (op Opcode) IsControlFlow() bool {
-	switch op {
-	case OpBRA, OpISETP, OpFSETP, OpPSETP, OpEXIT, OpBAR:
-		return true
-	}
-	return false
-}
-
 // WritesReg reports whether the opcode writes a destination register.
 func (op Opcode) WritesReg() bool {
 	switch op {

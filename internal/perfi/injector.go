@@ -7,7 +7,6 @@
 package perfi
 
 import (
-	"math"
 	"math/rand"
 
 	"gpufaultsim/internal/errmodel"
@@ -31,29 +30,6 @@ type Injector struct {
 
 	// Activations counts dynamic instructions the injector corrupted.
 	Activations uint64
-	// occurrences counts dynamic instructions the broken unit touched
-	// (whether or not the persistence gate let the corruption through).
-	occurrences uint64
-}
-
-// fire consults the persistence gate for the next dynamic occurrence: a
-// permanent fault corrupts every occurrence, a transient fault exactly one,
-// an intermittent fault every DutyCycle-th.
-func (inj *Injector) fire() bool {
-	o := inj.occurrences
-	inj.occurrences++
-	switch inj.D.Persistence {
-	case errmodel.Transient:
-		return o == inj.D.TransientAt
-	case errmodel.Intermittent:
-		k := inj.D.DutyCycle
-		if k < 2 {
-			k = 2
-		}
-		return o%uint64(k) == 0
-	default:
-		return true
-	}
 }
 
 // New builds an injector for the descriptor. The second parameter is
@@ -71,65 +47,6 @@ func (inj *Injector) lanes(ctx *gpu.InstrCtx, mask uint32) uint32 {
 		return 0
 	}
 	return mask & inj.D.Threads
-}
-
-// evalBinop applies a two-source replacement operation (IOC).
-func evalBinop(op isa.Opcode, a, b uint32) uint32 {
-	f := math.Float32frombits
-	fb := math.Float32bits
-	switch op {
-	case isa.OpIADD:
-		return uint32(int32(a) + int32(b))
-	case isa.OpISUB:
-		return uint32(int32(a) - int32(b))
-	case isa.OpIMUL:
-		return uint32(int32(a) * int32(b))
-	case isa.OpIAND:
-		return a & b
-	case isa.OpIOR:
-		return a | b
-	case isa.OpIXOR:
-		return a ^ b
-	case isa.OpIMIN:
-		return uint32(min(int32(a), int32(b)))
-	case isa.OpIMAX:
-		return uint32(max(int32(a), int32(b)))
-	case isa.OpFADD:
-		return fb(f(a) + f(b))
-	case isa.OpFSUB:
-		return fb(f(a) - f(b))
-	case isa.OpFMUL:
-		return fb(f(a) * f(b))
-	case isa.OpFMIN:
-		return fb(float32(math.Min(float64(f(a)), float64(f(b)))))
-	case isa.OpFMAX:
-		return fb(float32(math.Max(float64(f(a)), float64(f(b)))))
-	}
-	return a
-}
-
-var fpReplacements = []isa.Opcode{
-	isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFMIN, isa.OpFMAX,
-}
-
-// replacementOp resolves the IOC substitute for the instruction's unit
-// class from the descriptor's sampled opcode.
-func (inj *Injector) replacementOp(in isa.Instruction) isa.Opcode {
-	if in.Op.Unit() == isa.UnitFP32 {
-		op := fpReplacements[int(inj.D.ReplOp)%len(fpReplacements)]
-		if op == in.Op {
-			op = fpReplacements[(int(inj.D.ReplOp)+1)%len(fpReplacements)]
-		}
-		return op
-	}
-	op := inj.D.ReplOp
-	if op == in.Op {
-		op = isa.OpIXOR
-		if in.Op == isa.OpIXOR {
-			op = isa.OpIADD
-		}
-	}
-	return op
 }
 
 // iocEligible reports whether IOC instruments the instruction: everything
@@ -183,7 +100,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		// "incorrect detention, assignation, or unauthorized submission
 		// of a CTA" makes DUEs more likely than for other parallel-
 		// management errors). Index-corruption mode is handled in After.
-		if d.ErrOperLoc == 1 && inj.fire() {
+		if d.ErrOperLoc == 1 {
 			// The block never progresses: model the detention as an
 			// unconditional self-branch, which the application observes
 			// as a kernel hang (watchdog DUE).
@@ -196,14 +113,11 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		// The corrupted fetch/decode presents an undefined opcode; any
 		// instruction the faulty unit touches is affected, so the first
 		// targeted issue traps.
-		if !inj.fire() {
-			return
-		}
 		ctx.Instr.Op = isa.Opcode(0xFF)
 		inj.Activations++
 
 	case errmodel.IOC:
-		if !iocEligible(in) || !inj.fire() {
+		if !iocEligible(in) {
 			return
 		}
 		gpu.ForLanes(lanes, func(lane int) {
@@ -224,7 +138,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		if d.ErrOperLoc == 1 {
 			reg = in.Rs1 // address register
 		}
-		if reg == isa.RZ || !inj.fire() {
+		if reg == isa.RZ {
 			return
 		}
 		gpu.ForLanes(lanes, func(lane int) {
@@ -241,7 +155,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		}
 		if d.ErrOperLoc == 0 {
 			// Disable lane: capture Rd to discard the result afterwards.
-			if in.Rd == isa.RZ || !inj.fire() {
+			if in.Rd == isa.RZ {
 				return
 			}
 			gpu.ForLanes(lanes, func(lane int) {
@@ -251,7 +165,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 			inj.armed = true
 		} else {
 			// Force-enable: make the guard predicate pass for target lanes.
-			if in.Unconditional() || !inj.fire() {
+			if in.Unconditional() {
 				return
 			}
 			p, neg := in.PredIndex(), in.PredNegated()
@@ -287,10 +201,11 @@ func (inj *Injector) beforeRegAddr(ctx *gpu.InstrCtx, lanes uint32) {
 	if d.ErrOperLoc == 0 {
 		// Destination mode: stash Rd so After can route the result to the
 		// wrong register and restore Rd (paper Fig. "destination operand").
-		if !in.Op.WritesReg() || in.Rd == isa.RZ || !inj.fire() {
+		if !in.Op.WritesReg() || in.Rd == isa.RZ {
 			return
 		}
 		if d.Model == errmodel.IVRA {
+			inj.Activations++ // before the trap, which does not return
 			ctx.RaiseTrap(gpu.TrapInvalidReg,
 				"IVRA: destination register address out of bounds")
 		}
@@ -304,10 +219,11 @@ func (inj *Injector) beforeRegAddr(ctx *gpu.InstrCtx, lanes uint32) {
 	// Source mode: substitute the operand's value with the wrongly
 	// addressed register's content for the instruction's execution.
 	reg, ok := srcOperand(in, d.ErrOperLoc)
-	if !ok || reg == isa.RZ || !inj.fire() {
+	if !ok || reg == isa.RZ {
 		return
 	}
 	wrong := uint32(reg) ^ d.BitErrMask
+	inj.Activations++ // before the trap, which does not return
 	if wrong >= isa.RegsPerThread {
 		ctx.RaiseTrap(gpu.TrapInvalidReg,
 			"IVRA: source register address out of bounds")
@@ -318,7 +234,6 @@ func (inj *Injector) beforeRegAddr(ctx *gpu.InstrCtx, lanes uint32) {
 	})
 	inj.active = lanes
 	inj.armed = true
-	inj.Activations++
 }
 
 // After implements gpu.Hook.
@@ -332,10 +247,10 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 		inj.armed = false
 		switch d.Model {
 		case errmodel.IOC:
-			repl := inj.replacementOp(in)
+			repl := d.Replacement(in.Op)
 			exec := inj.active & ctx.ExecMask
 			gpu.ForLanes(exec, func(lane int) {
-				w.SetReg(lane, in.Rd, evalBinop(repl, inj.saved[lane], inj.saved2[lane]))
+				w.SetReg(lane, in.Rd, isa.Eval(repl, inj.saved[lane], inj.saved2[lane], 0))
 			})
 			if exec != 0 {
 				inj.Activations++
@@ -401,14 +316,14 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 
 	switch d.Model {
 	case errmodel.IIO:
-		if in.Op.HasImmediate() && in.Op.WritesReg() && in.Rd != isa.RZ && inj.fire() {
+		if in.Op.HasImmediate() && in.Op.WritesReg() && in.Rd != isa.RZ {
 			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
 			inj.Activations++
 		}
 	case errmodel.IMS:
-		if (in.Op == isa.OpLDS || in.Op == isa.OpLDC) && in.Rd != isa.RZ && inj.fire() {
+		if (in.Op == isa.OpLDS || in.Op == isa.OpLDC) && in.Rd != isa.RZ {
 			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
@@ -416,7 +331,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 		}
 	case errmodel.WV:
 		if (in.Op == isa.OpISETP || in.Op == isa.OpFSETP || in.Op == isa.OpPSETP) &&
-			in.DestPred() == int(d.BitErrMask)%isa.NumPredicates && inj.fire() {
+			in.DestPred() == int(d.BitErrMask)%isa.NumPredicates {
 			p := in.DestPred()
 			gpu.ForLanes(lanes, func(lane int) {
 				w.SetPred(lane, p, !w.Pred(lane, p))
@@ -424,7 +339,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 			inj.Activations++
 		}
 	case errmodel.IAT, errmodel.IAW:
-		if in.Op == isa.OpS2R && in.Imm <= isa.SRTidZ && in.Rd != isa.RZ && inj.fire() {
+		if in.Op == isa.OpS2R && in.Imm <= isa.SRTidZ && in.Rd != isa.RZ {
 			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})
@@ -432,7 +347,7 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 		}
 	case errmodel.IAC:
 		if in.Op == isa.OpS2R && in.Imm >= isa.SRCtaidX && in.Imm <= isa.SRCtaidZ &&
-			in.Rd != isa.RZ && inj.fire() {
+			in.Rd != isa.RZ {
 			gpu.ForLanes(lanes, func(lane int) {
 				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
 			})

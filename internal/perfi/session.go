@@ -87,20 +87,17 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 // Run executes the job with descriptor d injected followed by the extra
 // hooks, and classifies the run against the golden output.
 //
-// Without extra hooks, a permanent descriptor's run that hangs may end
-// before the watchdog does: once the launch comes back to a state it was
-// in, the run is reported as the watchdog's DUE (TrapWatchdog, with a
-// "hang proved" TrapInfo), and its Issues count only the issues simulated.
-// The outcome is the one the watchdog would have given (DESIGN.md, "Hang
-// proof").
+// Without extra hooks, a run that hangs may end before the watchdog does:
+// once the launch comes back to a state it was in, the run is reported as
+// the watchdog's DUE (TrapWatchdog, with a "hang proved" TrapInfo), and its
+// Issues count only the issues simulated. The outcome is the one the
+// watchdog would have given (DESIGN.md, "Hang proof").
 func (s *Session) Run(d errmodel.Descriptor, extra ...gpu.Hook) (*workloads.RunResult, workloads.Outcome, error) {
 	s.faulty.ClearHooks()
 	inj := New(d, nil)
 	// The proof needs hooks that carry no state from one issue to the
-	// next: the injector of a permanent descriptor and nothing else. A
-	// transient or intermittent one counts occurrences, and an extra hook
-	// is the caller's.
-	prove := len(extra) == 0 && d.Persistence == errmodel.Permanent
+	// next: the injector and nothing else. An extra hook is the caller's.
+	prove := len(extra) == 0
 	if prove {
 		s.prover.inj, s.prover.proved = inj, false
 		s.faulty.AddHook(&s.prover)

@@ -90,11 +90,10 @@ func TestHangProofMatchesWatchdog(t *testing.T) {
 	}
 }
 
-// detention is an IAC descriptor that detains warp 0 on every issue: a
-// permanent one hangs any job.
-func detention(p errmodel.Persistence) errmodel.Descriptor {
-	return errmodel.Descriptor{Model: errmodel.IAC, Warps: []int{0}, Threads: 0xFFFFFFFF,
-		ErrOperLoc: 1, Persistence: p, DutyCycle: 2}
+// detention is an IAC descriptor that detains warp 0 on every issue: it
+// hangs any job.
+func detention() errmodel.Descriptor {
+	return errmodel.Descriptor{Model: errmodel.IAC, Warps: []int{0}, Threads: 0xFFFFFFFF, ErrOperLoc: 1}
 }
 
 func vectorAddSession(t *testing.T) *Session {
@@ -107,40 +106,25 @@ func vectorAddSession(t *testing.T) *Session {
 }
 
 // TestHangProofScope: the proof runs only where no hook carries state
-// across issues. A permanent descriptor alone is proved; with an extra
-// hook the same run goes to the watchdog, and under a transient or
-// intermittent descriptor the prover is not installed even for a run
-// that goes past the golden issue count.
+// across issues. A descriptor alone is proved; with an extra hook the same
+// run goes to the watchdog.
 func TestHangProofScope(t *testing.T) {
 	sess := vectorAddSession(t)
 	budget := sess.faulty.Cfg.MaxIssues
 
-	rr, outcome, err := sess.Run(detention(errmodel.Permanent))
+	rr, outcome, err := sess.Run(detention())
 	if err != nil || outcome != workloads.OutcomeDUE || !provedHang(rr) || rr.Issues >= budget {
-		t.Fatalf("permanent detention: %v %v %+v, want a proved hang under %d issues", err, outcome, rr, budget)
+		t.Fatalf("detention: %v %v %+v, want a proved hang under %d issues", err, outcome, rr, budget)
 	}
 
 	sess.prover = hangProver{dev: sess.faulty, from: sess.prover.from}
-	rr, outcome, err = sess.Run(detention(errmodel.Permanent), gpu.HookFuncs{})
+	rr, outcome, err = sess.Run(detention(), gpu.HookFuncs{})
 	if err != nil || outcome != workloads.OutcomeDUE || provedHang(rr) ||
 		rr.Trap != gpu.TrapWatchdog || rr.Issues != budget+1 {
-		t.Errorf("permanent detention with an extra hook: %v %v %+v, want the watchdog at issue %d", err, outcome, rr, budget+1)
+		t.Errorf("detention with an extra hook: %v %v %+v, want the watchdog at issue %d", err, outcome, rr, budget+1)
 	}
 	if sess.prover.next != 0 {
 		t.Error("the prover ran beside an extra hook")
-	}
-
-	for _, p := range []errmodel.Persistence{errmodel.Transient, errmodel.Intermittent} {
-		rr, _, err := sess.Run(detention(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == errmodel.Intermittent && rr.Issues <= sess.Golden.Issues {
-			t.Fatalf("intermittent detention ran %d issues, golden %d: it no longer reaches the check", rr.Issues, sess.Golden.Issues)
-		}
-		if sess.prover.next != 0 {
-			t.Errorf("the prover ran under a %v descriptor", p)
-		}
 	}
 }
 
@@ -149,7 +133,7 @@ func TestHangProofScope(t *testing.T) {
 // left to the watchdog, and less than one warp's register file.
 func TestHangProofSteadyStateAllocs(t *testing.T) {
 	sess := vectorAddSession(t)
-	d := detention(errmodel.Permanent)
+	d := detention()
 	if rr, _, _ := sess.Run(d); !provedHang(rr) {
 		t.Fatalf("warm-up: %+v, want a proved hang", rr)
 	}

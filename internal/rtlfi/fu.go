@@ -6,36 +6,6 @@ import (
 	"gpufaultsim/internal/isa"
 )
 
-// Golden computes the fault-free result of an arithmetic instruction with
-// the exact semantics of the GPU simulator's execution core.
-func Golden(op isa.Opcode, a, b, c uint32) uint32 {
-	f := math.Float32frombits
-	fb := math.Float32bits
-	switch op {
-	case isa.OpIADD:
-		return uint32(int32(a) + int32(b))
-	case isa.OpISUB:
-		return uint32(int32(a) - int32(b))
-	case isa.OpIMUL:
-		return uint32(int32(a) * int32(b))
-	case isa.OpIMAD:
-		return uint32(int32(a)*int32(b) + int32(c))
-	case isa.OpFADD:
-		return fb(f(a) + f(b))
-	case isa.OpFSUB:
-		return fb(f(a) - f(b))
-	case isa.OpFMUL:
-		return fb(f(a) * f(b))
-	case isa.OpFFMA:
-		return fb(float32(float64(f(a))*float64(f(b)) + float64(f(c))))
-	case isa.OpFSIN:
-		return fb(float32(math.Sin(float64(f(a)))))
-	case isa.OpFEXP:
-		return fb(float32(math.Exp2(float64(f(a)))))
-	}
-	return 0
-}
-
 // forceBit applies a stuck-at to bit i of w, reporting whether the value
 // changed (i.e. the fault was activated by this datum).
 func forceBit(w uint32, bit int, stuck bool) (uint32, bool) {
@@ -127,41 +97,41 @@ func ComputeFaulty(op isa.Opcode, a, b, c uint32, s Site) (uint32, bool) {
 	switch s.Stage {
 	case StOpA:
 		fa, act := forceBit(a, s.Bit, s.Stuck)
-		return Golden(op, fa, b, c), act
+		return isa.Eval(op, fa, b, c), act
 	case StOpB:
 		fb_, act := forceBit(b, s.Bit, s.Stuck)
-		return Golden(op, a, fb_, c), act
+		return isa.Eval(op, a, fb_, c), act
 	case StOpC:
 		fc, act := forceBit(c, s.Bit, s.Stuck)
-		return Golden(op, a, b, fc), act
+		return isa.Eval(op, a, b, fc), act
 	case StResult:
-		r := Golden(op, a, b, c)
+		r := isa.Eval(op, a, b, c)
 		fr, act := forceBit(r, s.Bit, s.Stuck)
 		return fr, act
 	case StCarry:
 		x, y, ok := addOperands(op, a, b, c)
 		if !ok {
-			return Golden(op, a, b, c), false
+			return isa.Eval(op, a, b, c), false
 		}
 		sum, act := rippleAdd(x, y, s.Bit, s.Stuck)
 		return sum, act
 	case StGuard:
 		// Guard/round/sticky corruption perturbs the rounding decision:
 		// one ulp of error, but only when the operation was inexact.
-		r := Golden(op, a, b, c)
+		r := isa.Eval(op, a, b, c)
 		if !inexact(op, a, b, c) {
 			return r, false
 		}
 		return r ^ 1, true
 	case StDenorm:
-		r := Golden(op, a, b, c)
+		r := isa.Eval(op, a, b, c)
 		if !isSubnormal(a) && !isSubnormal(b) && !isSubnormal(c) && !isSubnormal(r) {
 			return r, false
 		}
 		fr, act := forceBit(r, s.Bit%23, s.Stuck)
 		return fr, act
 	case StSpecial:
-		r := Golden(op, a, b, c)
+		r := isa.Eval(op, a, b, c)
 		if !isSpecial(a) && !isSpecial(b) && !isSpecial(c) && !isSpecial(r) {
 			return r, false
 		}
@@ -176,21 +146,21 @@ func ComputeFaulty(op isa.Opcode, a, b, c uint32, s Site) (uint32, bool) {
 		case isa.OpFADD, isa.OpFSUB:
 			return softFADD(op, a, b, s)
 		}
-		return Golden(op, a, b, c), false
+		return isa.Eval(op, a, b, c), false
 
 	case StAlign, StFpSum:
 		switch op {
 		case isa.OpFADD, isa.OpFSUB:
 			return softFADD(op, a, b, s)
 		}
-		return Golden(op, a, b, c), false
+		return isa.Eval(op, a, b, c), false
 
 	case StSFUCtl:
 		// Shared-SFU sequencing corruption: the iteration control breaks
 		// and the unit emits an intermediate value. Stuck-at-1 bypasses the
 		// pipeline (emits the operand), stuck-at-0 truncates the iteration
 		// (bit cleared in the result's mantissa).
-		r := Golden(op, a, b, c)
+		r := isa.Eval(op, a, b, c)
 		if s.Stuck {
 			if r == a {
 				return r, false
@@ -200,5 +170,5 @@ func ComputeFaulty(op isa.Opcode, a, b, c uint32, s Site) (uint32, bool) {
 		fr, act := forceBit(r, s.Bit%23, false)
 		return fr, act
 	}
-	return Golden(op, a, b, c), false
+	return isa.Eval(op, a, b, c), false
 }

@@ -31,9 +31,9 @@ func TestInactiveFaultsReturnGolden(t *testing.T) {
 		sites := SitesFor(m, op)
 		site := sites[rng.Intn(len(sites))]
 		out, act := ComputeFaulty(op, a, b, c, site)
-		if !act && out != Golden(op, a, b, c) {
+		if !act && out != isa.Eval(op, a, b, c) {
 			t.Fatalf("%v %v: inactive fault changed result: %#x vs %#x",
-				op, site, out, Golden(op, a, b, c))
+				op, site, out, isa.Eval(op, a, b, c))
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestResultStageForcesExactBit(t *testing.T) {
 		stuck := rng.Intn(2) == 1
 		out, _ := ComputeFaulty(isa.OpIADD, a, b, 0,
 			Site{Stage: StResult, Bit: bit, Stuck: stuck})
-		golden := Golden(isa.OpIADD, a, b, 0)
+		golden := isa.Eval(isa.OpIADD, a, b, 0)
 		if stuck && out != golden|1<<bit {
 			t.Fatalf("sa1 result bit %d: %#x from %#x", bit, out, golden)
 		}
@@ -67,7 +67,7 @@ func TestCarryFaultLowBitsUntouched(t *testing.T) {
 		i := rng.Intn(32)
 		out, _ := ComputeFaulty(isa.OpIADD, a, b, 0,
 			Site{Stage: StCarry, Bit: i, Stuck: rng.Intn(2) == 1})
-		golden := Golden(isa.OpIADD, a, b, 0)
+		golden := isa.Eval(isa.OpIADD, a, b, 0)
 		mask := uint32(1)<<i - 1
 		if out&mask != golden&mask {
 			t.Fatalf("carry fault at %d corrupted low bits: %#x vs %#x", i, out, golden)
@@ -118,7 +118,7 @@ func TestSoftMultiplierMatchesNative(t *testing.T) {
 		if !okA || !okB {
 			continue
 		}
-		native := Golden(isa.OpFMUL, a, b, 0)
+		native := isa.Eval(isa.OpFMUL, a, b, 0)
 		if isSpecialOrSub(native) {
 			continue
 		}
@@ -134,7 +134,7 @@ func TestSoftMultiplierMatchesNative(t *testing.T) {
 func TestPartialProductFaultMagnitude(t *testing.T) {
 	a := math.Float32bits(1.5)
 	b := math.Float32bits(2.25)
-	golden := Golden(isa.OpFMUL, a, b, 0)
+	golden := isa.Eval(isa.OpFMUL, a, b, 0)
 	lowSeen, highSeen := false, false
 	for bit := 0; bit < 576; bit++ {
 		for _, stuck := range []bool{false, true} {
@@ -169,7 +169,7 @@ func TestFFMASoftPathConsistency(t *testing.T) {
 	a := math.Float32bits(1.25)
 	b := math.Float32bits(3.5)
 	c := math.Float32bits(-2.0)
-	golden := Golden(isa.OpFFMA, a, b, c)
+	golden := isa.Eval(isa.OpFFMA, a, b, c)
 	active := 0
 	for bit := 0; bit < 576; bit++ {
 		out, act := ComputeFaulty(isa.OpFFMA, a, b, c,
@@ -204,7 +204,7 @@ func TestSoftAdderMatchesNative(t *testing.T) {
 			b |= 1 << 31
 		}
 		for _, op := range []isa.Opcode{isa.OpFADD, isa.OpFSUB} {
-			golden := Golden(op, a, b, 0)
+			golden := isa.Eval(op, a, b, 0)
 			if isSpecialOrSub(golden) {
 				continue
 			}

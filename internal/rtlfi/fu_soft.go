@@ -81,7 +81,7 @@ func softFMULSites(m Module) []Site {
 func softFMUL(a, b uint32, site Site) (uint32, bool) {
 	pa, okA := decomposeNormal(a)
 	pb, okB := decomposeNormal(b)
-	golden := Golden(isa.OpFMUL, a, b, 0)
+	golden := isa.Eval(isa.OpFMUL, a, b, 0)
 	if !okA || !okB || isSpecialOrSub(golden) {
 		// Special/denormal operands or results: only the dedicated paths
 		// are exercised.
@@ -96,10 +96,10 @@ func softFMUL(a, b uint32, site Site) (uint32, bool) {
 			}
 		case StOpA:
 			fa, act := forceBit(a, site.Bit, site.Stuck)
-			return Golden(isa.OpFMUL, fa, b, 0), act
+			return isa.Eval(isa.OpFMUL, fa, b, 0), act
 		case StOpB:
 			fb, act := forceBit(b, site.Bit, site.Stuck)
-			return Golden(isa.OpFMUL, a, fb, 0), act
+			return isa.Eval(isa.OpFMUL, a, fb, 0), act
 		case StResult:
 			return forceBitActive(golden, site.Bit, site.Stuck)
 		}
@@ -113,10 +113,10 @@ func softFMUL(a, b uint32, site Site) (uint32, bool) {
 	switch site.Stage {
 	case StOpA:
 		fa, act := forceBit(a, site.Bit, site.Stuck)
-		return Golden(isa.OpFMUL, fa, b, 0), act
+		return isa.Eval(isa.OpFMUL, fa, b, 0), act
 	case StOpB:
 		fb, act := forceBit(b, site.Bit, site.Stuck)
-		return Golden(isa.OpFMUL, a, fb, 0), act
+		return isa.Eval(isa.OpFMUL, a, fb, 0), act
 
 	case StMantPP:
 		// Partial product pp(i,j) = mantA[i] & mantB[j], weight 2^(i+j).
@@ -184,7 +184,7 @@ func isSpecialOrSub(bits uint32) bool {
 func softFFMA(a, b, c uint32, site Site) (uint32, bool) {
 	pa, okA := decomposeNormal(a)
 	pb, okB := decomposeNormal(b)
-	golden := Golden(isa.OpFFMA, a, b, c)
+	golden := isa.Eval(isa.OpFFMA, a, b, c)
 	if !okA || !okB {
 		return golden, false
 	}
@@ -281,7 +281,7 @@ func fpAddParts(pa, pb fpParts) (big, aligned uint64, e int, signBig, signSmall 
 // datapath. The fault-free path is bit-identical to the native operation
 // for normal operands and results.
 func softFADD(op isa.Opcode, a, b uint32, site Site) (uint32, bool) {
-	golden := Golden(op, a, b, 0)
+	golden := isa.Eval(op, a, b, 0)
 	bb := b
 	if op == isa.OpFSUB {
 		bb = b ^ 0x80000000 // subtraction = addition of the negation
@@ -300,10 +300,10 @@ func softFADD(op isa.Opcode, a, b uint32, site Site) (uint32, bool) {
 			}
 		case StOpA:
 			fa, act := forceBit(a, site.Bit, site.Stuck)
-			return Golden(op, fa, b, 0), act
+			return isa.Eval(op, fa, b, 0), act
 		case StOpB:
 			fb, act := forceBit(b, site.Bit, site.Stuck)
-			return Golden(op, a, fb, 0), act
+			return isa.Eval(op, a, fb, 0), act
 		case StResult:
 			return forceBitActive(golden, site.Bit, site.Stuck)
 		}
@@ -326,10 +326,10 @@ func softFADD(op isa.Opcode, a, b uint32, site Site) (uint32, bool) {
 	switch site.Stage {
 	case StOpA:
 		fa, act := forceBit(a, site.Bit, site.Stuck)
-		return Golden(op, fa, b, 0), act
+		return isa.Eval(op, fa, b, 0), act
 	case StOpB:
 		fb, act := forceBit(b, site.Bit, site.Stuck)
-		return Golden(op, a, fb, 0), act
+		return isa.Eval(op, a, fb, 0), act
 	case StExpSum:
 		// Exponent-difference corruption: the small operand aligns with a
 		// wrong shift — recompute with the forced difference.

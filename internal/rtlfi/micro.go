@@ -114,11 +114,15 @@ func classify(golden, faulty *[nThreads]uint32, due bool) MicroResult {
 	return res
 }
 
-// isArith reports whether the micro-benchmark computes through an
-// arithmetic unit (vs memory/control-flow).
+// isArith reports whether the micro-benchmark's functional units compute
+// op: the integer and FP32 add and multiply datapaths and the SFU
+// functions, which ComputeFaulty's stages model. Memory and control-flow
+// instructions leave them idle, and a corrupted opcode outside them
+// produces no result.
 func isArith(op isa.Opcode) bool {
-	switch op.Unit() {
-	case isa.UnitFP32, isa.UnitINT, isa.UnitSFU:
+	switch op {
+	case isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD,
+		isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFFMA, isa.OpFSIN, isa.OpFEXP:
 		return true
 	}
 	return false
@@ -174,7 +178,7 @@ func goldenOutput(op isa.Opcode, a, b, c uint32, t int) uint32 {
 		}
 		return 0
 	default:
-		return Golden(op, a, b, c)
+		return isa.Eval(op, a, b, c)
 	}
 }
 
@@ -269,7 +273,7 @@ func runPipeFault(op isa.Opcode, site Site, a, b, c, golden, faulty *[nThreads]u
 					faulty[t] = 0
 				}
 			default:
-				faulty[t] = Golden(op, av, bv, c[t])
+				faulty[t] = isa.Eval(op, av, bv, c[t])
 			}
 		}
 		return classify(golden, faulty, false)
@@ -287,7 +291,7 @@ func runPipeFault(op isa.Opcode, site Site, a, b, c, golden, faulty *[nThreads]u
 		}
 		for t := 0; t < nThreads; t++ {
 			if isArith(op) && isArith(nop) {
-				faulty[t] = Golden(nop, a[t], b[t], c[t])
+				faulty[t] = isa.Eval(nop, a[t], b[t], c[t])
 			} else {
 				faulty[t] = 0 // the intended result is never produced
 			}

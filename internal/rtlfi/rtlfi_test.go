@@ -16,14 +16,14 @@ func TestGoldenMatchesSimulatorSemantics(t *testing.T) {
 		fa := math.Float32frombits(a&0x7FFFFF | 0x3F800000) // tame FP values
 		fb := math.Float32frombits(b&0x7FFFFF | 0x40000000)
 		ab, bb := math.Float32bits(fa), math.Float32bits(fb)
-		if got, want := Golden(isa.OpIADD, a, b, 0), uint32(int32(a)+int32(b)); got != want {
+		if got, want := isa.Eval(isa.OpIADD, a, b, 0), uint32(int32(a)+int32(b)); got != want {
 			t.Fatalf("IADD mismatch")
 		}
-		if got, want := Golden(isa.OpFMUL, ab, bb, 0), math.Float32bits(fa*fb); got != want {
+		if got, want := isa.Eval(isa.OpFMUL, ab, bb, 0), math.Float32bits(fa*fb); got != want {
 			t.Fatalf("FMUL mismatch")
 		}
 		want := math.Float32bits(float32(float64(fa)*float64(fb) + float64(math.Float32frombits(c))))
-		if got := Golden(isa.OpFFMA, ab, bb, c); got != want {
+		if got := isa.Eval(isa.OpFFMA, ab, bb, c); got != want {
 			t.Fatalf("FFMA mismatch")
 		}
 	}
@@ -80,7 +80,7 @@ func TestGuardFaultOnlyWhenInexact(t *testing.T) {
 	if !act {
 		t.Error("guard fault inactive on inexact addition")
 	}
-	if out == Golden(isa.OpFADD, one, tiny, 0) {
+	if out == isa.Eval(isa.OpFADD, one, tiny, 0) {
 		t.Error("active guard fault did not perturb result")
 	}
 }
