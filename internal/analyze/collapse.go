@@ -60,16 +60,10 @@ func idFault(id int) netlist.Fault {
 	return netlist.Fault{Node: netlist.Node(id / 2), Stuck: id%2 == 1}
 }
 
-// Collapse builds the collapsed fault map of a netlist, running the
-// testability analysis internally. Use CollapseWith to reuse an existing
-// Testability.
+// Collapse builds the collapsed fault map of a netlist from its
+// structure and its reachable-value sets (Analyze).
 func Collapse(nl *netlist.Netlist) *CollapseMap {
-	return CollapseWith(nl, Analyze(nl))
-}
-
-// CollapseWith builds the collapsed fault map using precomputed
-// testability metrics.
-func CollapseWith(nl *netlist.Netlist, t *Testability) *CollapseMap {
+	t := Analyze(nl)
 	n := len(nl.Cells)
 	fanout := fanoutCounts(nl)
 
@@ -122,10 +116,11 @@ func CollapseWith(nl *netlist.Netlist, t *Testability) *CollapseMap {
 		val, ok := t.ConstantValue(b)
 		return ok && val == v
 	}
-	// safeForce reports whether forcing net a to value v keeps every net
-	// inside its reachable-value set — the condition under which
-	// constant-side strengthening rules remain sound (see the package
-	// comment on reconvergence through DFFs).
+	// safeForce reports whether forcing net a to value v keeps it inside
+	// its reachable-value set — the condition under which the
+	// constant-side rules remain sound: a side is proven constant only
+	// over reachable values, and an unreachable value on a could reach it
+	// through reconvergence or DFF feedback.
 	safeForce := func(a netlist.Node, v bool) bool { return t.Controllable(a, v) }
 
 	for y := 0; y < n; y++ {

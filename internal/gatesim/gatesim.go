@@ -15,11 +15,8 @@ package gatesim
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"gpufaultsim/internal/netlist"
-	"gpufaultsim/internal/stats"
 	"gpufaultsim/internal/telemetry"
 	"gpufaultsim/internal/units"
 )
@@ -181,8 +178,7 @@ func CampaignCfg(u *units.Unit, patterns []units.Pattern, sink EventSink, cfg Co
 	return CampaignFaultsCfg(u, patterns, netlist.FaultList(u.NL), sink, cfg)
 }
 
-// CampaignFaultsCfg runs a campaign over an explicit stuck-at fault list,
-// e.g. a statistical sample of it (SampleFaults).
+// CampaignFaultsCfg runs a campaign over an explicit stuck-at fault list.
 func CampaignFaultsCfg(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, sink EventSink, cfg Config) *Summary {
 	return campaignRun(u, patterns, faults, faults, nil, sink, cfg)
 }
@@ -519,29 +515,4 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 	telEventActive.Add(cc.ev.active)
 	telEventTouched.Add(cc.ev.touched)
 	return s
-}
-
-// SampleFaults draws a deterministic statistical sample of a fault list,
-// sized by the finite-population formula (stats.SampleSize) for the
-// requested margin of error — the technique behind the paper's "margin of
-// error lower than 3%" campaigns, for cases where the exhaustive list is
-// too expensive.
-func SampleFaults(faults []netlist.Fault, margin, confidence float64, seed int64) ([]netlist.Fault, error) {
-	n, err := stats.SampleSize(len(faults), margin, confidence, 0.5)
-	if err != nil {
-		return nil, err
-	}
-	if n >= len(faults) {
-		out := make([]netlist.Fault, len(faults))
-		copy(out, faults)
-		return out, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(faults))[:n]
-	sort.Ints(perm)
-	out := make([]netlist.Fault, n)
-	for i, idx := range perm {
-		out[i] = faults[idx]
-	}
-	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gpufaultsim/internal/isa"
-	"gpufaultsim/internal/netlist"
 	"gpufaultsim/internal/units"
 )
 
@@ -76,57 +75,5 @@ func TestMorePatternsNeverReduceActivation(t *testing.T) {
 	if s2.NumUncontrollable > s1.NumUncontrollable {
 		t.Errorf("uncontrollable grew from %d to %d with more patterns",
 			s1.NumUncontrollable, s2.NumUncontrollable)
-	}
-}
-
-func TestSampledCampaignMatchesExhaustiveWithinMargin(t *testing.T) {
-	pats := somePatterns()
-	u := units.WSC()
-	exhaustive := CampaignCfg(u, pats, nil, Config{})
-
-	all := netlist.FaultList(u.NL)
-	sample, err := SampleFaults(all, 0.05, 0.95, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sample) >= len(all) {
-		t.Fatalf("sample %d not smaller than population %d", len(sample), len(all))
-	}
-	sampled := CampaignFaultsCfg(u, pats, sample, nil, Config{})
-
-	// Every class fraction must agree within 2x the requested margin
-	// (the factor absorbs the worst-case-p assumption).
-	for c := Uncontrollable; c <= SWError; c++ {
-		d := exhaustive.Fraction(c) - sampled.Fraction(c)
-		if d < 0 {
-			d = -d
-		}
-		if d > 0.10 {
-			t.Errorf("class %v: exhaustive %.3f vs sampled %.3f (diff %.3f)",
-				c, exhaustive.Fraction(c), sampled.Fraction(c), d)
-		}
-	}
-}
-
-func TestSampleFaultsDeterministic(t *testing.T) {
-	all := netlist.FaultList(units.Decoder().NL)
-	s1, err := SampleFaults(all, 0.03, 0.95, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := SampleFaults(all, 0.03, 0.95, 5)
-	if len(s1) != len(s2) {
-		t.Fatal("nondeterministic sample size")
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatal("nondeterministic sample")
-		}
-	}
-	// Tiny populations degrade to exhaustive.
-	few := all[:20]
-	s3, _ := SampleFaults(few, 0.03, 0.95, 5)
-	if len(s3) != len(few) {
-		t.Errorf("small population sampled down to %d", len(s3))
 	}
 }

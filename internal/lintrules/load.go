@@ -97,6 +97,11 @@ func goList(patterns []string) ([]listedPackage, error) {
 	for dec.More() {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err != nil {
+			// Nothing reads the rest of the output: stop and reap the
+			// child instead of leaving it running. The decode error is
+			// the one to report, so Kill's and Wait's are dropped.
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
 			return nil, fmt.Errorf("lintrules: go list output: %w", err)
 		}
 		listed = append(listed, lp)

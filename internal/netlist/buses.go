@@ -5,8 +5,8 @@ import "fmt"
 // Datapath macros. All buses are LSB-first []Node.
 //
 // Misuse of a macro (mismatched bus widths, a MuxN whose option count
-// does not match its select bus) is recorded as an error-severity
-// Diagnostic on the builder and surfaces from Build — the same path as
+// does not match its select bus) is recorded as a Diagnostic on
+// the builder and surfaces from Build — the same path as
 // structural defects — instead of panicking mid-construction. The macro
 // still returns a bus of the expected width (padded with constant zeros)
 // so chained construction can continue to Build, where the diagnostics
@@ -14,7 +14,7 @@ import "fmt"
 
 // defect records a construction-time diagnostic surfaced by Build.
 func (b *Builder) defect(code, format string, args ...any) {
-	b.diags = append(b.diags, Diagnostic{SevError, code, Node(-1),
+	b.diags = append(b.diags, Diagnostic{code, Node(-1),
 		fmt.Sprintf(format, args...)})
 }
 

@@ -12,7 +12,10 @@ package netlist
 
 //vetsim:deterministic
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Node identifies a net (a cell output) within a netlist.
 type Node int32
@@ -270,7 +273,7 @@ func (b *Builder) Build() (*Netlist, error) {
 		Name: b.name, Cells: b.cells, Inputs: b.inputs, InNames: b.inNames,
 		Outputs: b.outputs, DFFs: b.dffs,
 	}
-	diags := append(errorDiags(b.diags), errorDiags(ValidateNetlist(nl))...)
+	diags := slices.Concat(b.diags, ValidateNetlist(nl))
 	if len(diags) > 0 {
 		return nil, &BuildError{Name: b.name, Diags: diags}
 	}

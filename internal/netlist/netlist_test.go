@@ -363,7 +363,7 @@ func TestValidateNetlistDanglingRef(t *testing.T) {
 	diags := ValidateNetlist(nl)
 	found := false
 	for _, d := range diags {
-		if d.Code == "dangling-ref" && d.Severity == SevError {
+		if d.Code == "dangling-ref" {
 			found = true
 		}
 	}

@@ -5,47 +5,25 @@ import (
 	"strings"
 )
 
-// Severity grades a structural diagnostic.
-type Severity uint8
-
-const (
-	// SevError marks a defect that makes the netlist unusable (Build fails).
-	SevError Severity = iota
-	// SevWarn marks suspicious-but-simulable structure (dead logic).
-	SevWarn
-	// SevInfo carries structural statistics.
-	SevInfo
-)
-
-var sevNames = [...]string{"error", "warn", "info"}
-
-func (s Severity) String() string {
-	if int(s) < len(sevNames) {
-		return sevNames[s]
-	}
-	return fmt.Sprintf("Severity(%d)", uint8(s))
-}
-
-// Diagnostic is one finding of the structural checkers. Code is a stable
-// machine-readable identifier ("comb-cycle", "floating-dff", ...); Node is
-// the offending net where one exists (-1 otherwise).
+// Diagnostic is one structural defect that makes a netlist unusable
+// (Build fails on any). Code is a stable machine-readable identifier
+// ("comb-cycle", "floating-dff", ...); Node is the offending net where one
+// exists (-1 otherwise).
 type Diagnostic struct {
-	Severity Severity
-	Code     string
-	Node     Node
-	Msg      string
+	Code string
+	Node Node
+	Msg  string
 }
 
 func (d Diagnostic) String() string {
 	if d.Node >= 0 {
-		return fmt.Sprintf("%s[%s] node %d: %s", d.Severity, d.Code, d.Node, d.Msg)
+		return fmt.Sprintf("error[%s] node %d: %s", d.Code, d.Node, d.Msg)
 	}
-	return fmt.Sprintf("%s[%s]: %s", d.Severity, d.Code, d.Msg)
+	return fmt.Sprintf("error[%s]: %s", d.Code, d.Msg)
 }
 
 // BuildError is the structured error returned by Builder.Build when the
-// circuit is structurally invalid. Diags holds every error-severity
-// diagnostic found.
+// circuit is structurally invalid. Diags holds every diagnostic found.
 type BuildError struct {
 	Name  string
 	Diags []Diagnostic
@@ -74,8 +52,8 @@ func (e *BuildError) HasCode(code string) bool {
 // ValidateNetlist runs the structural checks on a netlist value without
 // panicking, so it is safe on hand-constructed (possibly broken) circuits:
 // out-of-range node references, floating DFF next-state inputs, misdeclared
-// primary inputs/outputs, and combinational cycles. Error-severity
-// diagnostics mean the circuit cannot be evaluated.
+// primary inputs/outputs, and combinational cycles. Any diagnostic means
+// the circuit cannot be evaluated.
 func ValidateNetlist(nl *Netlist) []Diagnostic {
 	var diags []Diagnostic
 	n := len(nl.Cells)
@@ -86,25 +64,25 @@ func ValidateNetlist(nl *Netlist) []Diagnostic {
 		for i := 0; i < nin; i++ {
 			ref := c.In[i]
 			if c.Kind == KDFF && ref < 0 {
-				diags = append(diags, Diagnostic{SevError, "floating-dff", Node(id),
+				diags = append(diags, Diagnostic{"floating-dff", Node(id),
 					"DFF has no next-state input (SetDFF never called)"})
 				continue
 			}
 			if !inRange(ref) {
-				diags = append(diags, Diagnostic{SevError, "dangling-ref", Node(id),
+				diags = append(diags, Diagnostic{"dangling-ref", Node(id),
 					fmt.Sprintf("%s input %d references node %d (of %d cells)", c.Kind, i, ref, n)})
 			}
 		}
 	}
 	for i, id := range nl.Inputs {
 		if !inRange(id) || nl.Cells[id].Kind != KInput {
-			diags = append(diags, Diagnostic{SevError, "bad-input", id,
+			diags = append(diags, Diagnostic{"bad-input", id,
 				fmt.Sprintf("declared primary input %d is not an INPUT cell", i)})
 		}
 	}
 	for _, o := range nl.Outputs {
 		if !inRange(o.Node) {
-			diags = append(diags, Diagnostic{SevError, "bad-output", o.Node,
+			diags = append(diags, Diagnostic{"bad-output", o.Node,
 				fmt.Sprintf("output %s[%d] references node %d (of %d cells)", o.Field, o.Bit, o.Node, n)})
 		}
 	}
@@ -149,7 +127,7 @@ func ValidateNetlist(nl *Netlist) []Diagnostic {
 				case white:
 					stack = append(stack, frame{child, 0})
 				case gray:
-					diags = append(diags, Diagnostic{SevError, "comb-cycle", child,
+					diags = append(diags, Diagnostic{"comb-cycle", child,
 						fmt.Sprintf("combinational cycle through %s node %d", nl.Cells[child].Kind, child)})
 					color[child] = black // report each cycle entry once
 				}
@@ -160,15 +138,4 @@ func ValidateNetlist(nl *Netlist) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// errorDiags filters a diagnostic list down to error severity.
-func errorDiags(diags []Diagnostic) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range diags {
-		if d.Severity == SevError {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -1,8 +1,5 @@
-// Package stats provides the statistical machinery behind the paper's
-// campaign sizing: confidence intervals on measured proportions (AVF,
-// FAPR, EPR are all proportions over injections) and the classic
-// fault-sampling size formula the paper uses to claim "a statistical
-// margin of error lower than 3%".
+// Package stats provides confidence intervals on measured proportions
+// (AVF, FAPR, EPR are all proportions over injections).
 package stats
 
 import (
@@ -37,20 +34,6 @@ func (p Proportion) P() float64 {
 	return float64(p.Successes) / float64(p.Trials)
 }
 
-// MarginNormal returns the half-width of the normal-approximation
-// confidence interval.
-func (p Proportion) MarginNormal(confidence float64) (float64, error) {
-	z, err := zFor(confidence)
-	if err != nil {
-		return 0, err
-	}
-	if p.Trials == 0 {
-		return 1, nil
-	}
-	ph := p.P()
-	return z * math.Sqrt(ph*(1-ph)/float64(p.Trials)), nil
-}
-
 // Wilson returns the Wilson score interval [lo, hi], which stays sane for
 // extreme rates and small samples (e.g. a model that never masked).
 func (p Proportion) Wilson(confidence float64) (lo, hi float64, err error) {
@@ -68,50 +51,4 @@ func (p Proportion) Wilson(confidence float64) (lo, hi float64, err error) {
 	center := (ph + z2/(2*n)) / den
 	half := z / den * math.Sqrt(ph*(1-ph)/n+z2/(4*n*n))
 	return math.Max(0, center-half), math.Min(1, center+half), nil
-}
-
-// SampleSize returns the number of fault injections needed to estimate a
-// proportion over a population of N faults with margin e at the given
-// confidence, using the finite-population formula of Leveugle et al.
-// ("Statistical fault injection"), the standard reference for campaigns
-// like the paper's. p is the assumed proportion (0.5 is worst case).
-func SampleSize(population int, margin, confidence, p float64) (int, error) {
-	z, err := zFor(confidence)
-	if err != nil {
-		return 0, err
-	}
-	if margin <= 0 || margin >= 1 {
-		return 0, fmt.Errorf("stats: margin %v out of (0,1)", margin)
-	}
-	if p <= 0 || p >= 1 {
-		return 0, fmt.Errorf("stats: assumed proportion %v out of (0,1)", p)
-	}
-	N := float64(population)
-	e2 := margin * margin
-	n := N / (1 + e2*(N-1)/(z*z*p*(1-p)))
-	return int(math.Ceil(n)), nil
-}
-
-// MarginForSample inverts SampleSize: the margin achieved by n samples
-// from a population of N faults at the given confidence (worst case
-// p = 0.5).
-func MarginForSample(population, n int, confidence float64) (float64, error) {
-	z, err := zFor(confidence)
-	if err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 1, nil
-	}
-	if n >= population {
-		return 0, nil // exhaustive: no sampling error
-	}
-	N := float64(population)
-	nn := float64(n)
-	// Solve n = N / (1 + e²(N-1)/(z²/4)) for e.
-	e2 := (N/nn - 1) * z * z / 4 / (N - 1)
-	if e2 < 0 {
-		return 0, nil
-	}
-	return math.Sqrt(e2), nil
 }

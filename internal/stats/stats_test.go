@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -12,17 +11,6 @@ func TestProportionPointEstimate(t *testing.T) {
 	}
 	if got := (Proportion{}).P(); got != 0 {
 		t.Errorf("empty P = %v", got)
-	}
-}
-
-func TestMarginNormalKnownValue(t *testing.T) {
-	// p=0.5, n=1000, 95%: 1.96*sqrt(0.25/1000) ≈ 0.031.
-	m, err := Proportion{Successes: 500, Trials: 1000}.MarginNormal(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m-0.031) > 0.001 {
-		t.Errorf("margin = %v, want ~0.031", m)
 	}
 }
 
@@ -54,64 +42,14 @@ func TestWilsonExtremeRates(t *testing.T) {
 	}
 }
 
-func TestSampleSizePaperScale(t *testing.T) {
-	// The paper injects >12,000 faults per campaign to claim a margin
-	// below 3%: the formula must agree that ~1,067+ samples suffice for
-	// 3% at 95% on a large population, so 12,000 is comfortably enough.
-	n, err := SampleSize(1_000_000, 0.03, 0.95, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 1000 || n > 1200 {
-		t.Errorf("SampleSize(1e6, 3%%) = %d, want ~1067", n)
-	}
-	// The finite-population correction bites for small fault lists.
-	small, err := SampleSize(2000, 0.03, 0.95, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small >= n {
-		t.Errorf("finite population needs fewer samples: %d vs %d", small, n)
-	}
-}
-
-func TestMarginForSampleInverts(t *testing.T) {
-	pop := 50_000
-	n, err := SampleSize(pop, 0.02, 0.95, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := MarginForSample(pop, n, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m > 0.0205 {
-		t.Errorf("round trip margin %v > 0.02", m)
-	}
-	if m0, _ := MarginForSample(pop, pop, 0.95); m0 != 0 {
-		t.Errorf("exhaustive campaign margin = %v, want 0", m0)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	if _, err := zFor(0.5); err == nil {
 		t.Error("accepted unsupported confidence")
 	}
-	if _, err := SampleSize(100, 0, 0.95, 0.5); err == nil {
-		t.Error("accepted zero margin")
+	if _, _, err := (Proportion{Successes: 1, Trials: 2}).Wilson(0.5); err == nil {
+		t.Error("Wilson accepted unsupported confidence")
 	}
-	if _, err := SampleSize(100, 0.03, 0.95, 0); err == nil {
-		t.Error("accepted degenerate proportion")
-	}
-	if m, _ := (Proportion{}).MarginNormal(0.95); m != 1 {
-		t.Error("empty proportion must have full margin")
-	}
-}
-
-func TestExhaustiveCampaignsHaveNoSamplingError(t *testing.T) {
-	// Our gate-level campaigns are exhaustive over the collapsed fault
-	// list, so the sampling margin is zero by construction.
-	if m, _ := MarginForSample(6846, 6846, 0.95); m != 0 {
-		t.Errorf("margin = %v", m)
+	if lo, hi, _ := (Proportion{}).Wilson(0.95); lo != 0 || hi != 1 {
+		t.Errorf("empty proportion must span [0, 1], got [%v, %v]", lo, hi)
 	}
 }

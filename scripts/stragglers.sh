@@ -7,11 +7,12 @@
 # ran before it, and has to be stopped first. Prints the processes and
 # exits 1 if there are any; prints nothing and exits 0 otherwise. Run it
 # as `make stragglers`. A `go run` child whose go parent was killed runs on
-# as go-buildNNN/b001/exe/<name>. The brackets keep the probing shell's own
-# command line from matching.
+# as go-buildNNN/b001/exe/<name>, and a killed `go vet`/`go build` leaves
+# its toolchain children (compile, link, vet) running. The brackets keep
+# the probing shell's own command line from matching.
 set -eu
 
-stragglers=$(pgrep -fa '[f]aultsimd|bench_build/[b]enchmark|[.]test|go [r]un|go [t]est|[g]o-build[0-9]*/b[0-9]*/exe/' || true)
+stragglers=$(pgrep -fa '[f]aultsimd|bench_build/[b]enchmark|[.]test|go [r]un|go [t]est|go [v]et|go [b]uild|go [l]ist|[g]o-build[0-9]*/b[0-9]*/exe/|pkg/tool/[^ ]*/([c]ompile|[l]ink|[v]et)' || true)
 if [ -n "$stragglers" ]; then
 	echo "processes left running:" >&2
 	echo "$stragglers" >&2
