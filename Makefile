@@ -20,9 +20,12 @@ stragglers:
 	@sh scripts/stragglers.sh
 
 # Invariant analyzers only: determinism, cachekey, telemetry, hotpath
-# (see internal/lintrules and DESIGN.md "Static analysis & invariants").
+# (see internal/lintrules and DESIGN.md "Static analysis & invariants"),
+# plus the check that DESIGN.md's catalog and the //vetsim: markers name
+# the same governed sets.
 lint:
 	$(GO) run ./cmd/vetsim ./...
+	$(GO) test -run '^TestGovernedSetsMatchDesign$$' .
 
 # End-to-end daemon smoke: boot faultsimd, submit a tiny campaign over
 # HTTP, check artifacts and metrics, shut down gracefully; then the same

@@ -60,7 +60,7 @@ func main() {
 
 // run is the whole command behind a testable seam: the golden end-to-end
 // test drives it with a fixed argument list and locks its output.
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "campaign seed")
 	exhibit := fs.String("exhibit", "all", exhibits)
@@ -78,15 +78,15 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown exhibit %q (want %s)", *exhibit, exhibits)
 	}
 	runSpan := telemetry.StartSpan("repro")
-	defer runSpan.End()
-	if *telemetryPath != "" {
-		defer func() {
-			runSpan.End()
-			if err := telemetry.WriteReportFile(*telemetryPath); err != nil {
-				fmt.Fprintf(os.Stderr, "repro: telemetry report: %v\n", err)
-			}
-		}()
-	}
+	defer func() {
+		runSpan.End()
+		if *telemetryPath == "" {
+			return
+		}
+		if werr := telemetry.WriteReportFile(*telemetryPath); werr != nil && err == nil {
+			err = fmt.Errorf("telemetry report: %w", werr)
+		}
+	}()
 	want := func(names ...string) bool {
 		if *exhibit == "all" {
 			return true

@@ -3,15 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"gpufaultsim/internal/telemetry"
 )
 
 // TestTelemetryReportFlag checks the -telemetry plumbing: a run writes a
-// JSON report containing the metrics snapshot and the run's span tree.
+// JSON report containing the metrics snapshot and the run's span tree,
+// and a run whose report cannot be written fails.
 func TestTelemetryReportFlag(t *testing.T) {
 	telemetry.DefaultRecorder().Reset()
 	path := filepath.Join(t.TempDir(), "telemetry.json")
@@ -41,5 +44,12 @@ func TestTelemetryReportFlag(t *testing.T) {
 	}
 	if rep.Metrics.Counters == nil {
 		t.Fatal("report has no metrics snapshot")
+	}
+
+	// The report written above is a regular file, so a path below it
+	// cannot be created.
+	bad := filepath.Join(path, "telemetry.json")
+	if err := run([]string{"-seed", "1", "-exhibit", "table1", "-telemetry", bad}, &buf); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("report path under a regular file: err = %v, want ENOTDIR", err)
 	}
 }

@@ -5,6 +5,7 @@
 //
 //	path:line:col: [rule] message
 //
+// with the path relative to the working directory, as go vet prints it,
 // and any finding makes the process exit 1, so `make verify` and CI can
 // gate on a clean tree. Suppress an individual finding with
 // `//vetsim:ignore <rule> <reason>` on (or directly above) the flagged
@@ -46,7 +47,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	root, err := lintrules.ModuleRoot()
+	wd, err := os.Getwd()
 	if err != nil {
 		fatal(err)
 	}
@@ -58,11 +59,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags = append(diags, lintrules.CheckMarkers(root, pkgs)...)
 
 	for _, d := range diags {
 		pos := d.Pos
-		if rel, err := filepath.Rel(root, pos.Filename); err == nil && filepath.IsAbs(pos.Filename) {
+		if rel, err := filepath.Rel(wd, pos.Filename); err == nil && filepath.IsAbs(pos.Filename) {
 			pos.Filename = rel
 		}
 		fmt.Printf("%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Rule, d.Message)

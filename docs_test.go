@@ -10,10 +10,9 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
-
-	"gpufaultsim/internal/lintrules"
 )
 
 // docFiles are the hand-written documents whose code references must
@@ -81,8 +80,7 @@ func internalIdents(t *testing.T) map[string]map[string]bool {
 
 // TestDocsNameLiveIdentifiers fails when a document names Go code that no
 // longer exists: every backticked `pkg.Ident` whose pkg is a package under
-// internal/ must be a top-level identifier or method of that package, and
-// DESIGN.md must list every function the hotpath analyzer governs.
+// internal/ must be a top-level identifier or method of that package.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	idents := internalIdents(t)
 
@@ -108,7 +106,6 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		return false
 	}
 
-	named := map[string]bool{} // every live pkg.Ident DESIGN.md names
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -130,20 +127,9 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 					}
 					if !idents[pkg][ident] {
 						t.Errorf("%s:%d: `%s.%s` names nothing in package %s", doc, i+1, pkg, ident, pkg)
-					} else if doc == "DESIGN.md" {
-						named[pkg+"."+ident] = true
 					}
 				}
 			}
-		}
-	}
-
-	// HotPathFuncs entries are "dir/file.go:Func"; every governed package
-	// is named after its directory.
-	for _, e := range lintrules.HotPathFuncs {
-		file, fn, _ := strings.Cut(e, ":")
-		if q := path.Base(path.Dir(file)) + "." + fn; !named[q] {
-			t.Errorf("DESIGN.md does not name the hot-path function `%s` (%s)", q, e)
 		}
 	}
 }
@@ -165,4 +151,156 @@ func TestDocsRunLiveCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// governedRows maps each row of DESIGN.md's analyzer catalog that lists a
+// governed set to the //vetsim: marker that puts code in that set.
+var governedRows = map[string]string{
+	"determinism": "deterministic", // package paths: `internal/cluster`
+	"telemetry":   "instrumented",  // file paths: `internal/store/store.go`
+	"hotpath":     "hotpath",       // functions: `gpu.execute`
+}
+
+// markedSets parses every non-test .go file of the module (comments only
+// matter; nothing is type-checked) and returns, per marker kind, the set
+// its markers state: package directories for deterministic, file paths
+// for instrumented, and pkg.Func for hotpath, whose marker sits in the
+// function's doc comment or on the line directly above it.
+func markedSets(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	sets := map[string]map[string]bool{}
+	for _, kind := range governedRows {
+		sets[kind] = map[string]bool{}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if file != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		file = filepath.ToSlash(file)
+		hotLines := map[int]bool{} // lines holding a //vetsim:hotpath marker
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				body, ok := strings.CutPrefix(c.Text, "//vetsim:")
+				if !ok {
+					continue
+				}
+				switch kind, _, _ := strings.Cut(body, " "); kind {
+				case "deterministic":
+					sets[kind][path.Dir(file)] = true
+				case "instrumented":
+					sets[kind][file] = true
+				case "hotpath":
+					hotLines[fset.Position(c.Pos()).Line] = true
+				}
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			lines := []int{fset.Position(fn.Pos()).Line - 1}
+			if fn.Doc != nil {
+				for _, c := range fn.Doc.List {
+					lines = append(lines, fset.Position(c.Pos()).Line)
+				}
+			}
+			for _, l := range lines {
+				if hotLines[l] {
+					sets["hotpath"][f.Name.Name+"."+fn.Name.Name] = true
+					delete(hotLines, l)
+				}
+			}
+		}
+		for l := range hotLines {
+			t.Errorf("%s:%d: //vetsim:hotpath marks no function", file, l)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sets
+}
+
+// catalogSets returns, per marker kind, the backticked entries of the
+// scope cell of the matching row in DESIGN.md's analyzer catalog, apart
+// from the marker itself.
+func catalogSets(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(raw), "\n## Static analysis & invariants")
+	section, _, _ = strings.Cut(section, "\n## ")
+	sets := map[string]map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|") // "", rule, scope, what it proves, ""
+		if len(cells) < 4 {
+			continue
+		}
+		kind, ok := governedRows[strings.Trim(strings.TrimSpace(cells[1]), "`")]
+		if !ok {
+			continue
+		}
+		if sets[kind] != nil {
+			t.Fatalf("DESIGN.md's analyzer catalog has two rows for //vetsim:%s", kind)
+		}
+		sets[kind] = map[string]bool{}
+		for _, m := range codeSpanRE.FindAllStringSubmatch(cells[2], -1) {
+			if !strings.HasPrefix(m[1], "//vetsim:") {
+				sets[kind][m[1]] = true
+			}
+		}
+	}
+	return sets
+}
+
+// TestGovernedSetsMatchDesign holds DESIGN.md's analyzer catalog equal to
+// the //vetsim: markers in the code. The markers decide what the
+// analyzers govern; the catalog is the checked-in floor, so removing a
+// marker (a governed set shrinking silently) fails here, and so does a
+// new marker the catalog does not list.
+func TestGovernedSetsMatchDesign(t *testing.T) {
+	marked, listed := markedSets(t), catalogSets(t)
+	for _, kind := range []string{"deterministic", "instrumented", "hotpath"} {
+		if listed[kind] == nil {
+			t.Errorf("DESIGN.md's analyzer catalog has no row for //vetsim:%s", kind)
+			continue
+		}
+		for _, e := range sortedKeys(listed[kind]) {
+			if !marked[kind][e] {
+				t.Errorf("DESIGN.md's catalog lists `%s`, but no //vetsim:%s marker governs it", e, kind)
+			}
+		}
+		for _, e := range sortedKeys(marked[kind]) {
+			if !listed[kind][e] {
+				t.Errorf("`%s` carries //vetsim:%s, but DESIGN.md's catalog does not list it", e, kind)
+			}
+		}
+	}
+}
+
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

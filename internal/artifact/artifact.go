@@ -139,15 +139,3 @@ func ReadGateReport(r io.Reader) (*GateReport, error) {
 	}
 	return &out, nil
 }
-
-// ReadSoftwareReport parses a software-campaign artifact.
-func ReadSoftwareReport(r io.Reader) (*SoftwareReport, error) {
-	var out SoftwareReport
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
-	}
-	if out.Schema != Version {
-		return nil, fmt.Errorf("artifact: schema %d, want %d", out.Schema, Version)
-	}
-	return &out, nil
-}

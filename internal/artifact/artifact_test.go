@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -65,21 +66,23 @@ func TestGateReportDeterministicBytes(t *testing.T) {
 }
 
 func TestSoftwareReportRoundTrip(t *testing.T) {
-	results, err := perfi.RunSuite(
-		[]workloads.Workload{workloads.VectorAdd{}},
+	res, err := perfi.RunApp(workloads.VectorAdd{},
 		perfi.Config{Injections: 4, Seed: 3,
 			Models: []errmodel.Model{errmodel.IAT, errmodel.IOC}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewSoftwareReport(3, 4, results)
+	rep := NewSoftwareReport(3, 4, []*perfi.AppResult{res})
 	var buf bytes.Buffer
 	if err := Write(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSoftwareReport(&buf)
-	if err != nil {
+	var got SoftwareReport
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
+	}
+	if got.Schema != Version {
+		t.Errorf("schema = %d, want %d", got.Schema, Version)
 	}
 	if len(got.Apps) != 1 || got.Apps[0].App != "vectoradd" {
 		t.Fatalf("apps = %+v", got.Apps)
@@ -95,7 +98,7 @@ func TestSchemaValidation(t *testing.T) {
 	if _, err := ReadGateReport(strings.NewReader(`{"schema": 99}`)); err == nil {
 		t.Error("accepted wrong schema")
 	}
-	if _, err := ReadSoftwareReport(strings.NewReader(`not json`)); err == nil {
+	if _, err := ReadGateReport(strings.NewReader(`not json`)); err == nil {
 		t.Error("accepted garbage")
 	}
 }

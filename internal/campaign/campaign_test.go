@@ -74,9 +74,13 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	apps := []workloads.Workload{workloads.VectorAdd{}, workloads.MxM{}}
 	cfg := perfi.Config{Injections: 6, Seed: 3,
 		Models: []errmodel.Model{errmodel.IAT, errmodel.IMS}}
-	seq, err := perfi.RunSuite(apps, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var seq []*perfi.AppResult
+	for _, w := range apps {
+		r, err := perfi.RunApp(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq = append(seq, r)
 	}
 	par, err := RunSuiteParallelCtx(context.Background(), apps, cfg, 4)
 	if err != nil {

@@ -198,8 +198,8 @@ func RunTwoLevelCtx(ctx context.Context, cfg TwoLevelConfig) (*Results, error) {
 
 // RunSuiteParallelCtx runs one software-injection campaign per application
 // on the worker pool, with cancellation at app boundaries. Each worker
-// owns its devices, so results are identical to the sequential
-// perfi.RunSuite.
+// owns its devices, so results are identical to calling perfi.RunApp on
+// each application in turn.
 func RunSuiteParallelCtx(ctx context.Context, apps []workloads.Workload, cfg perfi.Config, workers int) ([]*perfi.AppResult, error) {
 	type outcome struct {
 		res *perfi.AppResult

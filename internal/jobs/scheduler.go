@@ -251,7 +251,7 @@ type MetricsView struct {
 // reacquire the mutex and interleave with job transitions). It also
 // refreshes the queue-depth and pending gauges in the registry.
 func (s *Scheduler) MetricsSnapshot() MetricsView {
-	v := MetricsView{PhaseSec: map[Phase]float64{PhaseProfile: 0, PhaseGate: 0, PhaseSoftware: 0}}
+	var v MetricsView
 	s.mu.Lock()
 	v.Jobs = len(s.jobs)
 	for _, j := range s.jobs {
@@ -262,10 +262,8 @@ func (s *Scheduler) MetricsSnapshot() MetricsView {
 		case StateRunning:
 			v.Pending++
 		}
-		v.PhaseSec[PhaseProfile] += j.timing.ProfilingSec
-		v.PhaseSec[PhaseGate] += j.timing.GateSec
-		v.PhaseSec[PhaseSoftware] += j.timing.SoftwareSec
 	}
+	v.PhaseSec = s.phaseSecLocked()
 	s.mu.Unlock()
 	v.Cache = s.store.Stats()
 	telQueueDepth.Set(int64(v.QueueDepth))
@@ -277,6 +275,12 @@ func (s *Scheduler) MetricsSnapshot() MetricsView {
 func (s *Scheduler) PhaseTimings() map[Phase]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.phaseSecLocked()
+}
+
+// phaseSecLocked sums per-phase wall-clock seconds across all jobs.
+// Caller holds s.mu.
+func (s *Scheduler) phaseSecLocked() map[Phase]float64 {
 	out := map[Phase]float64{PhaseProfile: 0, PhaseGate: 0, PhaseSoftware: 0}
 	for _, j := range s.jobs {
 		out[PhaseProfile] += j.timing.ProfilingSec

@@ -2,8 +2,11 @@ package lintrules
 
 import (
 	"fmt"
+	"go/importer"
+	"go/token"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +22,7 @@ import (
 func runAnalyzerTest(t *testing.T, a *Analyzer, fixture string) []Diagnostic {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := LoadDir(dir)
+	pkg, err := loadDir(dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
@@ -125,4 +128,25 @@ func splitQuoted(s string) []string {
 		out = append(out, s[i:j+1])
 		s = s[j+1:]
 	}
+}
+
+// loadDir parses and type-checks every .go file directly under dir as a
+// single package — the analysistest entry point for testdata fixtures,
+// which `go list` cannot see.
+func loadDir(dir string) (*Package, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	if len(matches) == 0 {
+		return nil, fmt.Errorf("lintrules: no .go files under %s", dir)
+	}
+	sort.Strings(matches)
+	names := make([]string, len(matches))
+	for i, m := range matches {
+		names[i] = filepath.Base(m)
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	return typeCheckDir(fset, imp, dir, filepath.Base(dir), names)
 }

@@ -16,6 +16,12 @@
 //	//vetsim:cachekey-surface         function participates in cache-key derivation
 //	//vetsim:ignore <rule> <reason>   suppress <rule> on this (or the next) line
 //
+// The markers are the only place the code states which packages, files
+// and functions are governed. DESIGN.md's analyzer catalog lists the same
+// sets, and TestGovernedSetsMatchDesign (docs_test.go) holds the two
+// equal, so a governed set cannot shrink, or grow, without the catalog
+// changing with it.
+//
 // Suppressions require a reason; a bare //vetsim:ignore is itself a
 // diagnostic. See DESIGN.md "Static analysis & invariants".
 package lintrules

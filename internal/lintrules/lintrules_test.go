@@ -51,7 +51,7 @@ func TestParseDirective(t *testing.T) {
 // TestReasonlessIgnoreDoesNotSuppress pins the suppression policy: an
 // ignore without a reason is inert (and flagged by checkDirectives).
 func TestReasonlessIgnoreDoesNotSuppress(t *testing.T) {
-	pkg, err := LoadDir("testdata/src/determinism")
+	pkg, err := loadDir("testdata/src/determinism")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,23 +67,5 @@ func TestReasonlessIgnoreDoesNotSuppress(t *testing.T) {
 	}
 	if pass.suppressed(pkg.Fset.Position(pkg.Files[0].Pos())) {
 		t.Fatal("position with no directive reported as suppressed")
-	}
-}
-
-// TestMarkerLists ensures the canonical marker floor stays sorted and
-// non-empty, so CheckMarkers's contract is obvious at a glance.
-func TestMarkerLists(t *testing.T) {
-	if len(DeterministicPkgs) == 0 || len(InstrumentedFiles) == 0 {
-		t.Fatal("canonical marker lists must not be empty")
-	}
-	for i := 1; i < len(DeterministicPkgs); i++ {
-		if DeterministicPkgs[i-1] >= DeterministicPkgs[i] {
-			t.Errorf("DeterministicPkgs not sorted at %q", DeterministicPkgs[i])
-		}
-	}
-	for i := 1; i < len(InstrumentedFiles); i++ {
-		if InstrumentedFiles[i-1] >= InstrumentedFiles[i] {
-			t.Errorf("InstrumentedFiles not sorted at %q", InstrumentedFiles[i])
-		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -57,27 +56,6 @@ func Load(patterns []string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	return out, nil
-}
-
-// LoadDir parses and type-checks every .go file directly under dir as a
-// single package — the analysistest entry point for testdata fixtures,
-// which `go list` cannot see.
-func LoadDir(dir string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("lintrules: no .go files under %s", dir)
-	}
-	sort.Strings(matches)
-	names := make([]string, len(matches))
-	for i, m := range matches {
-		names[i] = filepath.Base(m)
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return typeCheckDir(fset, imp, dir, filepath.Base(dir), names)
 }
 
 func goList(patterns []string) ([]listedPackage, error) {

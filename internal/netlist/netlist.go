@@ -77,26 +77,9 @@ type Netlist struct {
 	kern  *Kernels // branch-free evaluation program, compiled by Build
 }
 
-// NumCells reports the gate count (including inputs and DFFs).
-func (n *Netlist) NumCells() int { return len(n.Cells) }
-
 // NumFaults reports the size of the collapsed stuck-at fault list
 // (two faults per cell output).
 func (n *Netlist) NumFaults() int { return 2 * len(n.Cells) }
-
-// OutputFields returns the distinct output field names in declaration
-// order.
-func (n *Netlist) OutputFields() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, o := range n.Outputs {
-		if !seen[o.Field] {
-			seen[o.Field] = true
-			out = append(out, o.Field)
-		}
-	}
-	return out
-}
 
 // Stats returns a one-line summary.
 func (n *Netlist) Stats() string {

@@ -3,6 +3,7 @@ package netlist
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -288,8 +289,8 @@ func TestFaultInjectionChangesAdderOutput(t *testing.T) {
 func TestFaultListSize(t *testing.T) {
 	nl := buildAdder(4)
 	fl := FaultList(nl)
-	if len(fl) != 2*nl.NumCells() {
-		t.Fatalf("fault list %d, want %d", len(fl), 2*nl.NumCells())
+	if len(fl) != 2*len(nl.Cells) {
+		t.Fatalf("fault list %d, want %d", len(fl), 2*len(nl.Cells))
 	}
 	if nl.NumFaults() != len(fl) {
 		t.Fatalf("NumFaults inconsistent")
@@ -312,7 +313,7 @@ func TestCombinationalCycleBuildError(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("error is %T, want *BuildError", err)
 	}
-	if !be.HasCode("comb-cycle") {
+	if !hasCode(be, "comb-cycle") {
 		t.Fatalf("diagnostics %v missing comb-cycle", be.Diags)
 	}
 	if be.Name != "cycle" {
@@ -329,7 +330,7 @@ func TestUnwiredDFFBuildError(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("error is %T, want *BuildError", err)
 	}
-	if !be.HasCode("floating-dff") {
+	if !hasCode(be, "floating-dff") {
 		t.Fatalf("diagnostics %v missing floating-dff", be.Diags)
 	}
 	if got := be.Diags[0].Node; got != q {
@@ -372,19 +373,6 @@ func TestValidateNetlistDanglingRef(t *testing.T) {
 	}
 }
 
-func TestOutputFieldsOrder(t *testing.T) {
-	b := NewBuilder("fields")
-	a := b.Input("a")
-	b.Output("x", 0, a)
-	b.Output("y", 0, a)
-	b.Output("x", 1, a)
-	nl := b.MustBuild()
-	fields := nl.OutputFields()
-	if len(fields) != 2 || fields[0] != "x" || fields[1] != "y" {
-		t.Fatalf("OutputFields = %v", fields)
-	}
-}
-
 func TestMuxNArityReportedByBuild(t *testing.T) {
 	b := NewBuilder("muxn")
 	sel := b.InputBus("sel", 2) // 2 select bits but only 3 options
@@ -396,7 +384,7 @@ func TestMuxNArityReportedByBuild(t *testing.T) {
 	b.OutputBus("y", out)
 	_, err := b.Build()
 	var be *BuildError
-	if !errors.As(err, &be) || !be.HasCode("muxn-arity") {
+	if !errors.As(err, &be) || !hasCode(be, "muxn-arity") {
 		t.Fatalf("Build after bad MuxN: err = %v, want muxn-arity diagnostic", err)
 	}
 }
@@ -427,7 +415,7 @@ func TestBusWidthMismatchReportedByBuild(t *testing.T) {
 		tc.build(b)
 		_, err := b.Build()
 		var be *BuildError
-		if !errors.As(err, &be) || !be.HasCode("bus-width") {
+		if !errors.As(err, &be) || !hasCode(be, "bus-width") {
 			t.Errorf("%s: Build err = %v, want bus-width diagnostic", tc.op, err)
 		}
 	}
@@ -441,4 +429,8 @@ func TestWellFormedMacrosStillBuild(t *testing.T) {
 	if _, err := b.Build(); err != nil {
 		t.Fatalf("well-formed circuit failed Build: %v", err)
 	}
+}
+
+func hasCode(be *BuildError, code string) bool {
+	return slices.ContainsFunc(be.Diags, func(d Diagnostic) bool { return d.Code == code })
 }

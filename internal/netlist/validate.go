@@ -39,16 +39,6 @@ func (e *BuildError) Error() string {
 	return b.String()
 }
 
-// HasCode reports whether any diagnostic carries the code.
-func (e *BuildError) HasCode(code string) bool {
-	for _, d := range e.Diags {
-		if d.Code == code {
-			return true
-		}
-	}
-	return false
-}
-
 // ValidateNetlist runs the structural checks on a netlist value without
 // panicking, so it is safe on hand-constructed (possibly broken) circuits:
 // out-of-range node references, floating DFF next-state inputs, misdeclared

@@ -105,20 +105,6 @@ func RunApp(w workloads.Workload, cfg Config) (*AppResult, error) {
 	return res, nil
 }
 
-// RunSuite runs campaigns for several applications and returns results in
-// input order.
-func RunSuite(apps []workloads.Workload, cfg Config) ([]*AppResult, error) {
-	out := make([]*AppResult, 0, len(apps))
-	for _, w := range apps {
-		r, err := RunApp(w, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Average aggregates per-model tallies across applications (Figure 11).
 func Average(results []*AppResult) map[errmodel.Model]Tally {
 	agg := make(map[errmodel.Model]Tally)

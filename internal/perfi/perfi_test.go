@@ -160,12 +160,14 @@ func TestCampaignShapes(t *testing.T) {
 	// paper's qualitative findings.
 	cfg := Config{Injections: 24, Seed: 99}
 	apps := []workloads.Workload{workloads.VectorAdd{}, workloads.GEMM{}}
-	results, err := RunSuite(apps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var results []*AppResult
 	byApp := map[string]*AppResult{}
-	for _, r := range results {
+	for _, w := range apps {
+		r, err := RunApp(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 		byApp[r.App] = r
 	}
 

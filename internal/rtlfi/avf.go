@@ -80,59 +80,66 @@ func MicroAVF(op isa.Opcode, m Module, cfg MicroConfig) (AVFRow, []CorruptPair) 
 	cfg = cfg.withDefaults()
 	row := AVFRow{Op: op, Module: m}
 	var pairs []CorruptPair
-
-	sites := SitesFor(m, op)
-	var sdcEvents, corrThreads int
-
 	for _, rg := range Ranges() {
-		for v := 0; v < cfg.ValuesPerRange; v++ {
-			seed := cfg.Seed ^ int64(op)<<8 ^ int64(m)<<16 ^ int64(rg)<<24 ^ int64(v)<<32
-			for _, site := range sites {
-				// Replicate per-lane structures over sampled lanes. The
-				// scheduler's Lane field is a warp slot assigned by the
-				// site list itself and must not be resampled.
-				lanes := 1
-				sampled := m == ModFP32 || m == ModINT || m == ModSFU ||
-					site.Stage == StPipeOpA || site.Stage == StPipeOpB
-				if sampled {
-					lanes = cfg.LanesSampled
-				}
-				for l := 0; l < lanes; l++ {
-					s := site
-					if sampled {
-						s.Lane = l * 7 % NumFULanes // spread sampled lanes
-					}
-					rng := rand.New(rand.NewSource(seed ^ int64(l)<<40))
-					res := RunMicro(op, rg, s, rng)
-					row.Injections++
-					switch res.Outcome {
-					case MicroMasked:
-						row.Masked++
-					case MicroSDCSingle:
-						row.SDCSingle++
-					case MicroSDCMulti:
-						row.SDCMulti++
-					case MicroDUE:
-						row.DUE++
-					}
-					if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
-						sdcEvents++
-						corrThreads += res.CorruptedPerWarp
-						pairs = append(pairs, res.Corrupted...)
-					}
-				}
-			}
-		}
+		pairs = append(pairs, microRange(op, m, rg, cfg, &row)...)
 	}
 	n := float64(row.Injections)
+	if sdc := row.SDCSingle + row.SDCMulti; sdc > 0 {
+		row.AvgCorruptedThreads /= sdc
+	}
 	row.SDCSingle /= n
 	row.SDCMulti /= n
 	row.DUE /= n
 	row.Masked /= n
-	if sdcEvents > 0 {
-		row.AvgCorruptedThreads = float64(corrThreads) / float64(sdcEvents)
-	}
 	return row, pairs
+}
+
+// microRange injects every site of m into op over the value sets of one
+// input range (cfg already defaulted). It adds each injection to row as
+// counts (AvgCorruptedThreads holds the corrupted-thread total of the SDCs)
+// and returns the SDCs' corrupted pairs: the per-range panels of Figures
+// 4-5, which MicroAVF merges.
+func microRange(op isa.Opcode, m Module, rg InputRange, cfg MicroConfig, row *AVFRow) []CorruptPair {
+	var pairs []CorruptPair
+	sites := SitesFor(m, op)
+	for v := 0; v < cfg.ValuesPerRange; v++ {
+		seed := cfg.Seed ^ int64(op)<<8 ^ int64(m)<<16 ^ int64(rg)<<24 ^ int64(v)<<32
+		for _, site := range sites {
+			// Replicate per-lane structures over sampled lanes. The
+			// scheduler's Lane field is a warp slot assigned by the
+			// site list itself and must not be resampled.
+			lanes := 1
+			sampled := m == ModFP32 || m == ModINT || m == ModSFU ||
+				site.Stage == StPipeOpA || site.Stage == StPipeOpB
+			if sampled {
+				lanes = cfg.LanesSampled
+			}
+			for l := 0; l < lanes; l++ {
+				s := site
+				if sampled {
+					s.Lane = l * 7 % NumFULanes // spread sampled lanes
+				}
+				rng := rand.New(rand.NewSource(seed ^ int64(l)<<40))
+				res := RunMicro(op, rg, s, rng)
+				row.Injections++
+				switch res.Outcome {
+				case MicroMasked:
+					row.Masked++
+				case MicroSDCSingle:
+					row.SDCSingle++
+				case MicroSDCMulti:
+					row.SDCMulti++
+				case MicroDUE:
+					row.DUE++
+				}
+				if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
+					row.AvgCorruptedThreads += float64(res.CorruptedPerWarp)
+					pairs = append(pairs, res.Corrupted...)
+				}
+			}
+		}
+	}
+	return pairs
 }
 
 // Figure2 computes the complete Figure 2 dataset: one AVFRow per
@@ -176,37 +183,4 @@ func RelativeErrors(pairs []CorruptPair, fp bool) []float64 {
 		out = append(out, re)
 	}
 	return out
-}
-
-// MicroSyndrome runs one module's site list against one instruction for a
-// single input range and returns the corrupted pairs — the per-range
-// panels of Figures 4-5. (MicroAVF merges the ranges; the paper's median
-// analysis needs them apart.)
-func MicroSyndrome(op isa.Opcode, m Module, rg InputRange, cfg MicroConfig) []CorruptPair {
-	cfg = cfg.withDefaults()
-	var pairs []CorruptPair
-	sites := SitesFor(m, op)
-	for v := 0; v < cfg.ValuesPerRange; v++ {
-		seed := cfg.Seed ^ int64(op)<<8 ^ int64(m)<<16 ^ int64(rg)<<24 ^ int64(v)<<32
-		for _, site := range sites {
-			lanes := 1
-			sampled := m == ModFP32 || m == ModINT || m == ModSFU ||
-				site.Stage == StPipeOpA || site.Stage == StPipeOpB
-			if sampled {
-				lanes = cfg.LanesSampled
-			}
-			for l := 0; l < lanes; l++ {
-				s := site
-				if sampled {
-					s.Lane = l * 7 % NumFULanes
-				}
-				rng := rand.New(rand.NewSource(seed ^ int64(l)<<40))
-				res := RunMicro(op, rg, s, rng)
-				if res.Outcome == MicroSDCSingle || res.Outcome == MicroSDCMulti {
-					pairs = append(pairs, res.Corrupted...)
-				}
-			}
-		}
-	}
-	return pairs
 }

@@ -6,7 +6,9 @@ import (
 	"sort"
 	"testing"
 
+	"gpufaultsim/internal/gpu"
 	"gpufaultsim/internal/isa"
+	"gpufaultsim/internal/workloads"
 )
 
 func TestGoldenMatchesSimulatorSemantics(t *testing.T) {
@@ -258,29 +260,39 @@ func TestClassifyPattern(t *testing.T) {
 }
 
 func TestTMxMSingleInjections(t *testing.T) {
+	// One faulty t-MxM run on seed-9 tiles, as RunTMxMStudy runs it.
+	runTMxM := func(site Site, kind TileKind) TMxMResult {
+		a, b := tileInputs(kind, TMxMSize, rand.New(rand.NewSource(9)))
+		job := workloads.TiledMxMJob(a, b, TMxMSize)
+		golden, err := job.Run(gpu.NewDevice(tmxmDeviceConfig()))
+		if err != nil || golden.Hung() {
+			t.Fatalf("golden t-MxM failed: %v", err)
+		}
+		return runTMxMInjected(site, job, golden.Output, gpu.NewDevice(tmxmDeviceConfig()))
+	}
 	// A stuck-at-0 thread-enable bit must corrupt output elements.
-	res := RunTMxM(Site{Module: ModSched, Stage: StMaskBit, Bit: 3, Stuck: false},
-		TileRandom, 9)
+	res := runTMxM(Site{Module: ModSched, Stage: StMaskBit, Bit: 3, Stuck: false},
+		TileRandom)
 	if res.Outcome != MicroSDCMulti && res.Outcome != MicroSDCSingle {
 		t.Errorf("mask-bit stuck-0 outcome = %v, want SDC", res.Outcome)
 	}
 	// Stuck-at-1 on the same bit is masked (thread already active).
-	res = RunTMxM(Site{Module: ModSched, Stage: StMaskBit, Bit: 3, Stuck: true},
-		TileRandom, 9)
+	res = runTMxM(Site{Module: ModSched, Stage: StMaskBit, Bit: 3, Stuck: true},
+		TileRandom)
 	if res.Outcome != MicroMasked {
 		t.Errorf("mask-bit stuck-1 outcome = %v, want Masked", res.Outcome)
 	}
 	// A pipeline operand-register fault corrupts lane-aligned elements:
 	// Max tiles hold values in [2,4) whose exponent bit 30 is always set,
 	// so stuck-at-0 there activates on every FFMA through the lane.
-	res = RunTMxM(Site{Module: ModPipe, Stage: StPipeOpA, Bit: 30, Lane: 2, Stuck: false},
-		TileMax, 9)
+	res = runTMxM(Site{Module: ModPipe, Stage: StPipeOpA, Bit: 30, Lane: 2, Stuck: false},
+		TileMax)
 	if res.Outcome == MicroMasked {
 		t.Error("pipeline operand fault masked on Max tiles")
 	}
 	// ...and the matching stuck-at-1 is data-masked on the same tiles.
-	res = RunTMxM(Site{Module: ModPipe, Stage: StPipeOpA, Bit: 30, Lane: 2, Stuck: true},
-		TileMax, 9)
+	res = runTMxM(Site{Module: ModPipe, Stage: StPipeOpA, Bit: 30, Lane: 2, Stuck: true},
+		TileMax)
 	if res.Outcome != MicroMasked {
 		t.Errorf("stuck-1 on an always-set exponent bit = %v, want Masked", res.Outcome)
 	}
@@ -317,7 +329,7 @@ func TestSyndromeMedianRangeDependence(t *testing.T) {
 	spread := func(op isa.Opcode) float64 {
 		meds := make([]float64, 0, 3)
 		for _, rg := range Ranges() {
-			res := RelativeErrors(MicroSyndrome(op, ModFP32, rg, cfg), true)
+			res := RelativeErrors(microRange(op, ModFP32, rg, cfg, &AVFRow{}), true)
 			if len(res) == 0 {
 				t.Fatalf("%v/%v: no syndromes", op, rg)
 			}

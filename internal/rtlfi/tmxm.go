@@ -330,23 +330,6 @@ func tmxmDeviceConfig() gpu.Config {
 	return cfg
 }
 
-// RunTMxM executes the tiled MxM mini-app with one persistent scheduler or
-// pipeline fault and classifies the output corruption.
-func RunTMxM(site Site, kind TileKind, seed int64) TMxMResult {
-	rng := rand.New(rand.NewSource(seed))
-	a, b := tileInputs(kind, TMxMSize, rng)
-	job := workloads.TiledMxMJob(a, b, TMxMSize)
-
-	cfg := tmxmDeviceConfig()
-	dev := gpu.NewDevice(cfg)
-	golden, err := job.Run(dev)
-	if err != nil || golden.Hung() {
-		panic("rtlfi: golden t-MxM failed")
-	}
-	fdev := gpu.NewDevice(cfg)
-	return runTMxMInjected(site, job, golden.Output, fdev)
-}
-
 // runTMxMInjected performs one faulty run against a prepared job/golden.
 func runTMxMInjected(site Site, job *workloads.Job, golden []uint32, fdev *gpu.Device) TMxMResult {
 	fdev.ClearHooks()

@@ -165,14 +165,6 @@ func (p PowerLaw) Sample(rng *rand.Rand) float64 {
 	return p.Xmin * math.Pow(1-r, -1/(p.Alpha-1))
 }
 
-// CDF evaluates the fitted distribution function at x.
-func (p PowerLaw) CDF(x float64) float64 {
-	if x < p.Xmin {
-		return 0
-	}
-	return 1 - math.Pow(p.Xmin/x, p.Alpha-1)
-}
-
 // Mean/variance helpers for the Figure-8 variance exhibits.
 
 // MeanVar returns the mean and (population) variance of xs.

@@ -262,8 +262,8 @@ func TestUnitSizes(t *testing.T) {
 func TestHangFieldsExist(t *testing.T) {
 	for _, u := range All() {
 		fields := map[string]bool{}
-		for _, f := range u.NL.OutputFields() {
-			fields[f] = true
+		for _, o := range u.NL.Outputs {
+			fields[o.Field] = true
 		}
 		for hf := range u.HangFields {
 			if !fields[hf] {
