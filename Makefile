@@ -41,4 +41,4 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 fmt:
-	gofmt -w ./benchmark ./cmd ./internal ./examples ./*.go
+	gofmt -w ./benchmark ./cmd ./internal ./*.go

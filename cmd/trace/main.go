@@ -9,7 +9,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"os"
 
 	"gpufaultsim/internal/cnn"
 	"gpufaultsim/internal/errmodel"
@@ -22,23 +25,48 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("trace: ")
-	app := flag.String("app", "vectoradd", "workload name (Table 1)")
-	model := flag.String("model", "IAT", "error model to inject")
-	warp := flag.Int("warp", 0, "target warp slot")
-	lanes := flag.Uint64("lanes", 0xFFFFFFFF, "target lane mask")
-	mask := flag.Uint64("mask", 1, "bitErrMask")
-	loc := flag.Int("loc", 0, "errOperLoc")
-	seed := flag.Int64("seed", 1, "workload seed")
-	context := flag.Int("context", 4, "trace context lines around the divergence")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	w := cnn.ByName(*app)
-	if w == nil {
-		log.Fatalf("unknown app %q", *app)
+// run is the whole command behind a testable seam. A descriptor that can
+// hit nothing (a warp slot the SM does not have, an operand position no
+// instruction has, a lane or bit mask wider than a warp's 32 lanes) is an
+// error, not a run reported as Masked.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	app := fs.String("app", "vectoradd", "workload name (Table 1)")
+	model := fs.String("model", "IAT", "error model to inject")
+	warp := fs.Int("warp", 0, "target warp slot")
+	lanes := fs.Uint64("lanes", 0xFFFFFFFF, "target lane mask")
+	mask := fs.Uint64("mask", 1, "bitErrMask")
+	loc := fs.Int("loc", 0, "errOperLoc")
+	seed := fs.Int64("seed", 1, "workload seed")
+	context := fs.Int("context", 4, "trace context lines around the divergence")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	wl := cnn.ByName(*app)
+	if wl == nil {
+		return fmt.Errorf("unknown app %q", *app)
 	}
 	m, err := errmodel.ParseModel(*model)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	switch maxWarps := gpu.DefaultConfig().MaxWarpsPerSM; {
+	case *warp < 0 || *warp >= maxWarps:
+		return fmt.Errorf("-warp %d outside [0,%d)", *warp, maxWarps)
+	case *loc < 0 || *loc > 3:
+		return fmt.Errorf("-loc %d outside [0,3]", *loc)
+	case *context < 0:
+		return fmt.Errorf("-context %d is negative", *context)
+	case *lanes > math.MaxUint32:
+		return fmt.Errorf("-lanes %#x is wider than 32 lanes", *lanes)
+	case *mask > math.MaxUint32:
+		return fmt.Errorf("-mask %#x is wider than 32 bits", *mask)
 	}
 	desc := errmodel.Descriptor{
 		Model: m, Warps: []int{*warp}, Threads: uint32(*lanes),
@@ -48,31 +76,32 @@ func main() {
 	// Inject through the campaign's session, so this run gets a campaign's
 	// memory sizing and watchdog and the outcome a campaign would count.
 	goldenRec, faultyRec := &microscope.Recorder{}, &microscope.Recorder{}
-	sess, err := perfi.NewSession(w, *seed, gpu.Config{}, goldenRec)
+	sess, err := perfi.NewSession(wl, *seed, gpu.Config{}, goldenRec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	frr, outcome, err := sess.Run(desc, faultyRec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	golden, faulty := goldenRec.Events, faultyRec.Events
 
-	fmt.Printf("app=%s descriptor: %v\n", w.Name(), desc)
-	fmt.Printf("outcome: %v", outcome)
+	fmt.Fprintf(w, "app=%s descriptor: %v\n", wl.Name(), desc)
+	fmt.Fprintf(w, "outcome: %v", outcome)
 	if frr.Hung() {
-		fmt.Printf(" (%v: %s)", frr.Trap, frr.TrapInfo)
+		fmt.Fprintf(w, " (%v: %s)", frr.Trap, frr.TrapInfo)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	d := microscope.Diff(golden, faulty)
-	fmt.Print(microscope.Render(d, golden, faulty, *context))
+	fmt.Fprint(w, microscope.Render(d, golden, faulty, *context))
 	compared, maskDiffs, flips := microscope.MaskDriftStats(golden, faulty)
-	fmt.Printf("mask drift: %d/%d issues differ, %d lane flips total\n",
+	fmt.Fprintf(w, "mask drift: %d/%d issues differ, %d lane flips total\n",
 		maskDiffs, compared, flips)
 	if d.Diverged() {
-		fmt.Println("(control flow diverged: a CFC-style detector would flag this run)")
+		fmt.Fprintln(w, "(control flow diverged: a CFC-style detector would flag this run)")
 	} else if outcome == workloads.OutcomeSDC {
-		fmt.Println("(pure data corruption: invisible to control-flow checking)")
+		fmt.Fprintln(w, "(pure data corruption: invisible to control-flow checking)")
 	}
+	return nil
 }

@@ -135,9 +135,9 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 }
 
 // TestDocsRunLiveCommands fails when a document tells the reader to
-// `go run ./cmd/<name>` for a command that no longer exists.
+// `go run ./<path>` for a directory that no longer exists.
 func TestDocsRunLiveCommands(t *testing.T) {
-	goRunRE := regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
+	goRunRE := regexp.MustCompile(`go run \./([A-Za-z0-9_./-]+)`)
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -145,8 +145,9 @@ func TestDocsRunLiveCommands(t *testing.T) {
 		}
 		for i, line := range strings.Split(string(raw), "\n") {
 			for _, m := range goRunRE.FindAllStringSubmatch(line, -1) {
-				if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
-					t.Errorf("%s:%d: `go run ./cmd/%s` names no cmd/ directory", doc, i+1, m[1])
+				dir := strings.TrimRight(m[1], "./") // "./..." or a sentence's full stop
+				if st, err := os.Stat(filepath.FromSlash(dir)); err != nil || !st.IsDir() {
+					t.Errorf("%s:%d: `go run ./%s` names no directory", doc, i+1, m[1])
 				}
 			}
 		}

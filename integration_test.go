@@ -153,15 +153,15 @@ func TestHeadlineRTLClaims(t *testing.T) {
 	// FP32 AVF < INT AVF (area masking).
 	fadd, _ := rtlfi.MicroAVF(isaOpFADD, rtlfi.ModFP32, cfg)
 	iadd, _ := rtlfi.MicroAVF(isaOpIADD, rtlfi.ModINT, cfg)
-	if fadd.AVF() >= iadd.AVF() {
-		t.Errorf("FP32 AVF %.2f >= INT AVF %.2f", fadd.AVF(), iadd.AVF())
+	if fadd.Masked <= iadd.Masked {
+		t.Errorf("FP32 AVF %.2f >= INT AVF %.2f", 1-fadd.Masked, 1-iadd.Masked)
 	}
 
 	// Scheduler corrupts many threads per warp; its AVF sits below the
 	// datapath modules on the thread-independent micro-benchmarks.
 	sched, _ := rtlfi.MicroAVF(isaOpIADD, rtlfi.ModSched, cfg)
-	if sched.AVF() >= iadd.AVF() {
-		t.Errorf("scheduler AVF %.2f not below INT %.2f", sched.AVF(), iadd.AVF())
+	if sched.Masked <= iadd.Masked {
+		t.Errorf("scheduler AVF %.2f not below INT %.2f", 1-sched.Masked, 1-iadd.Masked)
 	}
 	if sched.AvgCorruptedThreads < 10 {
 		t.Errorf("scheduler corrupts %.1f threads/warp; paper reports ~28", sched.AvgCorruptedThreads)
@@ -184,12 +184,12 @@ func TestHeadlineRTLClaims(t *testing.T) {
 	var schedT float64
 	for _, row := range st.Rows {
 		if row.Module == rtlfi.ModSched && row.Tile == rtlfi.TileRandom {
-			schedT = row.SDCSingle + row.SDCMulti + row.DUE
+			schedT = 1 - row.Masked
 		}
 	}
-	if schedT <= sched.AVF() {
+	if schedT <= 1-sched.Masked {
 		t.Errorf("t-MxM scheduler AVF %.2f not above micro %.2f (the paper's reversal)",
-			schedT, sched.AVF())
+			schedT, 1-sched.Masked)
 	}
 }
 

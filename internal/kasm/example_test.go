@@ -6,28 +6,7 @@ import (
 	"gpufaultsim/internal/kasm"
 )
 
-// ExampleParse assembles a SASS-like text kernel and disassembles it back.
-func ExampleParse() {
-	prog, err := kasm.Parse("double", `
-		S2R R0, SR_TID.X
-		GLD R1, [R0+0]
-		FADD R1, R1, R1
-		GST [R0+0], R1
-		EXIT
-	`)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Print(prog.Disassemble())
-	// Output:
-	//     0: S2R R0, SR_TID.X
-	//     1: GLD R1, [R0+0]
-	//     2: FADD R1, R1, R1
-	//     3: GST [R0+0], R1
-	//     4: EXIT
-}
-
-// ExampleBuilder builds the same kernel programmatically.
+// ExampleBuilder builds a counting loop with a backward branch.
 func ExampleBuilder() {
 	b := kasm.New("count")
 	b.MOVI(0, 3)

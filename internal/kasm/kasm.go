@@ -18,9 +18,8 @@ import (
 // Program is an assembled kernel: a flat slice of instruction words plus
 // metadata used by launches.
 type Program struct {
-	Name   string
-	Code   []isa.Word
-	Labels map[string]int // label -> instruction index
+	Name string
+	Code []isa.Word
 }
 
 // At decodes the instruction at index i.
@@ -28,22 +27,6 @@ func (p *Program) At(i int) isa.Instruction { return isa.Decode(p.Code[i]) }
 
 // Len reports the number of instructions in the program.
 func (p *Program) Len() int { return len(p.Code) }
-
-// Disassemble renders the whole program as SASS-like text.
-func (p *Program) Disassemble() string {
-	rev := make(map[int]string, len(p.Labels))
-	for name, idx := range p.Labels {
-		rev[idx] = name
-	}
-	var s string
-	for i := range p.Code {
-		if name, ok := rev[i]; ok {
-			s += name + ":\n"
-		}
-		s += fmt.Sprintf("  %3d: %s\n", i, p.At(i))
-	}
-	return s
-}
 
 type fixup struct {
 	index int    // instruction to patch
@@ -123,8 +106,7 @@ func (b *Builder) Build() (*Program, error) {
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("kasm: %s: %s", b.name, strings.Join(errs, "; "))
 	}
-	p := &Program{Name: b.name, Code: make([]isa.Word, len(b.code)),
-		Labels: b.labels}
+	p := &Program{Name: b.name, Code: make([]isa.Word, len(b.code))}
 	for i, in := range b.code {
 		p.Code[i] = in.Encode()
 	}

@@ -101,17 +101,6 @@ func TestNegativeMemoryOffsets(t *testing.T) {
 	}
 }
 
-func TestDisassembleContainsLabelsAndMnemonics(t *testing.T) {
-	b := New("dis")
-	b.Label("start").MOVI(0, 7).BRA("start")
-	text := b.MustBuild().Disassemble()
-	for _, want := range []string{"start:", "MOV32I R0, 7", "BRA 0"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestGlobalThreadIdXSequence(t *testing.T) {
 	p := New("gid").GlobalThreadIdX(0, 1).MustBuild()
 	ops := []isa.Opcode{isa.OpS2R, isa.OpS2R, isa.OpIMUL, isa.OpS2R, isa.OpIADD}

@@ -55,30 +55,6 @@ func (b *Builder) BufBus(a []Node) []Node {
 	return out
 }
 
-// XorBus returns a⊕c bitwise.
-func (b *Builder) XorBus(a, c []Node) []Node {
-	if !b.sameLen(a, c, "XorBus") {
-		c = b.padTo(c, len(a))
-	}
-	out := make([]Node, len(a))
-	for i := range a {
-		out[i] = b.Xor(a[i], c[i])
-	}
-	return out
-}
-
-// AndBus returns a∧c bitwise.
-func (b *Builder) AndBus(a, c []Node) []Node {
-	if !b.sameLen(a, c, "AndBus") {
-		c = b.padTo(c, len(a))
-	}
-	out := make([]Node, len(a))
-	for i := range a {
-		out[i] = b.And(a[i], c[i])
-	}
-	return out
-}
-
 // AndNode ANDs a single enable into every bit of the bus.
 func (b *Builder) AndNode(a []Node, en Node) []Node {
 	out := make([]Node, len(a))
@@ -170,18 +146,6 @@ func (b *Builder) LtConst(a []Node, value uint64) Node {
 		}
 	}
 	return lt
-}
-
-// Eq returns a == c.
-func (b *Builder) Eq(a, c []Node) Node {
-	if !b.sameLen(a, c, "Eq") {
-		c = b.padTo(c, len(a))
-	}
-	acc := b.Const(true)
-	for i := range a {
-		acc = b.And(acc, b.Not(b.Xor(a[i], c[i])))
-	}
-	return acc
 }
 
 // Decode returns the one-hot decode of the select bus (width 1<<len(sel)).

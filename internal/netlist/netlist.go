@@ -81,12 +81,6 @@ type Netlist struct {
 // (two faults per cell output).
 func (n *Netlist) NumFaults() int { return 2 * len(n.Cells) }
 
-// Stats returns a one-line summary.
-func (n *Netlist) Stats() string {
-	return fmt.Sprintf("%s: %d cells (%d inputs, %d DFFs, %d outputs), %d stuck-at faults",
-		n.Name, len(n.Cells), len(n.Inputs), len(n.DFFs), len(n.Outputs), n.NumFaults())
-}
-
 // EvalOrder returns the combinational cells in dependency order (inputs,
 // constants and DFFs excluded). Static analyses use it to sweep the
 // circuit the same way Eval does. Callers must not mutate the slice.

@@ -394,8 +394,6 @@ func TestBusWidthMismatchReportedByBuild(t *testing.T) {
 		op    string
 		build func(b *Builder)
 	}{
-		{"XorBus", func(b *Builder) { b.OutputBus("y", b.XorBus(b.InputBus("a", 4), b.InputBus("c", 3))) }},
-		{"AndBus", func(b *Builder) { b.OutputBus("y", b.AndBus(b.InputBus("a", 4), b.InputBus("c", 3))) }},
 		{"MuxBus", func(b *Builder) {
 			s := b.Input("s")
 			b.OutputBus("y", b.MuxBus(s, b.InputBus("a", 4), b.InputBus("c", 3)))
@@ -404,7 +402,6 @@ func TestBusWidthMismatchReportedByBuild(t *testing.T) {
 			sum, _ := b.Adder(b.InputBus("a", 4), b.InputBus("c", 3), b.Const(false))
 			b.OutputBus("y", sum)
 		}},
-		{"Eq", func(b *Builder) { b.Output("y", 0, b.Eq(b.InputBus("a", 4), b.InputBus("c", 3))) }},
 		{"SetRegister", func(b *Builder) {
 			q := b.Register(4)
 			b.SetRegister(q, b.InputBus("d", 3), NoEnable)

@@ -2,7 +2,6 @@ package perfi_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
@@ -12,23 +11,26 @@ import (
 
 // Example injects one permanent Incorrect-Active-Thread error into the
 // vectoradd workload and classifies the outcome — the library's core loop.
+// The session owns the injection policy: device memory sized to the job,
+// a golden run that must not trap, and a tight watchdog on faulty runs.
 func Example() {
-	job := workloads.VectorAdd{}.Build(rand.New(rand.NewSource(42)))
-
-	golden, _ := job.Run(gpu.NewDevice(gpu.DefaultConfig()))
-
+	sess, err := perfi.NewSession(workloads.VectorAdd{}, 42, gpu.Config{})
+	if err != nil {
+		panic(err)
+	}
 	desc := errmodel.Descriptor{
 		Model:      errmodel.IAT,
 		Warps:      []int{0},
 		Threads:    1 << 5,
 		BitErrMask: 0x2,
 	}
-	fdev := gpu.NewDevice(gpu.DefaultConfig())
-	fdev.AddHook(perfi.New(desc, rand.New(rand.NewSource(1))))
-	faulty, _ := job.Run(fdev)
+	faulty, outcome, err := sess.Run(desc)
+	if err != nil {
+		panic(err)
+	}
 
-	fmt.Println(workloads.Classify(golden.Output, faulty))
-	fmt.Println(workloads.CorruptedElements(golden.Output, faulty.Output))
+	fmt.Println(outcome)
+	fmt.Println(workloads.CorruptedElements(sess.Golden.Output, faulty.Output))
 	// Output:
 	// SDC
 	// [5 69 133 197]

@@ -22,8 +22,8 @@ var (
 // Session is the injection policy for one application, stated once: how
 // the job is built, how device memory is sized, what a valid golden run
 // is, how tight the faulty runs' watchdog is, and how one injection is
-// run and classified. Campaigns (RunApp), the mitigation study and the
-// examples all inject through it.
+// run and classified. Campaigns (RunApp), the mitigation study and
+// cmd/trace all inject through it.
 type Session struct {
 	Job    *workloads.Job
 	Golden *workloads.RunResult

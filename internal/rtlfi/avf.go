@@ -52,9 +52,6 @@ type AVFRow struct {
 	AvgCorruptedThreads float64
 }
 
-// AVF returns the total architectural vulnerability (SDC+DUE fraction).
-func (r AVFRow) AVF() float64 { return r.SDCSingle + r.SDCMulti + r.DUE }
-
 // Config controls a micro-benchmark campaign.
 type MicroConfig struct {
 	Seed           int64

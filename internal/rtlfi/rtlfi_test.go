@@ -135,8 +135,8 @@ func TestMicroAVFShapes(t *testing.T) {
 	iadd, _ := MicroAVF(isa.OpIADD, ModINT, cfg)
 	// Paper: FP32 FU AVF much smaller than INT (larger area, more
 	// conditionally-idle logic).
-	if fadd.AVF() >= iadd.AVF() {
-		t.Errorf("FADD FU AVF %.3f should be below IADD %.3f", fadd.AVF(), iadd.AVF())
+	if fadd.Masked <= iadd.Masked {
+		t.Errorf("FADD FU AVF %.3f should be below IADD %.3f", 1-fadd.Masked, 1-iadd.Masked)
 	}
 	// FU faults corrupt about one thread per warp.
 	if fadd.AvgCorruptedThreads > 2 {

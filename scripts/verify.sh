@@ -3,7 +3,8 @@
 #
 # Runs go vet, checks gofmt cleanliness, runs the test suite under the
 # race detector, the golden repro and the benchmark's smoke-scale oracle.
-# Exits non-zero on the first failure. Invoked by `make verify`.
+# Prints each step's elapsed seconds and the total. Exits non-zero on the
+# first failure. Invoked by `make verify`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,55 +28,65 @@ cleanup() {
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-echo "==> go vet ./..."
+# step prints the elapsed whole seconds of the step before it, then heads
+# the next one; `step ""` closes the last step.
+started=$(date +%s)
+step_started=""
+step() {
+	now=$(date +%s)
+	[ -z "$step_started" ] || echo "    ($((now - step_started)) s)"
+	step_started=$now
+	[ -z "$1" ] || echo "==> $1"
+}
+
+step "go vet ./..."
 go vet ./...
 
 # Invariant analyzers (cmd/vetsim): determinism of artifact-producing
 # packages, cache-key completeness against jobs.Spec, telemetry timing
 # discipline in //vetsim:instrumented files (the AST-accurate successor
 # of the old time.Since grep), and hot-path allocation/lock hygiene.
-echo "==> vetsim invariant analyzers"
+step "vetsim invariant analyzers"
 go run ./cmd/vetsim ./...
 
-echo "==> gofmt -l"
-unformatted=$(gofmt -l ./benchmark ./cmd ./internal ./examples ./*.go)
+step "gofmt -l"
+unformatted=$(gofmt -l ./benchmark ./cmd ./internal ./*.go)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2
 	exit 1
 fi
 
-echo "==> go build ./..."
+step "go build ./..."
 go build ./...
 
-echo "==> go test -race ./..."
+step "go test -race ./..."
 go test -race ./...
 
-# Short fuzz smoke: the differential fuzzers must at least survive their
-# seed corpora plus a few seconds of mutation. Saved crashers under
+# Short fuzz smoke: the differential fuzzer must at least survive its
+# seed corpus plus a few seconds of mutation. Saved crashers under
 # testdata/fuzz/ run as regular tests above; this step keeps the mutation
 # machinery itself exercised. One -fuzz target per invocation (go test
 # limitation).
-echo "==> fuzz smoke"
-go test ./internal/kasm -run '^$' -fuzz '^FuzzKasmParse$' -fuzztime 5s
+step "fuzz smoke"
 go test ./internal/gatesim -run '^$' -fuzz '^FuzzNetlistEval$' -fuzztime 5s
 
 # Golden end-to-end: the full default-scale repro output, byte-for-byte
 # (timing masked). Runs without -race on purpose — the test skips itself
 # under the race detector.
-echo "==> golden end-to-end (cmd/repro)"
+step "golden end-to-end (cmd/repro)"
 go test ./cmd/repro -run '^TestReproGoldenDefault$' -count=1
 
 # The hang proof against the watchdog over a whole software campaign:
 # 2640 injections run twice, too long for -race, which skips it.
-echo "==> hang proof oracle (internal/perfi)"
+step "hang proof oracle (internal/perfi)"
 go test ./internal/perfi -run '^TestHangProofMatchesWatchdog$' -count=1
 
 # Benchmark oracle at smoke scale: expected.json output digests, the
 # stepwise==RunTwoLevelCtx and replay==perfi.RunApp guards, the gate
 # variant equivalences and the cold/warm/cluster artifact byte-identity.
 # Must end in a JSON line with "correct": true (exit status 0).
-echo "==> benchmark smoke (go run ./benchmark -workload all -smoke)"
+step "benchmark smoke (go run ./benchmark -workload all -smoke)"
 smoke=$(go run ./benchmark -workload all -smoke -seconds 0) || {
 	# The table above the final JSON line says what was wrong.
 	echo "$smoke" | sed '$d' | tail -n 40 >&2
@@ -90,7 +101,7 @@ smoke=$(go run ./benchmark -workload all -smoke -seconds 0) || {
 # stay within 5% of its cost with telemetry disabled. Three short runs
 # per mode, interleaved (on, off, on, off, ...) so host drift hits both
 # sides alike, best-of (min ns/op) per side to shed scheduler noise.
-echo "==> telemetry overhead smoke (BenchmarkEventCampaign on vs off)"
+step "telemetry overhead smoke (BenchmarkEventCampaign on vs off)"
 bench_ns() {
 	GPUFAULTSIM_TELEMETRY="$1" go test ./internal/gatesim \
 		-run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -count 1 |
@@ -118,7 +129,7 @@ awk -v on="$ON" -v off="$OFF" 'BEGIN {
 # the budget below catches it while leaving headroom for setup drift.
 # (Steady-state reuse across patterns is asserted separately by
 # TestShardedCampaignSteadyStateAllocs.)
-echo "==> allocation regression gate (BenchmarkEventCampaign)"
+step "allocation regression gate (BenchmarkEventCampaign)"
 ALLOCS=$(go test ./internal/gatesim -run '^$' -bench '^BenchmarkEventCampaign$' -benchtime 2x -benchmem |
 	awk '/^BenchmarkEventCampaign/ { for (i = 1; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }')
 [ -n "$ALLOCS" ] || { echo "allocation gate: benchmark produced no allocs/op" >&2; exit 1; }
@@ -127,7 +138,8 @@ echo "    ${ALLOCS} allocs/op (budget 1670)"
 
 # Hand-in check: every step above ran in the foreground, so a daemon,
 # benchmark, test binary or go command alive now is a straggler.
-echo "==> straggler check"
+step "straggler check"
 sh scripts/stragglers.sh
+step ""
 
-echo "verify: OK"
+echo "verify: OK ($(($(date +%s) - started)) s)"
