@@ -2,9 +2,10 @@
 // long-running daemon: clients POST campaign specs, poll or stream job
 // progress, and fetch the final artifacts over plain HTTP. Completed
 // chunk results live in a content-addressed cache shared across jobs, and
-// every chunk completion is checkpointed, so killing the daemon
-// mid-campaign loses at most the chunks in flight — a restart resumes
-// each interrupted job and reproduces byte-identical artifacts.
+// that cache is the record of progress: a job's own record is written at
+// submit and once at the end, so killing the daemon mid-campaign loses at
+// most the chunks in flight — a restart re-runs each interrupted job from
+// the cache and reproduces byte-identical artifacts.
 //
 // The daemon scales out with -role: a coordinator keeps the job API and
 // additionally serves the cluster lease protocol, routing every chunk to
@@ -40,7 +41,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8091", "listen address")
-	dataDir := flag.String("data", "faultsimd-data", "state directory (checkpoints + result cache)")
+	dataDir := flag.String("data", "faultsimd-data", "state directory (job records + result cache)")
 	cacheBudget := flag.Int64("cache-budget", 256<<20, "result cache budget in bytes")
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing jobs")
 	chunkWorkers := flag.Int("chunk-workers", 0, "per-job chunk parallelism (0 = GOMAXPROCS)")
@@ -135,8 +136,8 @@ func main() {
 	}
 
 	// Graceful shutdown: stop accepting jobs, let in-flight work finish
-	// within the grace period (progress past it is checkpointed anyway),
-	// then close the listener.
+	// within the grace period (chunks finished past it are in the cache
+	// anyway), then close the listener.
 	logger.Info("shutting down, draining", "grace", grace.String())
 	if sched.Drain(*grace) {
 		logger.Info("drained cleanly")

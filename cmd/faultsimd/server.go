@@ -15,7 +15,7 @@ import (
 )
 
 // telSubmitSeconds times the POST /jobs round trip server-side — decode,
-// admission, checkpoint — into the shared latency bucketing: the daemon's
+// admission, job record — into the shared latency bucketing: the daemon's
 // own view of submission latency on /metrics.
 var telSubmitSeconds = telemetry.Default().Histogram(
 	"http_submit_seconds", "POST /jobs handling latency",

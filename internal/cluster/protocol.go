@@ -7,7 +7,7 @@
 // count. Liveness is heartbeat-driven: a lease that outlives its TTL
 // without renewal is expired back to the pending queue and reassigned,
 // so worker death costs only the in-flight leases. The coordinator holds
-// no cluster state that its job checkpoints cannot rebuild: a restarted
+// no cluster state that its job records cannot rebuild: a restarted
 // coordinator recovers every unfinished job and re-offers exactly the
 // chunks whose results the store does not already hold.
 //

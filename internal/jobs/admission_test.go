@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +18,7 @@ import (
 // many goroutines against a small MaxPending. Under -race this is the
 // proof that admission control holds its invariant exactly: every
 // attempt is either admitted (distinct job, runs to completion) or
-// rejected with ErrQueueFull (no job, no checkpoint, no queue entry) —
+// rejected with ErrQueueFull (no job, no record, no queue entry) —
 // no submission is lost, none is double-admitted, and the observed
 // pending count never exceeds the limit. All attempts carry the same
 // spec, so the final artifact set must also be deterministic: every
@@ -144,6 +147,49 @@ func TestConcurrentSubmissionsRaceAdmissionLimit(t *testing.T) {
 	samplerWG.Wait()
 	if v := overLimit.Load(); v != 0 {
 		t.Fatalf("pending count observed at %d, above admission limit %d", v, limit)
+	}
+}
+
+// TestFailedSubmitLeavesNoJob: a submission whose job record cannot be
+// written takes no pending slot and leaves no job behind, so the next
+// submission is admitted once the directory is back.
+func TestFailedSubmitLeavesNoJob(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir+"/cache", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Dir: dir + "/jobs", Store: st, MaxPending: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobsDir := filepath.Join(dir, "jobs")
+	if err := os.Remove(jobsDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobsDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Submit(tinySpec())
+	if err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Fatalf("submit into a file: %v, want a not-a-directory error", err)
+	}
+	if got.ID != "" || len(s.Jobs()) != 0 || s.Pending() != 0 {
+		t.Fatalf("failed submit left status %+v, %d jobs, %d pending", got, len(s.Jobs()), s.Pending())
+	}
+
+	if err := os.Remove(jobsDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jobsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	got, err = s.Submit(tinySpec())
+	if err != nil {
+		t.Fatalf("submit after the directory is back: %v", err)
+	}
+	if names := dirNames(t, jobsDir); len(s.Jobs()) != 1 || len(names) != 1 || names[0] != got.ID+".json" {
+		t.Fatalf("after one good submit: %d jobs, directory %v", len(s.Jobs()), names)
 	}
 }
 

@@ -10,15 +10,19 @@ import (
 	"time"
 )
 
-// checkpointSchema versions the on-disk job checkpoint format.
-const checkpointSchema = 1
+// checkpointSchema versions the job record format. A schema-1 file is a
+// job record and an end record in one, and still loads.
+const checkpointSchema = 2
 
-// checkpoint is the durable record of a job: its spec plus per-chunk
-// completion state referencing payloads in the content-addressed store.
-// Payload bytes never live here — the checkpoint stays small and the
-// store stays the single source of result truth. Fields an older daemon
-// wrote that this one no longer has (the job's "slo_class", the spec's
-// "engine") are ignored on load, so they need no schema bump.
+// endSuffix names a job's end record, <id>.end.json, beside <id>.json.
+const endSuffix = ".end.json"
+
+// checkpoint is a job record, written as two new files: <id>.json at
+// Submit (queued, no chunks) and <id>.end.json once the job is Done or
+// Failed, adding each chunk's key into the content-addressed store.
+// Progress in between lives only in the store, and payload bytes never
+// live here. Fields an older daemon wrote that this one no longer has
+// (the job's "slo_class", the spec's "engine") are ignored on load.
 type checkpoint struct {
 	Schema  int          `json:"schema"`
 	ID      string       `json:"id"`
@@ -27,51 +31,47 @@ type checkpoint struct {
 	State   State        `json:"state"`
 	Err     string       `json:"error,omitempty"`
 	Created time.Time    `json:"created"`
-	Chunks  []ChunkState `json:"chunks"`
+	Chunks  []ChunkState `json:"chunks,omitempty"`
 }
 
-func checkpointPath(dir, jobID string) string {
-	return filepath.Join(dir, jobID+".json")
+// recordLocked marshals j's record in state st; only an end record lists
+// the chunks. Caller holds the scheduler's mutex and writes after unlocking.
+func (j *Job) recordLocked(st State, msg string) ([]byte, error) {
+	cp := checkpoint{Schema: checkpointSchema, ID: j.ID, Digest: j.Digest,
+		Spec: j.Spec, State: st, Err: msg, Created: j.created}
+	if st != StateQueued {
+		cp.Chunks = j.chunks
+	}
+	return json.MarshalIndent(cp, "", "  ")
 }
 
-// saveCheckpoint writes the job's checkpoint atomically (temp + rename),
-// so a crash mid-write leaves the previous checkpoint intact.
-func saveCheckpoint(dir string, j *Job) error {
-	cp := checkpoint{
-		Schema: checkpointSchema, ID: j.ID, Digest: j.Digest, Spec: j.Spec,
-		State: j.state, Err: j.err, Created: j.created,
-		Chunks: j.chunks,
+// publishRecord writes b as dir/name through a temp file and a hard link.
+// The link fails if name exists, so no record is ever replaced, and a
+// crash mid-write leaves no torn record.
+func publishRecord(dir, name string, b []byte) error {
+	tmp, err := os.CreateTemp(dir, name+"-*.tmp")
+	if err == nil {
+		defer os.Remove(tmp.Name())
+		_, err = tmp.Write(b)
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
 	}
-	b, err := json.MarshalIndent(cp, "", "  ")
+	if err == nil {
+		err = os.Link(tmp.Name(), filepath.Join(dir, name))
+	}
 	if err != nil {
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.ID, err)
-	}
-	tmp, err := os.CreateTemp(dir, j.ID+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.ID, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.ID, err)
-	}
-	if err := os.Rename(tmp.Name(), checkpointPath(dir, j.ID)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.ID, err)
+		return fmt.Errorf("jobs: record %s: %w", name, err)
 	}
 	telCheckpoints.Inc()
 	return nil
 }
 
-// loadCheckpoints reads every job checkpoint under dir, oldest job ID
-// first (IDs embed a monotonic sequence number, so lexicographic order is
-// submission order). Leftover temp files from interrupted writes are
-// removed; unreadable checkpoints are skipped with their errors
-// collected.
+// loadCheckpoints reads every job under dir, oldest job ID first (IDs
+// embed a monotonic sequence number, so lexicographic order is submission
+// order); a job's end record supersedes its job record. Unreadable
+// records are skipped with their errors collected, and temp files that a
+// crash mid-publish left are ignored like any other non-.json name.
 func loadCheckpoints(dir string) ([]*checkpoint, []error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -84,29 +84,23 @@ func loadCheckpoints(dir string) ([]*checkpoint, []error) {
 	var errs []error
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() {
+		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("jobs: recover %s: %w", name, err))
-			continue
+		end := strings.TrimSuffix(name, ".json") + endSuffix
+		if _, err := os.Stat(filepath.Join(dir, end)); err == nil {
+			continue // a job record whose end record supersedes it
 		}
 		var cp checkpoint
-		if err := json.Unmarshal(b, &cp); err != nil {
-			errs = append(errs, fmt.Errorf("jobs: recover %s: %w", name, err))
-			continue
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err == nil {
+			err = json.Unmarshal(b, &cp)
 		}
-		if cp.Schema != checkpointSchema {
-			errs = append(errs, fmt.Errorf("jobs: recover %s: schema %d, want %d",
-				name, cp.Schema, checkpointSchema))
+		if err == nil && cp.Schema != 1 && cp.Schema != checkpointSchema {
+			err = fmt.Errorf("schema %d, want 1 or %d", cp.Schema, checkpointSchema)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("jobs: recover %s: %w", name, err))
 			continue
 		}
 		cps = append(cps, &cp)

@@ -43,7 +43,7 @@ type Chunk struct {
 	Arg   string `json:"arg"`   // unit or app name ("" for profile)
 }
 
-// ChunkState tracks one chunk's lifecycle inside a job checkpoint.
+// ChunkState tracks one chunk's lifecycle inside a job and its end record.
 type ChunkState struct {
 	Chunk
 	Done      bool   `json:"done"`

@@ -11,15 +11,14 @@ import (
 	"gpufaultsim/internal/report"
 )
 
-// State is a job's lifecycle state.
+// State is a job's lifecycle state. Done and Failed are terminal.
 type State string
 
 const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
-	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
+	StateQueued  State = "queued"
+	StateRunning State = "running"
+	StateDone    State = "done"
+	StateFailed  State = "failed"
 )
 
 // Job is one submitted campaign. All fields behind the scheduler mutex;

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -208,11 +211,24 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	s.Start(ctx)
 	defer s.Stop()
 
+	writes := telCheckpoints.Value()
 	st, err := s.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	final := waitState(t, s, st.ID, StateDone)
+
+	// Two records, each a new file: the job record at Submit and the end
+	// record before Done is visible. Publishing over either name fails.
+	if n := telCheckpoints.Value() - writes; n != 2 {
+		t.Errorf("record writes = %d, want 2", n)
+	}
+	if got, want := dirNames(t, dir+"/jobs"), []string{st.ID + ".end.json", st.ID + ".json"}; !slices.Equal(got, want) {
+		t.Errorf("job directory holds %v, want %v", got, want)
+	}
+	if err := publishRecord(dir+"/jobs", st.ID+".json", []byte("{}")); !errors.Is(err, fs.ErrExist) {
+		t.Errorf("publishing over an existing record: %v, want an ErrExist error", err)
+	}
 
 	if len(final.Artifacts) != 4 { // gate_wsc, gate_fetch, gate_decoder, software
 		t.Fatalf("artifacts = %v, want 4", final.Artifacts)
@@ -349,6 +365,109 @@ func TestRecoverRestoresFinishedJob(t *testing.T) {
 			t.Fatalf("recovered artifact %s differs or missing", name)
 		}
 	}
+}
+
+// TestRecoverRerunsJobFromStore: a finished job that lost its end record
+// (a crash after the last chunk's Put) or one cached payload re-runs on
+// Recover. Every chunk still in the store is a cache hit, the artifacts
+// are unchanged, and the re-run leaves one job record and one end record.
+func TestRecoverRerunsJobFromStore(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		lose     func(dir string, st Status) string // the file to delete
+		computed int                                // chunks the re-run recomputes
+	}{
+		{"end record lost", func(dir string, st Status) string {
+			return filepath.Join(dir, "jobs", st.ID+".end.json")
+		}, 0},
+		{"payload evicted", func(dir string, st Status) string {
+			k := st.Chunks[len(st.Chunks)-1].CacheKey
+			return filepath.Join(dir, "cache", k[:2], k)
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestScheduler(t, dir)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.Start(ctx)
+			st, err := s.Submit(tinySpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, s, st.ID, StateDone)
+			s.Stop()
+			if err := os.Remove(tc.lose(dir, final)); err != nil {
+				t.Fatal(err)
+			}
+
+			failures := telRecordFail.Value()
+			s2 := newTestScheduler(t, dir)
+			requeued, errs := s2.Recover()
+			if len(errs) != 0 || requeued != 1 {
+				t.Fatalf("recover = %d jobs, errs %v; want 1 requeued", requeued, errs)
+			}
+			s2.Start(ctx)
+			defer s2.Stop()
+			got := waitState(t, s2, st.ID, StateDone)
+			if want := len(got.Chunks) - tc.computed; got.CacheHits != want {
+				t.Errorf("cache hits = %d, want %d of %d chunks", got.CacheHits, want, len(got.Chunks))
+			}
+			for _, name := range final.Artifacts {
+				a, _ := s.Artifact(st.ID, name)
+				b, ok := s2.Artifact(st.ID, name)
+				if !ok || !bytes.Equal(a, b) {
+					t.Errorf("recovered artifact %s differs or missing", name)
+				}
+			}
+			if names, want := dirNames(t, dir+"/jobs"), []string{st.ID + ".end.json", st.ID + ".json"}; !slices.Equal(names, want) {
+				t.Errorf("job directory holds %v, want %v", names, want)
+			}
+			if telRecordFail.Value() != failures {
+				t.Error("the re-run's end record failed to write")
+			}
+		})
+	}
+}
+
+// TestInterruptedJobLeavesOnlyJobRecord: a job stopped mid-run (its
+// profile chunk offered to a ledger no worker serves) writes nothing past
+// its job record, which says queued.
+func TestInterruptedJobLeavesOnlyJobRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestScheduler(t, dir)
+	s.opts.Ledger = NewLedger(LedgerOptions{TTL: time.Minute})
+	s.Start(context.Background())
+	st, err := s.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateRunning)
+	s.Stop()
+	if cur, _ := s.Job(st.ID); cur.State != StateQueued {
+		t.Fatalf("interrupted job = %s, want queued", cur.State)
+	}
+	if got, want := dirNames(t, dir+"/jobs"), []string{st.ID + ".json"}; !slices.Equal(got, want) {
+		t.Fatalf("job directory holds %v, want %v", got, want)
+	}
+	cps, errs := loadCheckpoints(dir + "/jobs")
+	if len(errs) != 0 || len(cps) != 1 || cps[0].State != StateQueued || cps[0].Chunks != nil {
+		t.Fatalf("loaded %+v, errs %v; want one queued record without chunks", cps, errs)
+	}
+}
+
+// dirNames lists a directory's entry names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // oldCheckpoint is a job checkpoint as the daemon wrote it while the spec

@@ -156,7 +156,7 @@ type Ledger struct {
 }
 
 // NewLedger builds an empty ledger. The ledger holds no durable state of
-// its own: it is reconstructed from scheduler checkpoints after a
+// its own: it is reconstructed from scheduler job records after a
 // coordinator restart (Recover re-runs each unfinished job, which
 // re-offers exactly the chunks whose results are not already in the
 // store).

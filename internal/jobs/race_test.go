@@ -12,7 +12,7 @@ import (
 // executes and checkpoints chunk completions. Run under -race this is the
 // proof that the scheduler's mutex discipline and the store's internal
 // locking hold up when readers overlap the write path (ensureChunk →
-// store.Put → markChunkDone → saveCheckpoint).
+// store.Put → markChunkDone → the end record).
 func TestConcurrentReadsDuringCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestScheduler(t, dir)

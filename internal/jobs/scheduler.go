@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,7 +31,8 @@ var (
 	telFailed      = telemetry.Default().Counter("jobs_completed_total", "jobs reaching a terminal or resumable state", telemetry.L("state", "failed"))
 	telInterrupted = telemetry.Default().Counter("jobs_completed_total", "jobs reaching a terminal or resumable state", telemetry.L("state", "interrupted"))
 	telRecovered   = telemetry.Default().Counter("jobs_recovered_total", "interrupted jobs re-enqueued by Recover")
-	telCheckpoints = telemetry.Default().Counter("jobs_checkpoints_total", "job checkpoints written")
+	telCheckpoints = telemetry.Default().Counter("jobs_checkpoints_total", "job records written (two per finished job)")
+	telRecordFail  = telemetry.Default().Counter("jobs_record_failures_total", "end records that failed to write; the job re-runs as cache hits after a restart")
 	telQueueDepth  = telemetry.Default().Gauge("jobs_queue_depth", "jobs waiting for a worker")
 	telPending     = telemetry.Default().Gauge("jobs_pending", "jobs queued or running")
 	telChunkSec    = telemetry.Default().Histogram("jobs_chunk_seconds", "per-chunk compute latency (cache misses only)", telemetry.SecondsBuckets())
@@ -46,7 +49,7 @@ var (
 
 // Options configures a Scheduler.
 type Options struct {
-	// Dir holds job checkpoints (one JSON file per job).
+	// Dir holds job records: <id>.json at Submit, <id>.end.json at the end.
 	Dir string
 	// Store is the content-addressed result cache shared by all jobs.
 	Store *store.Store
@@ -86,8 +89,8 @@ var (
 )
 
 // Scheduler runs campaign jobs: deterministic chunking, bounded
-// parallelism, dispatch in submission order, per-chunk checkpointing and
-// content-addressed caching.
+// parallelism, dispatch in submission order, content-addressed caching,
+// and two record files per job (at submit and at the end).
 type Scheduler struct {
 	opts  Options
 	store *store.Store
@@ -167,8 +170,8 @@ func (s *Scheduler) Start(ctx context.Context) {
 }
 
 // Stop cancels in-flight work at the next chunk boundary and waits for
-// the workers to exit. Interrupted jobs keep their checkpoints and resume
-// via Recover on the next start.
+// the workers to exit. Interrupted jobs keep their job records and re-run
+// via Recover on the next start, their finished chunks as cache hits.
 func (s *Scheduler) Stop() {
 	if s.cancel != nil {
 		s.cancel()
@@ -295,8 +298,9 @@ func (s *Scheduler) phaseSecLocked() map[Phase]float64 {
 // submission is a distinct job; result reuse happens underneath in the
 // content-addressed cache, so resubmitting an identical spec completes
 // almost entirely from cache. Rejections (ErrQueueFull past MaxPending,
-// ErrDraining during shutdown) happen before any state is created: a
-// rejected submission leaves no job, no checkpoint and no queue entry.
+// ErrDraining during shutdown) happen before any state is created, and a
+// job whose record cannot be written is withdrawn: a rejected or failed
+// submission leaves no job, no record and no queue entry.
 func (s *Scheduler) Submit(spec Spec) (Status, error) {
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
@@ -324,44 +328,74 @@ func (s *Scheduler) Submit(spec Spec) (Status, error) {
 		Spec:    spec,
 		Digest:  digest,
 		state:   StateQueued,
+		chunks:  chunkStates(spec),
 		created: time.Now().UTC(), //vetsim:ignore determinism status-only submission timestamp; never enters artifacts or cache keys
 	}
-	for _, c := range Chunks(spec) {
-		j.chunks = append(j.chunks, ChunkState{Chunk: c})
-	}
+	// Registered before its record is written, so admission stays atomic.
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	st := j.statusLocked()
+	rec, err := j.recordLocked(StateQueued, "")
 	s.mu.Unlock()
-	telSubmitted.Inc()
 
-	if err := s.checkpoint(j); err != nil {
-		return st, err
+	if err == nil {
+		err = publishRecord(s.opts.Dir, j.ID+".json", rec)
 	}
 	s.mu.Lock()
+	if err != nil {
+		delete(s.jobs, j.ID)
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == j.ID })
+		s.mu.Unlock()
+		return Status{}, err
+	}
 	s.ready = append(s.ready, j.ID)
 	s.mu.Unlock()
+	telSubmitted.Inc()
 	s.cond.Signal()
 	return st, nil
 }
 
-// Recover loads every checkpoint under Dir, restores finished jobs and
-// re-enqueues unfinished ones. Chunks already recorded done are served
-// from the cache on re-execution, so a recovered job only recomputes what
-// it never finished. It returns the number of jobs re-enqueued.
+// chunkStates is a job's chunk list before any chunk has run.
+func chunkStates(spec Spec) (out []ChunkState) {
+	for _, c := range Chunks(spec) {
+		out = append(out, ChunkState{Chunk: c})
+	}
+	return out
+}
+
+// Recover loads every job record under Dir, restores finished jobs and
+// re-enqueues unfinished ones with a fresh chunk list. Chunks finished
+// before the restart are in the store and come back as cache hits, so a
+// recovered job only recomputes what it never finished. It returns the
+// number of jobs re-enqueued.
 func (s *Scheduler) Recover() (int, []error) {
 	cps, errs := loadCheckpoints(s.opts.Dir)
 	requeued := 0
 	for _, cp := range cps {
-		s.mu.Lock()
-		if _, dup := s.jobs[cp.ID]; dup {
-			s.mu.Unlock()
-			continue
-		}
 		j := &Job{
 			ID: cp.ID, Spec: cp.Spec.WithDefaults(), Digest: cp.Digest,
-			state: cp.State, err: cp.Err, created: cp.Created,
-			chunks: cp.Chunks,
+			state: cp.State, err: cp.Err, created: cp.Created, chunks: cp.Chunks,
+		}
+		if j.state == StateDone {
+			// Reassemble artifacts from cached payloads. If the cache lost
+			// one, the job is unfinished again: its end record goes.
+			var err error
+			if j.artifacts, err = s.restoreArtifacts(j); err != nil {
+				os.Remove(filepath.Join(s.opts.Dir, j.ID+endSuffix))
+				j.state = StateQueued
+			}
+		}
+		// Re-admission bypasses MaxPending: these jobs were admitted
+		// before the restart, and dropping them would lose accepted work.
+		requeue := j.state == StateQueued || j.state == StateRunning
+		if requeue {
+			j.state, j.err, j.chunks = StateQueued, "", chunkStates(j.Spec)
+		}
+
+		s.mu.Lock()
+		if _, dup := s.jobs[j.ID]; dup {
+			s.mu.Unlock()
+			continue
 		}
 		// A sequence collision would mint duplicate job IDs after restart.
 		var seq int
@@ -370,26 +404,11 @@ func (s *Scheduler) Recover() (int, []error) {
 		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
-		s.mu.Unlock()
-
-		switch cp.State {
-		case StateDone:
-			// Reassemble artifacts from cached payloads; if the cache lost
-			// one, fall back to re-running the missing chunks.
-			if err := s.restoreArtifacts(j); err == nil {
-				continue
-			}
-			fallthrough
-		case StateQueued, StateRunning:
-			// Re-admission bypasses MaxPending: these jobs were admitted
-			// before the restart, and dropping them would lose accepted
-			// work. The ready queue is unbounded, so recovery never fails
-			// for capacity.
-			s.mu.Lock()
-			j.state = StateQueued
-			j.err = ""
+		if requeue {
 			s.ready = append(s.ready, j.ID)
-			s.mu.Unlock()
+		}
+		s.mu.Unlock()
+		if requeue {
 			s.cond.Signal()
 			requeued++
 			telRecovered.Inc()
@@ -398,32 +417,21 @@ func (s *Scheduler) Recover() (int, []error) {
 	return requeued, errs
 }
 
-// restoreArtifacts rebuilds a finished job's artifacts from the cache.
-func (s *Scheduler) restoreArtifacts(j *Job) error {
-	s.mu.Lock()
-	chunks := append([]ChunkState(nil), j.chunks...)
-	spec := j.Spec
-	s.mu.Unlock()
-
+// restoreArtifacts rebuilds a recovered finished job's artifacts from the
+// cache, before the job is registered.
+func (s *Scheduler) restoreArtifacts(j *Job) (map[string][]byte, error) {
 	payloads := make(map[string][]byte)
-	for _, c := range chunks {
+	for _, c := range j.chunks {
 		if !c.Done || c.CacheKey == "" {
-			return fmt.Errorf("jobs: %s: chunk %s not done", j.ID, c.ID)
+			return nil, fmt.Errorf("jobs: %s: chunk %s not done", j.ID, c.ID)
 		}
 		b, ok := s.store.Get(c.CacheKey)
 		if !ok {
-			return fmt.Errorf("jobs: %s: chunk %s evicted from cache", j.ID, c.ID)
+			return nil, fmt.Errorf("jobs: %s: chunk %s evicted from cache", j.ID, c.ID)
 		}
 		payloads[c.ID] = b
 	}
-	arts, err := assembleArtifacts(spec, payloads)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.artifacts = arts
-	s.mu.Unlock()
-	return nil
+	return assembleArtifacts(j.Spec, payloads)
 }
 
 // Job returns a job's status.
@@ -473,19 +481,12 @@ func (s *Scheduler) Subscribe(id string) (<-chan report.ProgressSnapshot, report
 	}
 	snap := j.snapshotLocked("", "")
 	ch := make(chan report.ProgressSnapshot, 64)
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
+	if j.state == StateDone || j.state == StateFailed {
 		close(ch)
 		return ch, snap, true
 	}
 	j.subs = append(j.subs, ch)
 	return ch, snap, true
-}
-
-// checkpoint persists a job's current state.
-func (s *Scheduler) checkpoint(j *Job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return saveCheckpoint(s.opts.Dir, j)
 }
 
 // --- execution ------------------------------------------------------------
@@ -499,41 +500,47 @@ func (s *Scheduler) runJob(ctx context.Context, id string) {
 	}
 	j.state = StateRunning
 	j.started = time.Now() //vetsim:ignore determinism status-only start timestamp; never enters artifacts or cache keys
-	saveCheckpoint(s.opts.Dir, j)
 	j.emitLocked(j.snapshotLocked("", ""))
 	s.mu.Unlock()
 
 	err := s.executeJob(ctx, j)
 
+	state, msg, tel := StateDone, "", telDone
+	switch {
+	case err != nil && ctx.Err() != nil:
+		// Shutdown, not failure: leave the job resumable. Its job record
+		// says queued, and the chunks it finished are in the store.
+		state, tel = StateQueued, telInterrupted
+	case err != nil:
+		state, msg, tel = StateFailed, err.Error(), telFailed
+	}
+	if state != StateQueued {
+		// The end record is on disk before the terminal state is visible.
+		s.mu.Lock()
+		rec, err := j.recordLocked(state, msg)
+		s.mu.Unlock()
+		if err == nil {
+			err = publishRecord(s.opts.Dir, j.ID+endSuffix, rec)
+		}
+		if err != nil {
+			telRecordFail.Inc()
+		}
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.err = ""
-		telDone.Inc()
-	case ctx.Err() != nil:
-		// Shutdown, not failure: leave the job resumable. The checkpoint
-		// keeps every chunk completed so far.
-		j.state = StateQueued
-		telInterrupted.Inc()
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
-		telFailed.Inc()
-	}
+	j.state, j.err = state, msg
 	j.finished = time.Now() //vetsim:ignore determinism status-only finish timestamp; never enters artifacts or cache keys
-	saveCheckpoint(s.opts.Dir, j)
-	snap := j.snapshotLocked("", "")
-	j.emitLocked(snap)
-	if j.state != StateQueued {
+	tel.Inc()
+	j.emitLocked(j.snapshotLocked("", ""))
+	if state != StateQueued {
 		j.closeSubsLocked()
 	}
 }
 
 // executeJob runs a job's chunks phase by phase. Chunk results come from
-// the content-addressed cache when available; every completion is
-// checkpointed, so progress survives a kill at any point.
+// the content-addressed cache when available; a computed chunk counts as
+// done only once it is in the store, where a re-run after a kill finds it.
 func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 	spec := j.Spec
 	// The job ID doubles as the distributed trace ID: remote workers tag
@@ -738,8 +745,7 @@ func (s *Scheduler) ensureRemote(ctx context.Context, j *Job, req ChunkRequest, 
 	return b, nil
 }
 
-// markChunkDone records completion, checkpoints the job, and emits a
-// progress event.
+// markChunkDone records completion in memory and emits a progress event.
 func (s *Scheduler) markChunkDone(j *Job, id, key string, fromCache bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -750,6 +756,5 @@ func (s *Scheduler) markChunkDone(j *Job, id, key string, fromCache bool) {
 	c.Done = true
 	c.CacheKey = key
 	c.FromCache = fromCache
-	saveCheckpoint(s.opts.Dir, j)
 	j.emitLocked(j.snapshotLocked(id, c.Phase))
 }

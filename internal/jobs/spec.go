@@ -3,10 +3,11 @@
 // chunker splits it into independent work units along the methodology's
 // natural boundaries (one profiling pass, one gate-level campaign per
 // unit, one software-injection campaign per application), and a bounded
-// scheduler executes chunks with per-chunk checkpointing and a
-// content-addressed result cache. A daemon killed mid-campaign resumes
-// from its checkpoints and produces byte-identical artifacts while
-// skipping every chunk whose result is already in the cache.
+// scheduler executes chunks through a content-addressed result cache that
+// is also the record of progress: each job's own record is written once at
+// submit and once at the end. A daemon killed mid-campaign re-runs its
+// unfinished jobs and produces byte-identical artifacts while skipping
+// every chunk whose result is already in the cache.
 package jobs
 
 //vetsim:deterministic

@@ -3,11 +3,11 @@ package report
 import "fmt"
 
 // ProgressSnapshot is a point-in-time view of a running campaign job: the
-// payload of the daemon's NDJSON progress stream and of checkpoint-time
-// logging. Chunk counts cover the job's whole work-unit list (profile,
-// per-unit gate campaigns, per-app software campaigns); Timing carries
-// the per-phase wall-clock accounting accumulated so far, in the same
-// shape as the Section 6.3 speed-up breakdown.
+// payload of the daemon's NDJSON progress stream. Chunk counts cover the
+// job's whole work-unit list (profile, per-unit gate campaigns, per-app
+// software campaigns); Timing carries the per-phase wall-clock accounting
+// accumulated so far, in the same shape as the Section 6.3 speed-up
+// breakdown.
 type ProgressSnapshot struct {
 	Job         string  `json:"job"`
 	State       string  `json:"state"`

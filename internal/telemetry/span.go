@@ -247,8 +247,8 @@ func (r *FlightRecorder) Snapshot() (spans []SpanRecord, dropped uint64) {
 	return append([]SpanRecord(nil), r.buf...), 0
 }
 
-// Reset discards every recorded span (tests and CLI runs that want a
-// clean trace).
+// Reset discards every recorded span. Only tests call it, to start from
+// a clean trace.
 func (r *FlightRecorder) Reset() {
 	r.mu.Lock()
 	r.buf = r.buf[:0]
