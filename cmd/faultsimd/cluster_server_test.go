@@ -102,7 +102,7 @@ func newTestCluster(t *testing.T, maxPending int) string {
 	}
 	ledger := jobs.NewLedger(jobs.LedgerOptions{TTL: 5 * time.Second})
 	sched, err := jobs.New(jobs.Options{
-		Dir: dir + "/jobs", Store: st, JobWorkers: 1, ChunkWorkers: 2,
+		Dir: dir + "/jobs", Store: st, JobWorkers: 1,
 		MaxPending: maxPending, Ledger: ledger,
 	})
 	if err != nil {
@@ -128,7 +128,7 @@ func newTestCluster(t *testing.T, maxPending int) string {
 	}
 	wk, err := cluster.NewWorker(cluster.WorkerOptions{
 		Name: "w1", Coordinator: srv.URL, Store: wst,
-		BatchWorkers: 1, MaxLeases: 4, Poll: 10 * time.Millisecond,
+		MaxLeases: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

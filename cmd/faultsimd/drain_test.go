@@ -31,7 +31,7 @@ func TestDrainRejectsNewWorkButFinishesInFlight(t *testing.T) {
 	}
 	ledger := jobs.NewLedger(jobs.LedgerOptions{TTL: 5 * time.Second})
 	sched, err := jobs.New(jobs.Options{
-		Dir: dir + "/jobs", Store: st, JobWorkers: 1, ChunkWorkers: 2, Ledger: ledger,
+		Dir: dir + "/jobs", Store: st, JobWorkers: 1, Ledger: ledger,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestDrainRejectsNewWorkButFinishesInFlight(t *testing.T) {
 	}
 	wk, err := cluster.NewWorker(cluster.WorkerOptions{
 		Name: "w1", Coordinator: srv.URL, Store: wst,
-		BatchWorkers: 1, MaxLeases: 4, Poll: 10 * time.Millisecond,
+		MaxLeases: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,8 @@
 // that cache is the record of progress: a job's own record is written at
 // submit and once at the end, so killing the daemon mid-campaign loses at
 // most the chunks in flight — a restart re-runs each interrupted job from
-// the cache and reproduces byte-identical artifacts.
+// the cache and reproduces byte-identical artifacts. A node sizes its
+// chunk and fault-batch pools to GOMAXPROCS; no width changes a byte.
 //
 // The daemon scales out with -role: a coordinator keeps the job API and
 // additionally serves the cluster lease protocol, routing every chunk to
@@ -44,8 +45,6 @@ func main() {
 	dataDir := flag.String("data", "faultsimd-data", "state directory (job records + result cache)")
 	cacheBudget := flag.Int64("cache-budget", 256<<20, "result cache budget in bytes")
 	jobWorkers := flag.Int("job-workers", 2, "concurrently executing jobs")
-	chunkWorkers := flag.Int("chunk-workers", 0, "per-job chunk parallelism (0 = GOMAXPROCS)")
-	batchWorkers := flag.Int("batch-workers", 0, "intra-campaign fault-batch workers per gate chunk (0 = GOMAXPROCS, 1 = serial); never enters cache keys — results are byte-identical at any width")
 	maxPending := flag.Int("max-pending", 0, "admission limit: queued+running jobs before POST /jobs answers 429 (0 = unbounded)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace period on SIGTERM")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
@@ -53,7 +52,6 @@ func main() {
 	join := flag.String("join", "", "coordinator base URL (worker role), e.g. http://host:8091")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "chunk lease TTL before the coordinator reassigns (coordinator role)")
 	workerName := flag.String("worker-name", "", "worker identity in the cluster (worker role; default host-pid)")
-	maxLeases := flag.Int("max-leases", 2, "chunks a worker requests per poll (worker role)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 	flag.Parse()
 
@@ -72,7 +70,7 @@ func main() {
 		if *join == "" {
 			fatal(logger, "flags", errors.New("-role worker requires -join <coordinator-url>"))
 		}
-		runWorker(ctx, logger, st, *addr, *join, *workerName, *batchWorkers, *maxLeases)
+		runWorker(ctx, logger, st, *addr, *join, *workerName)
 		return
 	}
 
@@ -90,13 +88,11 @@ func main() {
 	}
 
 	sched, err := jobs.New(jobs.Options{
-		Dir:          *dataDir + "/jobs",
-		Store:        st,
-		JobWorkers:   *jobWorkers,
-		ChunkWorkers: *chunkWorkers,
-		BatchWorkers: *batchWorkers,
-		MaxPending:   *maxPending,
-		Ledger:       ledger,
+		Dir:        *dataDir + "/jobs",
+		Store:      st,
+		JobWorkers: *jobWorkers,
+		MaxPending: *maxPending,
+		Ledger:     ledger,
 	})
 	if err != nil {
 		fatal(logger, "scheduler", err)
@@ -157,7 +153,7 @@ func main() {
 // runWorker joins a coordinator and computes leased chunks until
 // SIGTERM. The local store deduplicates repeat chunks and caches
 // dependency payloads pulled from the coordinator.
-func runWorker(ctx context.Context, logger *slog.Logger, st *store.Store, addr, join, name string, batchWorkers, maxLeases int) {
+func runWorker(ctx context.Context, logger *slog.Logger, st *store.Store, addr, join, name string) {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -169,9 +165,7 @@ func runWorker(ctx context.Context, logger *slog.Logger, st *store.Store, addr, 
 	// NewWorker bakes the worker attr into its own logger, so pass the
 	// untagged one and tag only main's lines here.
 	wk, err := cluster.NewWorker(cluster.WorkerOptions{
-		Name: name, Coordinator: join, Store: st,
-		BatchWorkers: batchWorkers, MaxLeases: maxLeases,
-		Log: logger,
+		Name: name, Coordinator: join, Store: st, Log: logger,
 	})
 	logger = logger.With(slog.String("worker", name))
 	if err != nil {

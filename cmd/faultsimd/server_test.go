@@ -27,7 +27,7 @@ func newTestDaemon(t *testing.T, dir string) (*jobs.Scheduler, *httptest.Server,
 		t.Fatal(err)
 	}
 	sched, err := jobs.New(jobs.Options{
-		Dir: dir + "/jobs", Store: st, JobWorkers: 1, ChunkWorkers: 2,
+		Dir: dir + "/jobs", Store: st, JobWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

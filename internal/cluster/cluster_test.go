@@ -46,7 +46,7 @@ func newTestCoordinator(t *testing.T, ttl time.Duration) (*Coordinator, *jobs.Le
 		t.Fatal(err)
 	}
 	led := jobs.NewLedger(jobs.LedgerOptions{TTL: ttl})
-	c, err := NewCoordinator(CoordinatorOptions{Ledger: led, Store: st, SweepEvery: 10 * time.Millisecond})
+	c, err := NewCoordinator(CoordinatorOptions{Ledger: led, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +148,10 @@ func TestCompleteUnknownKeyRejected(t *testing.T) {
 	if cr.Status != string(jobs.CompleteUnknown) {
 		t.Fatalf("status = %q, want unknown", cr.Status)
 	}
-	// The payload still landed in the store (content-addressed, harmless)
-	// but the ledger rejected the completion.
-	if _, ok := st.Get(req.Key); !ok {
-		t.Fatal("content-addressed payload should still be stored")
+	// Keys hash a chunk's inputs: bytes under a key the ledger never
+	// offered would be a later job's unchecked cache hit, so none land.
+	if _, ok := st.Get(req.Key); ok {
+		t.Fatal("payload for an unoffered key was stored")
 	}
 }
 
@@ -390,22 +390,4 @@ func (padReader) Read(p []byte) (int, error) {
 		p[i] = 'x'
 	}
 	return len(p), nil
-}
-
-// TestWorkerDefaultBatchWorkersPassThrough: a worker built with default
-// options hands BatchWorkers 0 to the chunk executor — "GOMAXPROCS",
-// which gatesim resolves — as faultsimd -batch-workers documents for
-// every role, instead of pinning gate chunks to one thread.
-func TestWorkerDefaultBatchWorkersPassThrough(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWorker(WorkerOptions{Name: "w", Coordinator: "http://unused.invalid", Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.opts.BatchWorkers; got != 0 {
-		t.Fatalf("default BatchWorkers resolved to %d in the worker, want 0 passed through", got)
-	}
 }

@@ -42,11 +42,6 @@ type CoordinatorOptions struct {
 	// Store is the coordinator's content-addressed result store: workers
 	// push completions into it and pull dependency chunks out of it.
 	Store *store.Store
-	// SweepEvery is the lease-expiry sweep interval (<=0 selects TTL/4).
-	SweepEvery time.Duration
-	// Now overrides the clock (tests). Worker liveness is status-only and
-	// never enters artifacts or cache keys.
-	Now func() time.Time
 	// Registry overrides the metric registry (nil selects the process
 	// default). Tests model separate processes by giving each role its
 	// own registry.
@@ -65,8 +60,6 @@ type CoordinatorOptions struct {
 type Coordinator struct {
 	ledger *jobs.Ledger
 	store  *store.Store
-	sweep  time.Duration
-	now    func() time.Time
 	reg    *telemetry.Registry
 	rec    *telemetry.FlightRecorder
 	log    *slog.Logger
@@ -86,15 +79,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Ledger == nil || opts.Store == nil {
 		return nil, fmt.Errorf("cluster: coordinator needs a ledger and a store")
 	}
-	if opts.SweepEvery <= 0 {
-		opts.SweepEvery = opts.Ledger.TTL() / 4
-		if opts.SweepEvery <= 0 {
-			opts.SweepEvery = time.Second
-		}
-	}
-	if opts.Now == nil {
-		opts.Now = func() time.Time { return time.Now() } //vetsim:ignore determinism worker liveness is status-only bookkeeping; never enters artifacts or cache keys
-	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.Default()
 	}
@@ -110,8 +94,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	return &Coordinator{
 		ledger: opts.Ledger,
 		store:  opts.Store,
-		sweep:  opts.SweepEvery,
-		now:    opts.Now,
 		reg:    opts.Registry,
 		rec:    opts.Recorder,
 		log:    opts.Log,
@@ -123,14 +105,18 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}, nil
 }
 
-// Start launches the lease-expiry sweeper. It runs until ctx is done or
-// Stop is called.
+// Start launches the lease-expiry sweeper, which runs every quarter TTL
+// until ctx is done or Stop is called.
 func (c *Coordinator) Start(ctx context.Context) {
 	ctx, c.stop = context.WithCancel(ctx)
+	sweep := c.ledger.TTL() / 4
+	if sweep <= 0 {
+		sweep = time.Second
+	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		t := time.NewTicker(c.sweep)
+		t := time.NewTicker(sweep)
 		defer t.Stop()
 		for {
 			select {
@@ -152,6 +138,11 @@ func (c *Coordinator) Stop() {
 		c.stop()
 	}
 	c.wg.Wait()
+}
+
+// now is the coordinator's clock.
+func (c *Coordinator) now() time.Time {
+	return time.Now() //vetsim:ignore determinism worker liveness is status-only bookkeeping; never enters artifacts or cache keys
 }
 
 // liveWindow is how long after its last contact a worker still counts as
@@ -295,6 +286,16 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ws := c.touch(req.Worker)
+	tc, known := c.ledger.TraceOf(req.Key)
+	if !known {
+		// Keys hash a chunk's inputs, so bytes stored under a key the
+		// ledger never offered would become a later job's unchecked
+		// cache hit. Reject them before they reach the store.
+		c.log.Warn("completion for unknown key rejected",
+			"worker", req.Worker, "lease", req.Lease, "key", req.Key)
+		clusterJSON(w, http.StatusOK, CompleteResponse{Status: string(jobs.CompleteUnknown)})
+		return
+	}
 	if req.Error == "" {
 		// Store first, then flip the ledger: a waiter woken by Complete
 		// must find the payload. Duplicate keys are dedup hits by
@@ -304,7 +305,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tc := c.ledger.TraceOf(req.Key)
 	// Stitch the worker's span subtree in before the ledger transition:
 	// Complete wakes the scheduler's waiters, and a waiter that then
 	// exports the job trace must already see the chunk's remote spans.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,16 +25,19 @@ func campaignSpec() jobs.Spec {
 	}
 }
 
-// runSingleNode executes the spec on a plain local scheduler and returns
-// its artifacts by name — the byte-identity reference for cluster runs.
+// runSingleNode executes the spec on a plain local scheduler, one chunk
+// and one fault batch at a time (GOMAXPROCS 1 sizes both pools), and
+// returns its artifacts by name — the byte-identity reference for
+// cluster runs.
 func runSingleNode(t *testing.T, spec jobs.Spec) map[string][]byte {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir := t.TempDir()
 	st, err := store.Open(dir+"/cache", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := jobs.New(jobs.Options{Dir: dir + "/jobs", Store: st, JobWorkers: 1, ChunkWorkers: 1, BatchWorkers: 1})
+	s, err := jobs.New(jobs.Options{Dir: dir + "/jobs", Store: st, JobWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +85,8 @@ func waitJob(t *testing.T, s *jobs.Scheduler, id string) jobs.Status {
 	return jobs.Status{}
 }
 
-// newClusterWorker builds a worker with its own private store directory
-// and the default batch width, so the byte-identity checks below hold for
-// a worker started with faultsimd's defaults.
+// newClusterWorker builds a worker as faultsimd starts one, with its own
+// private store directory.
 func newClusterWorker(t *testing.T, name, url string, hook func(ctx context.Context, req jobs.ChunkRequest)) *Worker {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), 0)
@@ -92,7 +95,6 @@ func newClusterWorker(t *testing.T, name, url string, hook func(ctx context.Cont
 	}
 	w, err := NewWorker(WorkerOptions{
 		Name: name, Coordinator: url, Store: st,
-		MaxLeases: 2, Poll: 10 * time.Millisecond,
 		BeforeCompute: hook,
 	})
 	if err != nil {
@@ -119,12 +121,12 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	ledger := jobs.NewLedger(jobs.LedgerOptions{TTL: 250 * time.Millisecond})
 	sched, err := jobs.New(jobs.Options{
 		Dir: dir + "/jobs", Store: coordStore,
-		JobWorkers: 1, ChunkWorkers: 3, Ledger: ledger,
+		JobWorkers: 1, Ledger: ledger,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorOptions{Ledger: ledger, Store: coordStore, SweepEvery: 20 * time.Millisecond})
+	coord, err := NewCoordinator(CoordinatorOptions{Ledger: ledger, Store: coordStore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestClusterTwoWorkersShareCampaign(t *testing.T) {
 	ledger := jobs.NewLedger(jobs.LedgerOptions{TTL: 5 * time.Second})
 	sched, err := jobs.New(jobs.Options{
 		Dir: dir + "/jobs", Store: coordStore,
-		JobWorkers: 1, ChunkWorkers: 3, Ledger: ledger,
+		JobWorkers: 1, Ledger: ledger,
 	})
 	if err != nil {
 		t.Fatal(err)

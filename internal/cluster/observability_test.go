@@ -119,7 +119,7 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 	ledger := jobs.NewLedger(jobs.LedgerOptions{TTL: 5 * time.Second})
 	sched, err := jobs.New(jobs.Options{
 		Dir: dir + "/jobs", Store: coordStore,
-		JobWorkers: 1, ChunkWorkers: 3, Ledger: ledger,
+		JobWorkers: 1, Ledger: ledger,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,6 @@ func TestClusterObservabilityEndToEnd(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		w, err := NewWorker(WorkerOptions{
 			Name: name, Coordinator: srv.URL, Store: st,
-			BatchWorkers: 1, MaxLeases: 2, Poll: 10 * time.Millisecond,
 			Registry: reg,
 			Recorder: telemetry.NewFlightRecorder(256),
 		})

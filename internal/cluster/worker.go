@@ -23,6 +23,15 @@ import (
 // of spans (root + compute + put), so this never wraps in practice.
 const chunkRecorderCap = 32
 
+// The wait after an empty or failed lease poll starts at minIdleWait,
+// doubles after each one up to maxIdleWait, and resets on a grant: an
+// idle worker costs the coordinator four requests a second, and a busy
+// one finds the next phase's chunks within milliseconds.
+const (
+	minIdleWait = 10 * time.Millisecond
+	maxIdleWait = 250 * time.Millisecond
+)
+
 // WorkerOptions configures a Worker.
 type WorkerOptions struct {
 	// Name identifies the worker to the coordinator (lease ownership,
@@ -35,16 +44,8 @@ type WorkerOptions struct {
 	// payloads land here before being pushed, and dependency chunks are
 	// resolved here with remote read-through to the coordinator.
 	Store *store.Store
-	// BatchWorkers bounds intra-campaign fault-batch parallelism per
-	// gate chunk (<=0 selects GOMAXPROCS, as everywhere the knob appears;
-	// gatesim resolves it). Never influences payload bytes.
-	BatchWorkers int
-	// MaxLeases is how many chunks to request per poll (<=0 selects 1).
+	// MaxLeases is how many chunks to request per poll (<=0 selects 2).
 	MaxLeases int
-	// Poll is the idle/backoff poll interval (<=0 selects 250ms).
-	Poll time.Duration
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 	// Registry receives the worker's metrics (nil selects the process
 	// default, which the worker role serves on its own GET /metrics).
 	// Tests model separate processes by giving each worker its own
@@ -89,10 +90,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		return nil, fmt.Errorf("cluster: worker needs a name, a coordinator URL and a store")
 	}
 	if opts.MaxLeases <= 0 {
-		opts.MaxLeases = 1
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 250 * time.Millisecond
+		opts.MaxLeases = 2
 	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.Default()
@@ -109,13 +107,9 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	// Bake the identity in once; every worker log line carries it without
 	// the call sites repeating (or duplicating) the attr.
 	opts.Log = opts.Log.With(slog.String("worker", opts.Name))
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
 	return &Worker{
 		opts:   opts,
-		client: client,
+		client: &http.Client{Timeout: 30 * time.Second},
 		rec:    opts.Recorder,
 		log:    opts.Log,
 		telComputed: opts.Registry.Counter("cluster_chunks_computed_total",
@@ -140,25 +134,23 @@ func (w *Worker) Recorder() *telemetry.FlightRecorder { return w.rec }
 // Run is the worker main loop: lease, compute, complete, repeat. It
 // returns the context's error once ctx is canceled.
 func (w *Worker) Run(ctx context.Context) error {
+	wait := minIdleWait
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		resp, err := w.lease(ctx)
-		if err != nil {
-			w.connected.Store(false)
-			if ctx.Err() == nil {
-				w.telErrors.Inc()
-				w.log.Warn("lease poll failed", "error", err)
-			}
-			sleepCtx(ctx, w.opts.Poll)
+		w.connected.Store(err == nil)
+		if err != nil && ctx.Err() == nil {
+			w.telErrors.Inc()
+			w.log.Warn("lease poll failed", "error", err)
+		}
+		if err != nil || len(resp.Grants) == 0 {
+			sleepCtx(ctx, wait)
+			wait = min(2*wait, maxIdleWait)
 			continue
 		}
-		w.connected.Store(true)
-		if len(resp.Grants) == 0 {
-			sleepCtx(ctx, w.opts.Poll)
-			continue
-		}
+		wait = minIdleWait
 		for _, g := range resp.Grants {
 			w.process(ctx, g, resp.Traces[g.Lease])
 		}
@@ -212,7 +204,7 @@ func (w *Worker) process(ctx context.Context, g LeaseGrant, tc telemetry.TraceCo
 
 	sp := root.Child("compute")
 	t := telemetry.StartTimer(w.telComputeHg)
-	payload, err := jobs.ComputeChunk(g.Work, w.depFetcher(ctx), w.opts.BatchWorkers)
+	payload, err := jobs.ComputeChunk(g.Work, w.depFetcher(ctx))
 	t.Stop()
 	sp.End()
 	if err != nil {

@@ -34,7 +34,7 @@ func TestConcurrentSubmissionsRaceAdmissionLimit(t *testing.T) {
 	}
 	s, err := New(Options{
 		Dir: dir + "/jobs", Store: st,
-		JobWorkers: 2, ChunkWorkers: 2, MaxPending: limit,
+		JobWorkers: 2, MaxPending: limit,
 	})
 	if err != nil {
 		t.Fatal(err)

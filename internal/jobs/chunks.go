@@ -154,9 +154,7 @@ func softwareKey(spec Spec, app string) (string, error) {
 // resolves req.ProfileKey — the scheduler hands back the payload it
 // holds, a worker reads its local store with remote read-through to the
 // coordinator.
-// batchWorkers bounds intra-campaign fault-batch parallelism and, like
-// every worker count, never influences the payload bytes.
-func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error), batchWorkers int) ([]byte, error) {
+func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error)) ([]byte, error) {
 	spec := req.Spec.WithDefaults()
 	switch req.Chunk.Phase {
 	case PhaseProfile:
@@ -180,7 +178,7 @@ func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error), batchW
 		if err := json.Unmarshal(pb, &prof); err != nil {
 			return nil, fmt.Errorf("jobs: chunk %s: profile payload: %w", req.Chunk.ID, err)
 		}
-		return computeGate(spec, unit, prof.Patterns, batchWorkers)
+		return computeGate(spec, unit, prof.Patterns)
 	case PhaseSoftware:
 		return computeSoftware(spec, req.Chunk.Arg)
 	default:
@@ -204,11 +202,11 @@ func computeProfile(spec Spec) ([]byte, error) {
 
 // computeGate runs one unit's gate-level campaign chunk, collapsed and on
 // the event engine. The payload is the unit's final gate artifact,
-// byte-for-byte. batchWorkers is the intra-campaign fault-batch
-// parallelism — an execution knob that stays out of gateKey because
-// summaries are byte-identical at every width.
-func computeGate(spec Spec, u *units.Unit, patterns []units.Pattern, batchWorkers int) ([]byte, error) {
-	out := campaign.GateStep(u, patterns, true, gatesim.EngineEvent, batchWorkers)
+// byte-for-byte. Its fault batches run on GOMAXPROCS workers (0, which
+// gatesim resolves); summaries are byte-identical at every width, so the
+// width stays out of gateKey.
+func computeGate(spec Spec, u *units.Unit, patterns []units.Pattern) ([]byte, error) {
+	out := campaign.GateStep(u, patterns, true, gatesim.EngineEvent, 0)
 	return artifact.Canonical(artifact.NewGateReport(spec.Seed, out.Summary, out.Collector))
 }
 

@@ -40,7 +40,7 @@ func newTestScheduler(t *testing.T, dir string) *Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Dir: dir + "/jobs", Store: st, JobWorkers: 1, ChunkWorkers: 2})
+	s, err := New(Options{Dir: dir + "/jobs", Store: st, JobWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSoftwareChunkRunsCNNs(t *testing.T) {
 	}
 	got, err := ComputeChunk(ChunkRequest{
 		Chunk: Chunk{ID: "sw:lenet", Phase: PhaseSoftware, Arg: "lenet"}, Spec: spec,
-	}, nil, 1)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestGateChunkMatchesDenseUncollapsedOracle(t *testing.T) {
 	spec := tinySpec().WithDefaults()
 	profBytes, err := ComputeChunk(ChunkRequest{
 		Chunk: Chunk{ID: "profile", Phase: PhaseProfile}, Spec: spec,
-	}, nil, 1)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestGateChunkMatchesDenseUncollapsedOracle(t *testing.T) {
 		got, err := ComputeChunk(ChunkRequest{
 			Chunk: Chunk{ID: "gate:" + u.Name, Phase: PhaseGate, Arg: u.Name},
 			Spec:  spec, ProfileKey: "profile",
-		}, dep, 0)
+		}, dep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -209,14 +209,16 @@ func (l *Ledger) Offer(req ChunkRequest, tc telemetry.TraceContext) {
 }
 
 // TraceOf returns the span context stored for key's chunk (zero when
-// the key is unknown or was offered without one).
-func (l *Ledger) TraceOf(key string) telemetry.TraceContext {
+// it was offered without one) and whether the key was ever offered.
+// Entries are never removed, so a known key stays known.
+func (l *Ledger) TraceOf(key string) (telemetry.TraceContext, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e, ok := l.entries[key]; ok {
-		return e.trace
+	e, ok := l.entries[key]
+	if !ok {
+		return telemetry.TraceContext{}, false
 	}
-	return telemetry.TraceContext{}
+	return e.trace, true
 }
 
 // Lease grants up to max pending chunks to worker, in offer order, each

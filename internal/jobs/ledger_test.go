@@ -3,12 +3,14 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gpufaultsim/internal/telemetry"
+	"gpufaultsim/internal/units"
 )
 
 // fakeClock is an injectable ledger clock tests advance by hand.
@@ -266,7 +268,7 @@ func remoteFakeWorker(ctx context.Context, s *Scheduler, name string, delay time
 					return p, nil
 				}
 				return nil, fmt.Errorf("dep %s missing", key)
-			}, 1)
+			})
 			if err != nil {
 				l.Complete(g.Lease, name, g.Req.Key, err.Error())
 				continue
@@ -274,6 +276,49 @@ func remoteFakeWorker(ctx context.Context, s *Scheduler, name string, delay time
 			s.store.Put(g.Req.Key, b)
 			l.Complete(g.Lease, name, g.Req.Key, "")
 		}
+	}
+}
+
+// TestCoordinatorOffersWholePhase: a coordinator offers every chunk of a
+// phase at once, whatever its own CPU count. Under GOMAXPROCS 1, with no
+// worker but the test completing the profile chunk by hand, all three
+// gate chunks then wait in the ledger as pending.
+func TestCoordinatorOffersWholePhase(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newTestScheduler(t, t.TempDir())
+	l := NewLedger(LedgerOptions{TTL: time.Minute})
+	s.opts.Ledger = l
+	s.Start(context.Background())
+	defer s.Stop()
+	if _, err := s.Submit(tinySpec()); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	var grants []Grant
+	for len(grants) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("profile chunk never offered")
+		}
+		time.Sleep(time.Millisecond)
+		grants = l.Lease("hand", 1)
+	}
+	g := grants[0]
+	b, err := ComputeChunk(g.Req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.Put(g.Req.Key, b); err != nil {
+		t.Fatal(err)
+	}
+	l.Complete(g.Lease, "hand", g.Req.Key, "")
+
+	gates := len(units.All())
+	for l.Stats().Pending < gates && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := l.Stats(); st.Pending != gates || st.Done != 1 {
+		t.Fatalf("after the profile chunk: ledger %+v, want %d gate chunks pending", st, gates)
 	}
 }
 
@@ -337,7 +382,7 @@ func TestCoordinatorRestartRecoversLedgerFromCheckpoints(t *testing.T) {
 					wcancel() // die holding this lease
 					return
 				}
-				b, err := ComputeChunk(g.Req, nil, 1)
+				b, err := ComputeChunk(g.Req, nil)
 				if err != nil {
 					l.Complete(g.Lease, "doomed", g.Req.Key, err.Error())
 					continue

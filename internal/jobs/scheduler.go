@@ -55,15 +55,6 @@ type Options struct {
 	Store *store.Store
 	// JobWorkers bounds concurrently executing jobs (<=0 selects 2).
 	JobWorkers int
-	// ChunkWorkers bounds per-job chunk parallelism (<=0 selects
-	// GOMAXPROCS). Worker counts never influence results.
-	ChunkWorkers int
-	// BatchWorkers bounds intra-campaign fault-batch parallelism inside
-	// each gate chunk (0 selects GOMAXPROCS, 1 runs single-threaded).
-	// Like ChunkWorkers it never influences results — gate
-	// summaries are byte-identical at every width — so it stays out of
-	// the chunk cache keys.
-	BatchWorkers int
 	// MaxPending is the admission limit: Submit rejects with ErrQueueFull
 	// once this many jobs are queued or running (<=0 = unbounded).
 	// Recovery is exempt — interrupted jobs always readmit, because
@@ -538,6 +529,17 @@ func (s *Scheduler) runJob(ctx context.Context, id string) {
 	}
 }
 
+// phaseWidth is how many of a phase's n chunks run at once; no width
+// changes a byte. A single node computes GOMAXPROCS chunks at a time (0
+// selects it). A coordinator offers all n at once: its own CPU count
+// says nothing about the remote fleet that computes them.
+func (s *Scheduler) phaseWidth(n int) int {
+	if s.opts.Ledger != nil {
+		return n
+	}
+	return 0
+}
+
 // executeJob runs a job's chunks phase by phase. Chunk results come from
 // the content-addressed cache when available; a computed chunk counts as
 // done only once it is in the store, where a re-run after a kill finds it.
@@ -577,7 +579,6 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 	// Gate chunks computed in-process read the profile payload already in
 	// hand, not the store.
 	profDep := func(string) ([]byte, error) { return profBytes, nil }
-	var payloadMu sync.Mutex
 
 	// Phases 2-3: gate-level campaigns, one chunk per unit.
 	tm = telemetry.StartTimer(telPhaseSec[PhaseGate])
@@ -587,7 +588,8 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 		b   []byte
 		err error
 	}
-	gateOuts, err := campaign.ParallelMapCtx(ctx, units.All(), s.opts.ChunkWorkers,
+	gateUnits := units.All()
+	gateOuts, err := campaign.ParallelMapCtx(ctx, gateUnits, s.phaseWidth(len(gateUnits)),
 		func(u *units.Unit) chunkOut {
 			id := "gate:" + u.Name
 			sp := root.Child(id)
@@ -610,9 +612,7 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 		if o.err != nil {
 			return o.err
 		}
-		payloadMu.Lock()
 		payloads[o.id] = o.b
-		payloadMu.Unlock()
 		var gr artifact.GateReport
 		if err := json.Unmarshal(o.b, &gr); err != nil {
 			return fmt.Errorf("jobs: gate payload %s: %w", o.id, err)
@@ -628,7 +628,7 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 
 	// Phases 4-5: software campaigns, one chunk per application.
 	tm = telemetry.StartTimer(telPhaseSec[PhaseSoftware])
-	swOuts, err := campaign.ParallelMapCtx(ctx, spec.Apps, s.opts.ChunkWorkers,
+	swOuts, err := campaign.ParallelMapCtx(ctx, spec.Apps, s.phaseWidth(len(spec.Apps)),
 		func(app string) chunkOut {
 			id := "sw:" + app
 			sp := root.Child(id)
@@ -651,9 +651,7 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 		if o.err != nil {
 			return o.err
 		}
-		payloadMu.Lock()
 		payloads[o.id] = o.b
-		payloadMu.Unlock()
 		var sp softwarePayload
 		if err := json.Unmarshal(o.b, &sp); err != nil {
 			return fmt.Errorf("jobs: software payload %s: %w", o.id, err)
@@ -709,7 +707,7 @@ func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, s
 	}
 
 	tm := telemetry.StartTimer(telChunkSec)
-	b, err := ComputeChunk(req, dep, s.opts.BatchWorkers)
+	b, err := ComputeChunk(req, dep)
 	if err != nil {
 		return nil, err
 	}
