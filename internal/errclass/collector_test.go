@@ -4,19 +4,20 @@ import (
 	"testing"
 
 	"gpufaultsim/internal/errmodel"
+	"gpufaultsim/internal/gatesim"
 	"gpufaultsim/internal/isa"
+	"gpufaultsim/internal/netlist"
 	"gpufaultsim/internal/units"
 )
 
 func TestCollectorAccumulation(t *testing.T) {
 	col := NewCollector("decoder")
-	p := units.Pattern{Word: isa.Instruction{Op: isa.OpIADD, Rd: 1, Rs1: 2, Rs2: 3}.Encode()}
-
-	col.Corruption(5, p, "rd", 1, 2)     // IRA
-	col.Corruption(5, p, "rd", 1, 3)     // IRA again (same fault)
-	col.Corruption(5, p, "imm", 0, 7)    // IIO (same fault, second model)
-	col.Corruption(9, p, "opcode", 1, 2) // IOC (different fault)
-	col.Hang(11, p, "decode_valid")
+	models := make([]uint16, 100)
+	models[5] = 1<<errmodel.IRA | 1<<errmodel.IIO // two models, one fault
+	models[9] = 1 << errmodel.IOC
+	var events [errmodel.Count]int
+	events[errmodel.IRA], events[errmodel.IIO], events[errmodel.IOC] = 2, 1, 1
+	col.Absorb(models, events, 0)
 
 	if got := col.FaultsCausing(errmodel.IRA); got != 1 {
 		t.Errorf("IRA faults = %d, want 1", got)
@@ -27,26 +28,41 @@ func TestCollectorAccumulation(t *testing.T) {
 	if got := col.MultiModelFaults(); got != 1 {
 		t.Errorf("multi-model faults = %d, want 1 (fault 5: IRA+IIO)", got)
 	}
-	if !col.HangFaults[11] || len(col.HangFaults) != 1 {
-		t.Errorf("hang faults = %v", col.HangFaults)
-	}
 	if col.Unmapped != 0 {
 		t.Errorf("unmapped = %d", col.Unmapped)
 	}
-	// FAPR: 2 of 100 faults cause IRA or IOC respectively 1.
+	// FAPR: 1 of 100 faults causes IRA.
 	if got := col.FAPR(errmodel.IRA, 100); got != 0.01 {
 		t.Errorf("FAPR = %v, want 0.01", got)
 	}
 }
 
+// A corrupted field with no rule counts once per corruption in Unmapped,
+// makes the fault a software-visible error, and records no model.
 func TestCollectorUnmappedField(t *testing.T) {
 	col := NewCollector("decoder")
-	col.Corruption(0, units.Pattern{}, "no_such_field", 0, 1)
-	if col.Unmapped != 1 {
-		t.Errorf("unmapped = %d, want 1", col.Unmapped)
+	if r := col.Rule("no_such_field"); r.Mapped || r.Value != nil {
+		t.Fatalf("no_such_field has rule %+v", r)
 	}
-	if len(col.FaultModels) != 0 {
-		t.Error("unmapped corruption must not record a model")
+	b := netlist.NewBuilder("unmapped")
+	b.Output("no_such_field", 0, b.Buf(b.Input("a")))
+	u := &units.Unit{
+		Name: "decoder", NL: b.MustBuild(), Cycles: 2,
+		Drive: func(sim *netlist.Simulator, _ units.Pattern, _ int) { sim.SetInput(0, true) },
+	}
+	// The input and the buffer stuck at 0 each corrupt the field in both
+	// cycles of the one pattern.
+	sum := gatesim.CampaignCfg(u, []units.Pattern{{}}, col, gatesim.Config{})
+	if col.Unmapped != 4 {
+		t.Errorf("unmapped = %d, want 4", col.Unmapped)
+	}
+	if sum.NumSWError != 2 {
+		t.Errorf("sw-error faults = %d, want 2", sum.NumSWError)
+	}
+	for i, set := range col.FaultModels {
+		if set != 0 {
+			t.Errorf("fault %d: unmapped corruption recorded models %b", i, set)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package errclass
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gatesim"
@@ -20,19 +21,67 @@ import (
 	"gpufaultsim/internal/units"
 )
 
+// rules is step 3's whole mapping, one Rule per (unit, field). A field
+// absent here is unmapped; hang-critical fields never reach a rule.
+var rules = map[string]map[string]gatesim.Rule{
+	"decoder": {
+		"opcode": valued(opRule),
+		// The validity flag itself flipping makes a valid instruction
+		// undefined (or an undefined one "valid"): invalid operation.
+		"valid": constant(errmodel.IVOC),
+		// The operation executes on the wrong functional unit: a different
+		// (but defined) operation happens.
+		"unit_sel":    constant(errmodel.IOC),
+		"rd":          valued(regRule),
+		"rs1":         valued(regRule),
+		"rs2":         valued(regRule),
+		"rs3":         valued(regRule),
+		"reg_ok":      constant(errmodel.IVRA),
+		"imm":         constant(errmodel.IIO),
+		"has_imm":     constant(errmodel.IIO),
+		"pred":        constant(errmodel.WV),
+		"flags":       constant(errmodel.WV),
+		"writes_pred": constant(errmodel.WV),
+		"mem_space":   valued(memRule),
+		"is_load":     valued(memRule),
+		"is_store":    constant(errmodel.IMD),
+		"sr_sel":      valued(srSelRule),
+		"wen":         constant(errmodel.IAL),
+	},
+	"fetch": {
+		"ir": valued(irRule),
+		// A wrong fetch address delivers a different (valid) instruction
+		// stream: incorrect operation.
+		"pc":           constant(errmodel.IOC),
+		"warp_sel_out": constant(errmodel.IAW),
+	},
+	"wsc": {
+		"sel_warp":     constant(errmodel.IAW),
+		"issued_state": constant(errmodel.IAW),
+		"active_mask":  constant(errmodel.IAT),
+		"cta_id":       constant(errmodel.IAC),
+		"shmem_base":   constant(errmodel.IPP),
+		"regfile_base": constant(errmodel.IPP),
+		"lane_enable":  constant(errmodel.IAL),
+		"op_route":     valued(opRule),
+	},
+}
+
+func constant(m errmodel.Model) gatesim.Rule { return gatesim.Rule{Mapped: true, Model: m} }
+
+func valued(f func(p units.Pattern, golden, faulty uint64) errmodel.Model) gatesim.Rule {
+	return gatesim.Rule{Mapped: true, Value: f}
+}
+
 // ModelFor maps a corrupted output field of a unit to an error model.
 // It reports false for fields that do not become instruction-level errors
 // (handled as hangs upstream).
 func ModelFor(unit string, field string, p units.Pattern, golden, faulty uint64) (errmodel.Model, bool) {
-	switch unit {
-	case "decoder":
-		return decoderModel(field, p, golden, faulty)
-	case "fetch":
-		return fetchModel(field, p, golden, faulty)
-	case "wsc":
-		return wscModel(field, p, golden, faulty)
+	r := rules[unit][field]
+	if r.Value != nil {
+		return r.Value(p, golden, faulty), true
 	}
-	return 0, false
+	return r.Model, r.Mapped
 }
 
 // regModel distinguishes IRA from IVRA by the corrupted register number.
@@ -51,107 +100,63 @@ func opcodeModel(faulty uint64) errmodel.Model {
 	return errmodel.IVOC
 }
 
-func decoderModel(field string, p units.Pattern, golden, faulty uint64) (errmodel.Model, bool) {
-	switch field {
-	case "opcode":
-		return opcodeModel(faulty), true
-	case "valid":
-		// The validity flag itself flipping makes a valid instruction
-		// undefined (or an undefined one "valid"): invalid operation.
-		return errmodel.IVOC, true
-	case "unit_sel":
-		// The operation executes on the wrong functional unit: a different
-		// (but defined) operation happens.
-		return errmodel.IOC, true
-	case "rd", "rs1", "rs2", "rs3":
-		return regModel(faulty), true
-	case "reg_ok":
-		return errmodel.IVRA, true
-	case "imm", "has_imm":
-		return errmodel.IIO, true
-	case "pred", "flags", "writes_pred":
-		return errmodel.WV, true
-	case "mem_space", "is_load", "is_store":
-		in := isa.Decode(p.Word)
-		if in.Op == isa.OpGST || in.Op == isa.OpSTS || field == "is_store" {
-			return errmodel.IMD, true
-		}
-		return errmodel.IMS, true
-	case "sr_sel":
-		if golden >= uint64(isa.SRCtaidX) && golden <= uint64(isa.SRCtaidZ) ||
-			faulty >= uint64(isa.SRCtaidX) && faulty <= uint64(isa.SRCtaidZ) {
-			return errmodel.IAC, true
-		}
-		return errmodel.IAT, true
-	case "wen":
-		return errmodel.IAL, true
+func opRule(_ units.Pattern, _, faulty uint64) errmodel.Model  { return opcodeModel(faulty) }
+func regRule(_ units.Pattern, _, faulty uint64) errmodel.Model { return regModel(faulty) }
+
+// memRule splits a corrupted memory-space selection by the instruction's
+// direction: a store's goes to the wrong destination, a load's reads the
+// wrong source.
+func memRule(p units.Pattern, _, _ uint64) errmodel.Model {
+	if op := isa.Decode(p.Word).Op; op == isa.OpGST || op == isa.OpSTS {
+		return errmodel.IMD
 	}
-	return 0, false
+	return errmodel.IMS
 }
 
-func fetchModel(field string, p units.Pattern, golden, faulty uint64) (errmodel.Model, bool) {
-	switch field {
-	case "ir":
-		// Classify by which instruction field of the fetched word broke,
-		// in decode priority order.
-		g := isa.Decode(isa.Word(golden))
-		f := isa.Decode(isa.Word(faulty))
-		switch {
-		case g.Op != f.Op:
-			return opcodeModel(uint64(f.Op)), true
-		case g.Rd != f.Rd:
-			return regModel(uint64(f.Rd)), true
-		case g.Rs1 != f.Rs1:
-			return regModel(uint64(f.Rs1)), true
-		case g.Rs2 != f.Rs2:
-			return regModel(uint64(f.Rs2)), true
-		case g.Rs3 != f.Rs3:
-			return regModel(uint64(f.Rs3)), true
-		case g.Imm != f.Imm:
-			return errmodel.IIO, true
-		case g.Pred != f.Pred || g.Flags != f.Flags:
-			return errmodel.WV, true
-		}
-		return errmodel.IOC, true
-	case "pc":
-		// A wrong fetch address delivers a different (valid) instruction
-		// stream: incorrect operation.
-		return errmodel.IOC, true
-	case "warp_sel_out":
-		return errmodel.IAW, true
+// srSelRule: a special-register read redirected to or from a CTA index is
+// a wrong CTA, any other redirection a wrong thread.
+func srSelRule(_ units.Pattern, golden, faulty uint64) errmodel.Model {
+	if golden >= uint64(isa.SRCtaidX) && golden <= uint64(isa.SRCtaidZ) ||
+		faulty >= uint64(isa.SRCtaidX) && faulty <= uint64(isa.SRCtaidZ) {
+		return errmodel.IAC
 	}
-	return 0, false
+	return errmodel.IAT
 }
 
-func wscModel(field string, p units.Pattern, golden, faulty uint64) (errmodel.Model, bool) {
-	switch field {
-	case "sel_warp", "issued_state":
-		return errmodel.IAW, true
-	case "active_mask":
-		return errmodel.IAT, true
-	case "cta_id":
-		return errmodel.IAC, true
-	case "shmem_base", "regfile_base":
-		return errmodel.IPP, true
-	case "lane_enable":
-		return errmodel.IAL, true
-	case "op_route":
-		return opcodeModel(faulty), true
+// irRule classifies a corrupted fetched word by which instruction field
+// broke, in decode priority order.
+func irRule(_ units.Pattern, golden, faulty uint64) errmodel.Model {
+	g := isa.Decode(isa.Word(golden))
+	f := isa.Decode(isa.Word(faulty))
+	switch {
+	case g.Op != f.Op:
+		return opcodeModel(uint64(f.Op))
+	case g.Rd != f.Rd:
+		return regModel(uint64(f.Rd))
+	case g.Rs1 != f.Rs1:
+		return regModel(uint64(f.Rs1))
+	case g.Rs2 != f.Rs2:
+		return regModel(uint64(f.Rs2))
+	case g.Rs3 != f.Rs3:
+		return regModel(uint64(f.Rs3))
+	case g.Imm != f.Imm:
+		return errmodel.IIO
+	case g.Pred != f.Pred || g.Flags != f.Flags:
+		return errmodel.WV
 	}
-	return 0, false
+	return errmodel.IOC
 }
 
-// Collector is a gatesim.EventSink that accumulates the per-unit,
+// Collector is a gatesim.Classifier that holds one campaign's per-unit,
 // per-model statistics behind Table 5 and Figure 9.
 type Collector struct {
 	Unit string
 
-	// FaultModels[faultIdx] is the set of models the fault produced.
-	FaultModels map[int]map[errmodel.Model]bool
+	// FaultModels[faultIdx] is the set of models the fault produced: bit
+	// m set when it produced errmodel.Model(m).
+	FaultModels []uint16
 	// Events counts corruption events ("times an error was produced").
-	Events map[errmodel.Model]int
-	// HangFaults is the set of faults that hit a hang field.
-	HangFaults map[int]bool
+	Events [errmodel.Count]int
 	// Unmapped counts corruptions of fields with no model mapping
 	// (should stay zero; tracked for validation).
 	Unmapped int
@@ -159,42 +164,25 @@ type Collector struct {
 
 // NewCollector builds a collector for one unit's campaign.
 func NewCollector(unit string) *Collector {
-	return &Collector{
-		Unit:        unit,
-		FaultModels: make(map[int]map[errmodel.Model]bool),
-		Events:      make(map[errmodel.Model]int),
-		HangFaults:  make(map[int]bool),
-	}
+	return &Collector{Unit: unit}
 }
 
-// Corruption implements gatesim.EventSink.
-func (c *Collector) Corruption(faultIdx int, p units.Pattern, field string, golden, faulty uint64) {
-	m, ok := ModelFor(c.Unit, field, p, golden, faulty)
-	if !ok {
-		c.Unmapped++
-		return
-	}
-	set := c.FaultModels[faultIdx]
-	if set == nil {
-		set = make(map[errmodel.Model]bool)
-		c.FaultModels[faultIdx] = set
-	}
-	set[m] = true
-	c.Events[m]++
+// Rule implements gatesim.Classifier: the unit's rule for field.
+func (c *Collector) Rule(field string) gatesim.Rule {
+	return rules[c.Unit][field]
 }
 
-// Hang implements gatesim.EventSink.
-func (c *Collector) Hang(faultIdx int, p units.Pattern, field string) {
-	c.HangFaults[faultIdx] = true
+// Absorb implements gatesim.Classifier: it records the campaign's
+// classification.
+func (c *Collector) Absorb(faultModels []uint16, events [errmodel.Count]int, unmapped int) {
+	c.FaultModels, c.Events, c.Unmapped = faultModels, events, unmapped
 }
 
 // FaultsCausing returns how many distinct faults produced the model.
 func (c *Collector) FaultsCausing(m errmodel.Model) int {
 	n := 0
 	for _, set := range c.FaultModels {
-		if set[m] {
-			n++
-		}
+		n += int(set >> uint(m) & 1)
 	}
 	return n
 }
@@ -215,7 +203,7 @@ func (c *Collector) FAPR(m errmodel.Model, totalFaults int) float64 {
 func (c *Collector) MultiModelFaults() int {
 	n := 0
 	for _, set := range c.FaultModels {
-		if len(set) > 1 {
+		if bits.OnesCount16(set) > 1 {
 			n++
 		}
 	}

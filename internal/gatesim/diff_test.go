@@ -1,11 +1,13 @@
 package gatesim
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"gpufaultsim/internal/analyze"
+	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/isa"
 	"gpufaultsim/internal/netlist"
 	"gpufaultsim/internal/units"
@@ -13,64 +15,81 @@ import (
 
 // The differential harness: the levelized event-driven engine must be
 // byte-identical to full re-evaluation — same Summary, same per-fault
-// classifications, same sink event stream in the same order — on the
-// paper's three units and on randomly generated sequential circuits.
-// This is the proof obligation behind making EngineEvent the default.
+// error-model sets, same event and unmapped counts — on the paper's three
+// units and on randomly generated sequential circuits. This is the proof
+// obligation behind making EngineEvent the default.
 
-// recordedEvent is one sink callback, in arrival order.
-type recordedEvent struct {
-	Kind     string // "corruption" | "hang"
-	FaultIdx int
-	Pattern  units.Pattern
-	Field    string
-	Golden   uint64
-	Faulty   uint64
+// testClassifier gives every non-hang field one of the three rule kinds —
+// constant, value-dependent or unmapped — picked by a hash of its name
+// and salt, so campaigns exercise all three on any netlist, and keeps the
+// classification the campaign hands back. (The paper's rules live in
+// errclass, which imports this package.)
+type testClassifier struct {
+	salt        uint32
+	FaultModels []uint16
+	Events      [errmodel.Count]int
+	Unmapped    int
 }
 
-// recordingSink captures the exact event stream of a campaign.
-type recordingSink struct {
-	events []recordedEvent
+func (c *testClassifier) Rule(field string) Rule {
+	h := fnv.New32a()
+	h.Write([]byte(field))
+	k := h.Sum32() + c.salt
+	switch k % 3 {
+	case 0:
+		return Rule{Mapped: true, Model: errmodel.Model(k / 3 % uint32(errmodel.Count))}
+	case 1:
+		return Rule{Mapped: true, Value: func(p units.Pattern, golden, faulty uint64) errmodel.Model {
+			return errmodel.Model((uint64(p.Word) ^ golden*3 ^ faulty*7) % uint64(errmodel.Count))
+		}}
+	}
+	return Rule{}
 }
 
-func (r *recordingSink) Corruption(faultIdx int, p units.Pattern, field string, golden, faulty uint64) {
-	r.events = append(r.events, recordedEvent{"corruption", faultIdx, p, field, golden, faulty})
-}
-
-func (r *recordingSink) Hang(faultIdx int, p units.Pattern, field string) {
-	r.events = append(r.events, recordedEvent{Kind: "hang", FaultIdx: faultIdx, Pattern: p, Field: field})
+func (c *testClassifier) Absorb(faultModels []uint16, events [errmodel.Count]int, unmapped int) {
+	c.FaultModels, c.Events, c.Unmapped = faultModels, events, unmapped
 }
 
 // diffEngines runs the same campaign on both engines and fails the test on
-// any divergence. It returns the full-engine summary for further checks.
-func diffEngines(t *testing.T, u *units.Unit, patterns []units.Pattern, cm Collapse) *Summary {
+// any divergence. It returns the full engine's summary and classification
+// for further checks.
+func diffEngines(t *testing.T, u *units.Unit, patterns []units.Pattern, cm Collapse, salt uint32) (*Summary, *testClassifier) {
 	t.Helper()
-	run := func(eng Engine) (*Summary, []recordedEvent) {
-		sink := &recordingSink{}
+	run := func(eng Engine) (*Summary, *testClassifier) {
+		cl := &testClassifier{salt: salt}
 		var sum *Summary
 		if cm != nil {
-			sum = CampaignCollapsedCfg(u, patterns, cm, sink, Config{Engine: eng})
+			sum = CampaignCollapsedCfg(u, patterns, cm, cl, Config{Engine: eng})
 		} else {
-			sum = CampaignCfg(u, patterns, sink, Config{Engine: eng})
+			sum = CampaignCfg(u, patterns, cl, Config{Engine: eng})
 		}
-		return sum, sink.events
+		return sum, cl
 	}
-	fullSum, fullEvents := run(EngineFull)
-	eventSum, eventEvents := run(EngineEvent)
+	fullSum, fullCl := run(EngineFull)
+	eventSum, eventCl := run(EngineEvent)
 
 	if !reflect.DeepEqual(fullSum, eventSum) {
 		t.Errorf("%s: summaries diverge:\n full: %+v\nevent: %+v", u.Name, fullSum, eventSum)
 	}
-	if len(fullEvents) != len(eventEvents) {
-		t.Fatalf("%s: event streams diverge: full=%d events, event=%d events",
-			u.Name, len(fullEvents), len(eventEvents))
+	if !reflect.DeepEqual(fullCl, eventCl) {
+		t.Fatalf("%s: classifications diverge:\n full: events %v unmapped %d\nevent: events %v unmapped %d",
+			u.Name, fullCl.Events, fullCl.Unmapped, eventCl.Events, eventCl.Unmapped)
 	}
-	for i := range fullEvents {
-		if fullEvents[i] != eventEvents[i] {
-			t.Fatalf("%s: event %d diverges:\n full: %+v\nevent: %+v",
-				u.Name, i, fullEvents[i], eventEvents[i])
-		}
+	return fullSum, fullCl
+}
+
+// diffCollapse runs diffEngines uncollapsed and through the static fault
+// collapser, and holds the collapsed classification — expanded to the
+// members, counts weighted by class size — to the uncollapsed one.
+func diffCollapse(t *testing.T, u *units.Unit, patterns []units.Pattern, salt uint32) *Summary {
+	t.Helper()
+	sum, plain := diffEngines(t, u, patterns, nil, salt)
+	_, collapsed := diffEngines(t, u, patterns, analyze.Collapse(u.NL), salt)
+	if !reflect.DeepEqual(plain, collapsed) {
+		t.Fatalf("%s: collapsed classification diverges:\n    plain: events %v unmapped %d\ncollapsed: events %v unmapped %d",
+			u.Name, plain.Events, plain.Unmapped, collapsed.Events, collapsed.Unmapped)
 	}
-	return fullSum
+	return sum
 }
 
 // diffPatterns builds a deterministic, varied pattern set covering the
@@ -97,17 +116,17 @@ func diffPatterns(seed int64, n int) []units.Pattern {
 
 // TestEventEngineMatchesFullOnUnits holds the event engine byte-identical
 // to full evaluation on the WSC, fetch and decoder campaigns, both
-// uncollapsed and through the static fault collapser.
+// uncollapsed and through the static fault collapser, and the collapsed
+// classification to the uncollapsed one.
 func TestEventEngineMatchesFullOnUnits(t *testing.T) {
 	patterns := diffPatterns(11, 24)
 	for _, u := range units.All() {
 		u := u
 		t.Run(u.Name, func(t *testing.T) {
-			sum := diffEngines(t, u, patterns, nil)
+			sum := diffCollapse(t, u, patterns, 0)
 			if sum.NumSWError == 0 {
 				t.Errorf("%s: campaign excited no SW errors; differential coverage too weak", u.Name)
 			}
-			diffEngines(t, u, patterns, analyze.Collapse(u.NL))
 		})
 	}
 }
@@ -149,7 +168,9 @@ func mix64(x uint64) uint64 {
 
 // TestEventEngineMatchesFullOnRandomNetlists sweeps random sequential
 // circuits — varying gate counts, state depths and feedback shapes — and
-// holds both engines byte-identical on each, uncollapsed and collapsed.
+// holds both engines byte-identical on each, uncollapsed and collapsed,
+// and the two classifications equal; the salt varies which rule kind the
+// data field gets.
 func TestEventEngineMatchesFullOnRandomNetlists(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -162,7 +183,6 @@ func TestEventEngineMatchesFullOnRandomNetlists(t *testing.T) {
 		cycles := 1 + rng.Intn(4)
 		u := randomUnit(rng, spec, cycles)
 		patterns := diffPatterns(int64(1000+trial), 12)
-		diffEngines(t, u, patterns, nil)
-		diffEngines(t, u, patterns, analyze.Collapse(u.NL))
+		diffCollapse(t, u, patterns, uint32(trial))
 	}
 }

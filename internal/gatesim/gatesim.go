@@ -6,7 +6,9 @@
 // simulator, compares every output field against the golden machine each
 // cycle, and classifies every fault of the collapsed list as
 // uncontrollable, hardware-masked, hang, or software-visible error — the
-// taxonomy of the paper's Table 4.
+// taxonomy of the paper's Table 4. Given a Classifier, the same pass also
+// performs step 3: each corruption becomes one of the 13 instruction-level
+// error models, accumulated densely per fault.
 package gatesim
 
 //vetsim:instrumented
@@ -16,6 +18,7 @@ package gatesim
 import (
 	"fmt"
 
+	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/netlist"
 	"gpufaultsim/internal/telemetry"
 	"gpufaultsim/internal/units"
@@ -48,15 +51,15 @@ var (
 	// inner loops — so the engine hot path stays telemetry-free.
 	telBatchBusy = telemetry.Default().Gauge("gatesim_batch_workers_busy", "intra-campaign fault-batch workers currently simulating")
 	telBatchSec  = telemetry.Default().Histogram("gatesim_batch_seconds", "wall-clock per 64-lane fault batch", telemetry.ExponentialBuckets(1e-6, 4, 10))
-	// Cumulative worker-seconds spent waiting at round joins (from the
+	// Cumulative worker-seconds spent waiting at block joins (from the
 	// moment a worker finds the item counter drained until the slowest
 	// worker finishes): the straggler-tail signal. Zero at width 1.
-	telShardIdleSec = telemetry.Default().FloatCounter("gatesim_shard_idle_seconds", "cumulative shard-worker idle seconds inside campaign rounds")
+	telShardIdleSec = telemetry.Default().FloatCounter("gatesim_shard_idle_seconds", "cumulative shard-worker idle seconds at campaign block joins")
 )
 
 // Engine selects the faulty-machine evaluation strategy of a campaign.
-// Both engines produce byte-identical summaries, classifications and sink
-// event streams — the differential and fuzz harnesses (diff_test.go,
+// Both engines produce byte-identical summaries and error-model
+// classifications — the differential and fuzz harnesses (diff_test.go,
 // fuzz_test.go) hold them to that.
 type Engine uint8
 
@@ -105,15 +108,28 @@ func (c FaultClass) String() string {
 	return fmt.Sprintf("FaultClass(%d)", int(c))
 }
 
-// EventSink receives per-corruption callbacks during a campaign. golden
-// and faulty are the output field's assembled values. Implementations must
-// be cheap; they run inside the campaign inner loop.
-type EventSink interface {
-	// Corruption reports that fault faultIdx corrupted an architectural
-	// output field while pattern p was applied.
-	Corruption(faultIdx int, p units.Pattern, field string, golden, faulty uint64)
-	// Hang reports that fault faultIdx corrupted a hang-critical field.
-	Hang(faultIdx int, p units.Pattern, field string)
+// Rule is how step 3 maps a corruption of one architectural output field
+// to an error model: a constant Model, or a Value function of the pattern
+// and the field's golden and faulty values. The zero Rule is unmapped: the
+// field's corruptions count in the unmapped total only.
+type Rule struct {
+	Mapped bool
+	Model  errmodel.Model
+	// Value, when set, picks the model per corruption. Campaign workers
+	// call it concurrently, so it must not write shared state.
+	Value func(p units.Pattern, golden, faulty uint64) errmodel.Model
+}
+
+// Classifier is step 3 as a campaign sees it. The campaign asks for the
+// Rule of each non-hang output field once, when it starts, and hands the
+// dense classification to Absorb once, when it ends: faultModels[i] is the
+// set (bit m = model m) of models fault i produced, events[m] how many
+// corruptions became model m, and unmapped how many had no model. Counts
+// are per fault of the full universe, so a collapsed class counts once
+// per member.
+type Classifier interface {
+	Rule(field string) Rule
+	Absorb(faultModels []uint16, events [errmodel.Count]int, unmapped int)
 }
 
 // Summary aggregates a campaign. Faults/Class always cover the full fault
@@ -148,11 +164,13 @@ func (s *Summary) Fraction(c FaultClass) float64 {
 	return float64(n) / float64(len(s.Faults))
 }
 
-// fieldSpan records the outputs of one named field.
+// fieldSpan records the outputs of one named field and how a corruption
+// of it is classified: as a hang, or by its Rule (the zero Rule when the
+// campaign has no classifier).
 type fieldSpan struct {
-	name string
 	outs []netlist.Output
 	hang bool
+	rule Rule
 }
 
 // Config bundles a campaign's execution knobs. The zero value selects the
@@ -160,27 +178,28 @@ type fieldSpan struct {
 type Config struct {
 	// Engine selects the faulty-machine evaluation strategy.
 	Engine Engine
-	// Workers is the intra-campaign parallelism: each round's (pattern
-	// quad × 64-lane fault group) work items are sharded across this many
-	// workers, every worker owning its own simulator (the Engine's) and
-	// grading scratch. Workers record corruption events per item and the
-	// campaign replays them to the sink pattern-major, so summaries,
-	// classifications and sink event streams are byte-identical at every
-	// width. 0 selects GOMAXPROCS; 1 runs the whole loop on the calling
-	// goroutine.
+	// Workers is the intra-campaign parallelism: each golden block's
+	// (pattern quad × 64-lane fault group) work items are sharded across
+	// this many workers, every worker owning its own simulator (the
+	// Engine's) and classification accumulators. Those accumulators are
+	// ORs and sums, folded once at the end, so summaries and
+	// classifications are byte-identical at every width. 0 selects
+	// GOMAXPROCS; 1 runs the whole loop on the calling goroutine.
 	Workers int
 }
 
 // CampaignCfg runs the exhaustive stuck-at campaign for one unit over the
 // pattern list. Each pattern is applied from reset for unit.Cycles clock
 // cycles; outputs are compared after every evaluation.
-func CampaignCfg(u *units.Unit, patterns []units.Pattern, sink EventSink, cfg Config) *Summary {
-	return CampaignFaultsCfg(u, patterns, netlist.FaultList(u.NL), sink, cfg)
+// cl classifies software-visible corruptions into error models; nil
+// skips step 3 and classifies faults only.
+func CampaignCfg(u *units.Unit, patterns []units.Pattern, cl Classifier, cfg Config) *Summary {
+	return CampaignFaultsCfg(u, patterns, netlist.FaultList(u.NL), cl, cfg)
 }
 
 // CampaignFaultsCfg runs a campaign over an explicit stuck-at fault list.
-func CampaignFaultsCfg(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, sink EventSink, cfg Config) *Summary {
-	return campaignRun(u, patterns, faults, faults, nil, sink, cfg)
+func CampaignFaultsCfg(u *units.Unit, patterns []units.Pattern, faults []netlist.Fault, cl Classifier, cfg Config) *Summary {
+	return campaignRun(u, patterns, faults, faults, nil, cl, cfg)
 }
 
 // Collapse is a pruned view of a fault universe, produced by the static
@@ -201,9 +220,10 @@ type Collapse interface {
 // the full fault universe. Per-fault activation is computed from the
 // golden pass for every fault (it costs no extra simulation), while
 // output corruptions — properties of the shared faulty circuit — are
-// replayed to every class member, so Summary and the sink's event stream
-// cover the same universe a full campaign would, fault for fault.
-func CampaignCollapsedCfg(u *units.Unit, patterns []units.Pattern, cm Collapse, sink EventSink, cfg Config) *Summary {
+// classified once per class and expanded to every member (the events once
+// per member), so Summary and the classification cover the same universe
+// a full campaign would, fault for fault.
+func CampaignCollapsedCfg(u *units.Unit, patterns []units.Pattern, cm Collapse, cl Classifier, cfg Config) *Summary {
 	full := netlist.FaultList(u.NL)
 	sim := cm.SimFaults()
 	members := make([][]int32, len(sim))
@@ -212,28 +232,16 @@ func CampaignCollapsedCfg(u *units.Unit, patterns []units.Pattern, cm Collapse, 
 			members[si] = append(members[si], int32(idx))
 		}
 	}
-	return campaignRun(u, patterns, full, sim, members, sink, cfg)
+	return campaignRun(u, patterns, full, sim, members, cl, cfg)
 }
 
 // laneReader is the view of one faulty batch the classification loop
 // reads: per-node lane words. Both the full simulator (netlist.Simulator)
 // and the event engine (engine.Sim, under its current read slot) satisfy
-// it. recordCycle is generic over it so the per-output calls devirtualize
+// it. classifyCycle is generic over it so the per-output calls devirtualize
 // and inline for each engine.
 type laneReader interface {
 	Node(n netlist.Node) uint64
-}
-
-// grader carries the classification state of one campaignRun: the field
-// grouping and the per-fault verdict accumulators shared by every batch
-// of every pattern. Golden field values live per pattern slot in the
-// campaign context (goldenField) and are passed into the grading loops.
-type grader struct {
-	fields      []fieldSpan
-	members     [][]int32 // nil when sim IS the full list
-	single      [1]int32  // scratch member list for the uncollapsed path
-	hang, swerr []bool
-	sink        EventSink
 }
 
 // evStats accumulates the event-engine sparsity counters of one campaign
@@ -250,33 +258,26 @@ func (e *evStats) add(o evStats) {
 }
 
 // campaignCtx is the shared state of one campaignRun: the stimulus, the
-// fault universe, the field grouping, the per-block golden traces and
-// the per-fault verdict accumulators. The traversal (run, shard.go)
-// executes over it. During a round's item fan-out the golden traces and
-// fieldMaskOf are read-only to every worker, while the grader, activated
-// and sink stay owned by the calling goroutine.
+// fault universe, the field grouping with its rules, and the per-block
+// golden traces. The traversal (run, shard.go) executes over it. During a
+// block's item fan-out all of it is read-only to every worker; activated
+// is owned by the calling goroutine, and each worker classifies into its
+// own tally.
 //
 // Patterns are processed in blocks of up to goldenLanes: one lane-packed
 // golden pass evaluates the whole block (pattern slot q on bit lane q).
-// The faulty passes then cover the block in rounds of roundQuads quads —
+// The faulty passes then cover the block as a flat work-item space —
 // engine.Slots consecutive pattern slots share each packed event sweep —
-// so a round is a flat work-item space of up to roundQuads×nGroups items,
-// item i covering fault group i%nGroups of quad i/nGroups. Every item
-// records its corruption occurrences per slot, and after each round the
-// recorded events replay pattern-major (quad ascending, slot ascending,
-// group ascending) — the order a one-pattern-at-a-time loop visits them —
-// which is what keeps summaries and sink streams byte-identical at every
-// worker count.
+// item i covering fault group i%nGroups of quad i/nGroups.
 type campaignCtx struct {
 	u        *units.Unit
 	patterns []units.Pattern
 	full     []netlist.Fault
 	sim      []netlist.Fault
-	members  [][]int32
-	sink     EventSink
 	eng      Engine
 
-	g         *grader
+	fields    []fieldSpan
+	weight    []int32 // per sim fault: the full-list faults it stands for
 	activated []bool
 	maxOuts   int
 
@@ -343,8 +344,8 @@ func (cc *campaignCtx) goldenPassBlock(block []units.Pattern) {
 		}
 		for q := range block {
 			gf := cc.goldenField[q][c]
-			for fi := range cc.g.fields {
-				gf[fi] = gsim.OutputSlice(cc.g.fields[fi].outs, q)
+			for fi := range cc.fields {
+				gf[fi] = gsim.OutputSlice(cc.fields[fi].outs, q)
 			}
 		}
 		gsim.Clock()
@@ -384,12 +385,12 @@ func (cc *campaignCtx) markActivatedBlock(blockLen int) {
 // Activation is graded over the full list; faulty machines are simulated
 // for the sim list only. members[si] lists the full-list indices that
 // share sim fault si's faulty circuit (nil means sim IS the full list).
-func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fault, members [][]int32, sink EventSink, cfg Config) *Summary {
+func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fault, members [][]int32, cl Classifier, cfg Config) *Summary {
 	nl := u.NL
 	patterns = u.ReducePatterns(patterns)
 	tmCampaign := telemetry.StartTimer(telCampaignSec)
 
-	// Group outputs by field once.
+	// Group outputs by field and resolve each field's rule once.
 	var fields []fieldSpan
 	byName := map[string]int{}
 	for _, o := range nl.Outputs {
@@ -397,7 +398,11 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 		if !ok {
 			i = len(fields)
 			byName[o.Field] = i
-			fields = append(fields, fieldSpan{name: o.Field, hang: u.HangFields[o.Field]})
+			fs := fieldSpan{hang: u.HangFields[o.Field]}
+			if cl != nil && !fs.hang {
+				fs.rule = cl.Rule(o.Field)
+			}
+			fields = append(fields, fs)
 		}
 		fields[i].outs = append(fields[i].outs, o)
 	}
@@ -408,12 +413,12 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 			maxOuts = n
 		}
 	}
-	g := &grader{
-		fields:  fields,
-		members: members,
-		hang:    make([]bool, len(full)),
-		swerr:   make([]bool, len(full)),
-		sink:    sink,
+	weight := make([]int32, len(sim))
+	for si := range weight {
+		weight[si] = 1
+		if members != nil {
+			weight[si] = int32(len(members[si]))
+		}
 	}
 
 	var fieldMaskOf []uint64 // per node, bit fi set when the node feeds field fi (<64)
@@ -461,9 +466,9 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 	}
 
 	cc := &campaignCtx{
-		u: u, patterns: patterns, full: full, sim: sim, members: members,
-		sink: sink, eng: cfg.Engine,
-		g:           g,
+		u: u, patterns: patterns, full: full, sim: sim, eng: cfg.Engine,
+		fields:      fields,
+		weight:      weight,
 		activated:   make([]bool, len(full)),
 		maxOuts:     maxOuts,
 		gsim:        netlist.NewSimulator(nl),
@@ -474,7 +479,25 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 		fieldMaskOf: fieldMaskOf,
 	}
 
-	cc.run(cfg.shardWidth(len(patterns), nGroups))
+	t := cc.run(cfg.shardWidth(len(patterns), nGroups))
+
+	// Expand each class's verdict to its members: every member shares the
+	// representative's faulty circuit, so it saw exactly its corruptions.
+	hang := make([]bool, len(full))
+	swerr := make([]bool, len(full))
+	faultModels := make([]uint16, len(full))
+	for si := range sim {
+		if members == nil {
+			hang[si], swerr[si], faultModels[si] = t.hang[si], t.swerr[si], t.models[si]
+			continue
+		}
+		for _, idx := range members[si] {
+			hang[idx], swerr[idx], faultModels[idx] = t.hang[si], t.swerr[si], t.models[si]
+		}
+	}
+	if cl != nil {
+		cl.Absorb(faultModels, t.events, t.unmapped)
+	}
 
 	s := &Summary{
 		Unit: u.Name, Faults: full, Patterns: len(patterns),
@@ -484,10 +507,10 @@ func campaignRun(u *units.Unit, patterns []units.Pattern, full, sim []netlist.Fa
 	}
 	for i := range full {
 		switch {
-		case g.hang[i]:
+		case hang[i]:
 			s.Class[i] = Hang
 			s.NumHang++
-		case g.swerr[i]:
+		case swerr[i]:
 			s.Class[i] = SWError
 			s.NumSWError++
 		case cc.activated[i]:

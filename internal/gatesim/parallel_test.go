@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gpufaultsim/internal/analyze"
@@ -15,57 +16,52 @@ import (
 
 // campaignFn is one campaign input shape (plain, collapsed or explicit
 // fault list) with the unit and fault universe already bound.
-type campaignFn func(patterns []units.Pattern, sink EventSink, cfg Config) *Summary
+type campaignFn func(patterns []units.Pattern, cl Classifier, cfg Config) *Summary
 
 // soloRun is the outcome of a campaign over exactly one pattern.
 type soloRun struct {
-	sum    *Summary
-	events []recordedEvent
+	sum *Summary
+	cl  *testClassifier
 }
 
 // soloRuns runs one single-pattern campaign per pattern. A one-pattern
-// campaign has one round of one quad with one live slot, so nothing in it
-// depends on how rounds, quads, slots or workers interleave — which makes
+// campaign has one block of one quad with one live slot, so nothing in it
+// depends on how blocks, quads, slots or workers interleave — which makes
 // the per-pattern results an oracle for the traversal of any longer list.
 func soloRuns(run campaignFn, eng Engine, patterns []units.Pattern) []soloRun {
 	out := make([]soloRun, len(patterns))
 	for i := range patterns {
-		sink := &recordingSink{}
-		out[i].sum = run(patterns[i:i+1], sink, Config{Engine: eng, Workers: 1})
-		out[i].events = sink.events
+		out[i].cl = &testClassifier{}
+		out[i].sum = run(patterns[i:i+1], out[i].cl, Config{Engine: eng, Workers: 1})
 	}
 	return out
 }
 
 // serialReference assembles what a campaign over the solos' patterns must
-// produce: the sink stream is the solo streams concatenated in pattern
-// order, minus Hang callbacks for faults already reported hung (the sink
-// contract is one Hang per fault), and each fault's class is the most
-// severe verdict any pattern gave it — hang over sw-error over hw-masked
-// over uncontrollable.
-func serialReference(t *testing.T, solos []soloRun) ([]byte, []recordedEvent) {
+// produce: each fault's model set is the union of its solo sets, the event
+// and unmapped counts are the solo counts summed, and each fault's class
+// is the most severe verdict any pattern gave it — hang over sw-error over
+// hw-masked over uncontrollable.
+func serialReference(t *testing.T, solos []soloRun) ([]byte, *testClassifier) {
 	t.Helper()
 	want := *solos[0].sum
 	want.Patterns = len(solos)
 	want.Class = make([]FaultClass, len(want.Faults))
 	severity := [...]int{Uncontrollable: 0, HWMasked: 1, SWError: 2, Hang: 3}
-	var events []recordedEvent
-	hung := map[int]bool{}
+	cl := &testClassifier{FaultModels: make([]uint16, len(want.Faults))}
 	for _, s := range solos {
 		for i, c := range s.sum.Class {
 			if severity[c] > severity[want.Class[i]] {
 				want.Class[i] = c
 			}
 		}
-		for _, e := range s.events {
-			if e.Kind == "hang" {
-				if hung[e.FaultIdx] {
-					continue
-				}
-				hung[e.FaultIdx] = true
-			}
-			events = append(events, e)
+		for i, set := range s.cl.FaultModels {
+			cl.FaultModels[i] |= set
 		}
+		for m, n := range s.cl.Events {
+			cl.Events[m] += n
+		}
+		cl.Unmapped += s.cl.Unmapped
 	}
 	want.NumUncontrollable, want.NumMasked, want.NumHang, want.NumSWError = 0, 0, 0, 0
 	for _, c := range want.Class {
@@ -84,18 +80,18 @@ func serialReference(t *testing.T, solos []soloRun) ([]byte, []recordedEvent) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js, events
+	return js, cl
 }
 
 // checkAgainstSolos runs the campaign over patterns at each worker width
-// and holds Summary JSON and the exact sink event sequence to the
-// reference assembled from solos (one per pattern, same order).
+// and holds Summary JSON and the dense classification to the reference
+// assembled from solos (one per pattern, same order).
 func checkAgainstSolos(t *testing.T, label string, run campaignFn, eng Engine, patterns []units.Pattern, solos []soloRun, widths []int) {
 	t.Helper()
-	wantJS, wantEv := serialReference(t, solos)
+	wantJS, wantCl := serialReference(t, solos)
 	for _, workers := range widths {
-		sink := &recordingSink{}
-		gotJS, err := json.Marshal(run(patterns, sink, Config{Engine: eng, Workers: workers}))
+		cl := &testClassifier{}
+		gotJS, err := json.Marshal(run(patterns, cl, Config{Engine: eng, Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +99,16 @@ func checkAgainstSolos(t *testing.T, label string, run campaignFn, eng Engine, p
 		if !bytes.Equal(wantJS, gotJS) {
 			t.Fatalf("%s: Summary JSON diverged from the per-pattern reference\nwant: %s\ngot:  %s", l, wantJS, gotJS)
 		}
-		if len(wantEv) != len(sink.events) {
-			t.Fatalf("%s: event count diverged: want %d, got %d", l, len(wantEv), len(sink.events))
+		if wantCl.Events != cl.Events || wantCl.Unmapped != cl.Unmapped {
+			t.Fatalf("%s: counts diverged: want events %v unmapped %d, got events %v unmapped %d",
+				l, wantCl.Events, wantCl.Unmapped, cl.Events, cl.Unmapped)
 		}
-		for i := range wantEv {
-			if wantEv[i] != sink.events[i] {
-				t.Fatalf("%s: event %d diverged\nwant: %+v\ngot:  %+v", l, i, wantEv[i], sink.events[i])
+		if !slices.Equal(wantCl.FaultModels, cl.FaultModels) {
+			i := 0
+			for i < len(cl.FaultModels) && i < len(wantCl.FaultModels) && cl.FaultModels[i] == wantCl.FaultModels[i] {
+				i++
 			}
+			t.Fatalf("%s: model sets diverged first at fault %d of %d/%d", l, i, len(wantCl.FaultModels), len(cl.FaultModels))
 		}
 	}
 }
@@ -132,11 +131,10 @@ func reducedPatterns(t *testing.T, u *units.Unit, seed int64, n int) []units.Pat
 // boundary (partial quad, exact quad, quad+1, several quads and a partial
 // one) and the golden-block boundary (a block and one) at 1, 2 and 8
 // workers must reproduce the serial reference — one solo campaign per
-// pattern, concatenated — byte for byte, Summary JSON and sink event
-// stream alike. On fetch and decoder a round is the whole block; the WSC
-// has enough fault groups for shorter rounds, and runs one pattern past
-// its first. TestShardedMixedFaultListMatchesSerial sweeps the round
-// boundaries. Run under -race by scripts/verify.sh, this also proves the
+// pattern, merged — byte for byte, Summary JSON and dense classification
+// alike. The WSC runs two quads and one pattern.
+// TestShardedMixedFaultListMatchesSerial sweeps more counts on a longer
+// fault list. Run under -race by scripts/verify.sh, this also proves the
 // fan-out itself race-clean.
 func TestShardedCampaignMatchesSerial(t *testing.T) {
 	widths := []int{1, 2, 8}
@@ -151,20 +149,20 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 					counts = append(counts, goldenLanes+1)
 				}
 				if u.Name == "wsc" {
-					counts = []int{roundQuads((u.NL.NumFaults()+63)/64)*engine.Slots + 1}
+					counts = []int{2*engine.Slots + 1}
 					if eng == EngineFull {
 						counts = []int{2}
 					}
 				}
 				patterns := reducedPatterns(t, u, 31, counts[len(counts)-1])
 				for _, collapse := range []bool{false, true} {
-					run := campaignFn(func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
-						return CampaignCfg(u, p, sink, cfg)
+					run := campaignFn(func(p []units.Pattern, cl Classifier, cfg Config) *Summary {
+						return CampaignCfg(u, p, cl, cfg)
 					})
 					if collapse {
 						cm := analyze.Collapse(u.NL)
-						run = func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
-							return CampaignCollapsedCfg(u, p, cm, sink, cfg)
+						run = func(p []units.Pattern, cl Classifier, cfg Config) *Summary {
+							return CampaignCollapsedCfg(u, p, cm, cl, cfg)
 						}
 					}
 					solos := soloRuns(run, eng, patterns)
@@ -178,28 +176,25 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedMixedFaultListMatchesSerial sweeps the round boundaries. The
-// fault list is the decoder's stuck-at list twice over — enough 64-fault
-// groups for rounds shorter than the golden block. Pattern counts
-// straddle the round boundary (round−1, round, round+1), span two rounds
-// and a partial third, and cross into a second golden block mid-round.
+// TestShardedMixedFaultListMatchesSerial sweeps more pattern counts on a
+// longer fault list: the decoder's stuck-at list twice over, so every
+// fault has a duplicate in another group. Counts straddle half a block
+// (h−1, h, h+1) and cross into a second golden block, just (2h+2) and
+// past its middle (block+h+1).
 func TestShardedMixedFaultListMatchesSerial(t *testing.T) {
 	u := units.Decoder()
 	stuck := netlist.FaultList(u.NL)
 	faults := append(append([]netlist.Fault(nil), stuck...), stuck...)
-	r := roundQuads((len(faults)+63)/64) * engine.Slots
-	if r >= goldenLanes {
-		t.Fatalf("%d faults give %d-pattern rounds; the sweep needs rounds shorter than the %d-pattern block", len(faults), r, goldenLanes)
-	}
-	counts := []int{r - 1, r, r + 1, 2*r + 2, goldenLanes + r + 1}
+	h := goldenLanes / 2
+	counts := []int{h - 1, h, h + 1, 2*h + 2, goldenLanes + h + 1}
 	patterns := reducedPatterns(t, u, 13, counts[len(counts)-1])
 
-	run := func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
-		return CampaignFaultsCfg(u, p, faults, sink, cfg)
+	run := func(p []units.Pattern, cl Classifier, cfg Config) *Summary {
+		return CampaignFaultsCfg(u, p, faults, cl, cfg)
 	}
 	for _, eng := range []Engine{EngineEvent, EngineFull} {
 		if eng == EngineFull {
-			counts = []int{r + 1} // every item on the dense simulator: -race budget
+			counts = []int{h + 1} // every item on the dense simulator: -race budget
 		}
 		solos := soloRuns(run, eng, patterns[:counts[len(counts)-1]])
 		for _, n := range counts {
@@ -231,31 +226,21 @@ func TestEventCampaignNeverReachesDenseSimulator(t *testing.T) {
 	}
 }
 
-// TestRoundAndWidthResolution pins the two sizes the traversal works out
-// from its inputs. A round is the smallest power-of-two quad count that
-// reaches roundItems items, at most the golden block. The worker count is
-// capped at the round's real item space, pattern quads × fault groups:
-// engine.Slots (4) patterns are one quad, so with a single fault group
-// there is one item and one worker however many were asked for — and the
-// campaign itself must of course still be right at that shape.
+// TestRoundAndWidthResolution pins the worker count the traversal works
+// out from its inputs: it is capped at a golden block's real item space,
+// pattern quads × fault groups. engine.Slots (4) patterns are one quad,
+// so with a single fault group there is one item and one worker however
+// many were asked for — and the campaign itself must of course still be
+// right at that shape.
 func TestRoundAndWidthResolution(t *testing.T) {
 	blockQuads := goldenLanes / engine.Slots
-	for _, c := range []struct{ groups, want int }{
-		{0, blockQuads}, {1, blockQuads}, {roundItems / blockQuads, blockQuads},
-		{roundItems/blockQuads + 1, blockQuads}, {roundItems / 2, 2}, {roundItems - 1, 2},
-		{roundItems, 1}, {10 * roundItems, 1},
-	} {
-		if got := roundQuads(c.groups); got != c.want {
-			t.Errorf("roundQuads(%d) = %d, want %d", c.groups, got, c.want)
-		}
-	}
 	for _, c := range []struct{ workers, patterns, groups, want int }{
 		{8, engine.Slots, 1, 1},
 		{8, engine.Slots + 1, 1, 2},
 		{8, engine.Slots, 3, 3},
 		{8, 1000, 1, 8},
 		{64, 1000, 1, blockQuads},
-		{8, 1000, roundItems, 8},
+		{8, 1000, 512, 8},
 		{1, 1000, 100, 1},
 		{0, 1000, 100, runtime.GOMAXPROCS(0)},
 		{8, 0, 0, 1},
@@ -268,18 +253,18 @@ func TestRoundAndWidthResolution(t *testing.T) {
 	u := units.Decoder()
 	patterns := reducedPatterns(t, u, 17, engine.Slots)
 	faults := netlist.FaultList(u.NL)[:64]
-	run := func(p []units.Pattern, sink EventSink, cfg Config) *Summary {
-		return CampaignFaultsCfg(u, p, faults, sink, cfg)
+	run := func(p []units.Pattern, cl Classifier, cfg Config) *Summary {
+		return CampaignFaultsCfg(u, p, faults, cl, cfg)
 	}
 	checkAgainstSolos(t, "one item", run, EngineEvent, patterns, soloRuns(run, EngineEvent, patterns), []int{8})
 }
 
 // TestShardedCampaignSteadyStateAllocs pins the pooling work: after the
 // per-campaign setup, running more patterns must not allocate more —
-// worker simulators, engines, grading scratch and event buffers are all
-// created once and reused across patterns. The decoder runs dozens of
-// batches per pattern, so even one allocation per batch would blow the
-// slack by orders of magnitude.
+// worker simulators, engines, grading scratch and tallies are all created
+// once and reused across patterns. The longer run simulates 170 more
+// decoder batches, so three allocations per batch would already exceed
+// the slack.
 func TestShardedCampaignSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow")
@@ -294,9 +279,12 @@ func TestShardedCampaignSteadyStateAllocs(t *testing.T) {
 	}
 	base := testing.AllocsPerRun(2, run(short))
 	grown := testing.AllocsPerRun(2, run(long))
-	// Both runs pay the same per-campaign setup; 6x the patterns may only
-	// add a small constant (event buffers growing once to their
-	// high-water mark), never a per-pattern or per-batch term.
+	// Both runs pay the same per-campaign setup, sized by the fault list
+	// and the golden block, not the pattern count; 6x the patterns may add
+	// no per-pattern or per-batch term. The slack covers setup that scales
+	// with the golden arenas' block capacity (4 vs 24 patterns: ~40
+	// allocations) and, under -race at two workers, the race runtime's
+	// own bookkeeping (~160 more).
 	slack := base*0.25 + 128
 	if grown > base+slack {
 		t.Fatalf("allocations grew with pattern count: %d patterns -> %.0f allocs, %d patterns -> %.0f allocs (slack %.0f)",

@@ -338,6 +338,26 @@ func TestUnwiredDFFBuildError(t *testing.T) {
 	}
 }
 
+// A field whose bit is declared twice cannot be graded per node: two
+// nodes would feed one value bit, so one could differ from golden while
+// the assembled value did not.
+func TestDuplicateOutputBitBuildError(t *testing.T) {
+	b := NewBuilder("dup")
+	a, c := b.Input("a"), b.Input("c")
+	b.Output("y", 0, a)
+	b.Output("y", 1, c)
+	b.Output("z", 0, c) // same bit, other field: fine
+	b.Output("y", 0, c)
+	_, err := b.Build()
+	var be *BuildError
+	if !errors.As(err, &be) {
+		t.Fatalf("error is %T, want *BuildError", err)
+	}
+	if !hasCode(be, "dup-output") || len(be.Diags) != 1 {
+		t.Fatalf("diagnostics %v, want one dup-output", be.Diags)
+	}
+}
+
 func TestMustBuildPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

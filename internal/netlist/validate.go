@@ -42,7 +42,8 @@ func (e *BuildError) Error() string {
 // ValidateNetlist runs the structural checks on a netlist value without
 // panicking, so it is safe on hand-constructed (possibly broken) circuits:
 // out-of-range node references, floating DFF next-state inputs, misdeclared
-// primary inputs/outputs, and combinational cycles. Any diagnostic means
+// primary inputs/outputs (an output bit declared twice, or outside a 64-bit
+// field), and combinational cycles. Any diagnostic means
 // the circuit cannot be evaluated.
 func ValidateNetlist(nl *Netlist) []Diagnostic {
 	var diags []Diagnostic
@@ -70,11 +71,25 @@ func ValidateNetlist(nl *Netlist) []Diagnostic {
 				fmt.Sprintf("declared primary input %d is not an INPUT cell", i)})
 		}
 	}
+	// Each (field, bit) is declared once and fits a 64-bit field value, so
+	// a field's value differs from golden exactly when one of its output
+	// nodes does — the campaign grades on that.
+	declared := make(map[Output]bool, len(nl.Outputs))
 	for _, o := range nl.Outputs {
 		if !inRange(o.Node) {
 			diags = append(diags, Diagnostic{"bad-output", o.Node,
 				fmt.Sprintf("output %s[%d] references node %d (of %d cells)", o.Field, o.Bit, o.Node, n)})
 		}
+		if o.Bit < 0 || o.Bit >= 64 {
+			diags = append(diags, Diagnostic{"bad-output", o.Node,
+				fmt.Sprintf("output %s[%d] is outside a 64-bit field", o.Field, o.Bit)})
+		}
+		key := Output{Field: o.Field, Bit: o.Bit}
+		if declared[key] {
+			diags = append(diags, Diagnostic{"dup-output", o.Node,
+				fmt.Sprintf("output %s[%d] is declared twice", o.Field, o.Bit)})
+		}
+		declared[key] = true
 	}
 	if len(diags) > 0 {
 		// References are broken: the cycle walk below would index out of
