@@ -33,7 +33,8 @@ func main() {
 // run is the whole command behind a testable seam. A descriptor that can
 // hit nothing (a warp slot the SM does not have, an operand position no
 // instruction has, a lane or bit mask wider than a warp's 32 lanes) is an
-// error, not a run reported as Masked.
+// error, not a run reported as Masked, and so is an operand location the
+// model does not tell apart (it would run as another location).
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	app := fs.String("app", "vectoradd", "workload name (Table 1)")
@@ -41,7 +42,7 @@ func run(args []string, w io.Writer) error {
 	warp := fs.Int("warp", 0, "target warp slot")
 	lanes := fs.Uint64("lanes", 0xFFFFFFFF, "target lane mask")
 	mask := fs.Uint64("mask", 1, "bitErrMask")
-	loc := fs.Int("loc", 0, "errOperLoc")
+	loc := fs.Int("loc", 0, "errOperLoc: 0-3 for IRA/IVRA, 0-1 for IAC/IAL/IMD, 0 otherwise")
 	seed := fs.Int64("seed", 1, "workload seed")
 	context := fs.Int("context", 4, "trace context lines around the divergence")
 	if err := fs.Parse(args); err != nil {
@@ -59,8 +60,8 @@ func run(args []string, w io.Writer) error {
 	switch maxWarps := gpu.DefaultConfig().MaxWarpsPerSM; {
 	case *warp < 0 || *warp >= maxWarps:
 		return fmt.Errorf("-warp %d outside [0,%d)", *warp, maxWarps)
-	case *loc < 0 || *loc > 3:
-		return fmt.Errorf("-loc %d outside [0,3]", *loc)
+	case *loc < 0 || *loc >= m.Locs():
+		return fmt.Errorf("-loc %d outside [0,%d) for %v", *loc, m.Locs(), m)
 	case *context < 0:
 		return fmt.Errorf("-context %d is negative", *context)
 	case *lanes > math.MaxUint32:

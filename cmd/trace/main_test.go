@@ -16,6 +16,8 @@ func TestUnhittableDescriptorRejected(t *testing.T) {
 		{"-loc", "4"},
 		{"-loc", "9"},
 		{"-loc", "-3"},
+		{"-model", "IMD", "-loc", "3"},
+		{"-model", "IAT", "-loc", "2"},
 		{"-context", "-5"},
 		{"-lanes", "0x1FFFFFFFF"},
 		{"-mask", "0x100000001"},
@@ -32,7 +34,7 @@ func TestUnhittableDescriptorRejected(t *testing.T) {
 
 func TestValidRun(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-warp", "47", "-loc", "3", "-context", "0", "-lanes", "0xFFFFFFFF"}, &buf); err != nil {
+	if err := run([]string{"-model", "IRA", "-warp", "47", "-loc", "3", "-context", "0", "-lanes", "0xFFFFFFFF"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "app=vectoradd") {

@@ -43,27 +43,64 @@ const (
 // Count is the number of defined error models (13).
 const Count = int(modelCount)
 
-var modelNames = [...]string{
-	"IOC", "IVOC", "IRA", "IVRA", "IIO", "WV",
-	"IPP", "IAT", "IAW", "IAC", "IAL", "IMS", "IMD",
+// spec is what one error model is, apart from its error function: the
+// specs table states it once for every model.
+type spec struct {
+	name       string
+	group      Group
+	warpWide   bool // corrupts every thread of an affected warp
+	injectable bool // evaluated by the software campaigns
+	locs       int  // ErrOperLoc values the model tells apart
+}
+
+// specs follows the paper: IOC, IVOC, IRA, IVRA, IPP and IAW corrupt every
+// thread of a warp, the rest one or a few threads. IPP is not injected
+// because its effects are realised by IRA/IVRA/IMS/IMD/IAT/IAW, and IVOC
+// because it deterministically raises an illegal-instruction DUE.
+var specs = [Count]spec{
+	IOC:  {"IOC", GroupOperation, true, true, 1},
+	IVOC: {"IVOC", GroupOperation, true, false, 1},
+	IRA:  {"IRA", GroupOperation, true, true, 4},
+	IVRA: {"IVRA", GroupOperation, true, true, 4},
+	IIO:  {"IIO", GroupOperation, false, true, 1},
+	WV:   {"WV", GroupControlFlow, false, true, 1},
+	IPP:  {"IPP", GroupParallelMgmt, true, false, 1},
+	IAT:  {"IAT", GroupParallelMgmt, false, true, 1},
+	IAW:  {"IAW", GroupParallelMgmt, true, true, 1},
+	IAC:  {"IAC", GroupParallelMgmt, false, true, 2},
+	IAL:  {"IAL", GroupResourceMgmt, false, true, 2},
+	IMS:  {"IMS", GroupResourceMgmt, false, true, 1},
+	IMD:  {"IMD", GroupResourceMgmt, false, true, 2},
 }
 
 func (m Model) String() string {
-	if m >= 0 && int(m) < len(modelNames) {
-		return modelNames[m]
+	if m >= 0 && int(m) < Count {
+		return specs[m].name
 	}
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
 // ParseModel returns the model with the given name.
 func ParseModel(name string) (Model, error) {
-	for i, n := range modelNames {
-		if n == name {
+	for i, s := range specs {
+		if s.name == name {
 			return Model(i), nil
 		}
 	}
 	return 0, fmt.Errorf("errmodel: unknown model %q", name)
 }
+
+// Group reports the category of the model.
+func (m Model) Group() Group { return specs[m].group }
+
+// WarpWide reports whether the model corrupts every thread of an affected
+// warp as opposed to one or a few threads per warp.
+func (m Model) WarpWide() bool { return specs[m].warpWide }
+
+// Locs is the number of ErrOperLoc values the model tells apart: 4 for
+// IRA/IVRA (destination, three sources), 2 for IAC, IAL and IMD, 1 for the
+// rest. A descriptor's ErrOperLoc lies in [0, Locs).
+func (m Model) Locs() int { return specs[m].locs }
 
 // All returns the 13 error models.
 func All() []Model {
@@ -75,13 +112,10 @@ func All() []Model {
 }
 
 // Injectable returns the 11 models evaluated by the software campaigns.
-// IPP is excluded because its effects are realised by IRA/IVRA/IMS/IMD/
-// IAT/IAW, and IVOC because it deterministically raises an
-// illegal-instruction DUE (both per the paper).
 func Injectable() []Model {
 	var out []Model
 	for _, m := range All() {
-		if m != IPP && m != IVOC {
+		if specs[m].injectable {
 			out = append(out, m)
 		}
 	}
@@ -114,31 +148,6 @@ func Groups() []Group {
 	return []Group{GroupOperation, GroupControlFlow, GroupParallelMgmt, GroupResourceMgmt}
 }
 
-// Group reports the category of the model.
-func (m Model) Group() Group {
-	switch m {
-	case IOC, IVOC, IRA, IVRA, IIO:
-		return GroupOperation
-	case WV:
-		return GroupControlFlow
-	case IPP, IAT, IAW, IAC:
-		return GroupParallelMgmt
-	default:
-		return GroupResourceMgmt
-	}
-}
-
-// WarpWide reports whether the model corrupts every thread of an affected
-// warp (IOC, IVOC, IRA, IVRA, IPP, IAW per the paper) as opposed to one or
-// a few threads per warp.
-func (m Model) WarpWide() bool {
-	switch m {
-	case IOC, IVOC, IRA, IVRA, IPP, IAW:
-		return true
-	}
-	return false
-}
-
 // Descriptor links a permanent hardware defect to the portion of a
 // parallel application it corrupts. Fields mirror the paper's error
 // descriptor: SM, sub-partition, warp set, thread set, plus model-specific
@@ -158,9 +167,11 @@ type Descriptor struct {
 	// BitErrMask is XORed into the corrupted field (register number,
 	// destination value, predicate, or thread index depending on Model).
 	BitErrMask uint32
-	// ErrOperLoc selects the corrupted operand: 0 = destination,
-	// 1..3 = source position (IRA/IVRA); for IMD 0 = data register,
-	// 1 = address register; for IAL 0 = disable lane, 1 = force-enable.
+	// ErrOperLoc selects the corrupted operand or mode, in
+	// [0, Model.Locs()): 0 = destination, 1..3 = source position
+	// (IRA/IVRA); for IMD 0 = data register, 1 = address register; for
+	// IAL 0 = disable lane, 1 = force-enable; for IAC 0 = block index,
+	// 1 = detention.
 	ErrOperLoc int
 	// ReplOp is the replacement operation executed by IOC.
 	ReplOp isa.Opcode
@@ -177,6 +188,81 @@ func (d *Descriptor) TargetsWarp(sm, ppb, w int) bool {
 		}
 	}
 	return false
+}
+
+// Eligible reports whether the model's error function can act on in, the
+// instruction a targeted warp issues: the one statement of which
+// instructions each model touches. It is necessary, not sufficient: IAL's
+// force-enable acts only on lanes whose guard fails.
+func (d *Descriptor) Eligible(in isa.Instruction) bool {
+	switch d.Model {
+	case IOC:
+		return coreOp(in) && in.Op.SrcRegs() >= 2
+	case IVOC:
+		return true // the faulty unit presents an undefined opcode
+	case IRA, IVRA:
+		if d.ErrOperLoc == 0 {
+			return in.Op.WritesReg() && in.Rd != isa.RZ
+		}
+		reg, ok := SrcOperand(in, d.ErrOperLoc)
+		return ok && reg != isa.RZ
+	case IIO:
+		return in.Op.HasImmediate() && in.Op.WritesReg() && in.Rd != isa.RZ
+	case WV:
+		return (in.Op == isa.OpISETP || in.Op == isa.OpFSETP || in.Op == isa.OpPSETP) &&
+			in.DestPred() == int(d.BitErrMask)%isa.NumPredicates
+	case IAT, IAW:
+		return in.Op == isa.OpS2R && in.Imm <= isa.SRTidZ && in.Rd != isa.RZ
+	case IAC:
+		// Detention (ErrOperLoc 1) holds the block at any instruction.
+		return d.ErrOperLoc == 1 || in.Op == isa.OpS2R && in.Imm >= isa.SRCtaidX &&
+			in.Imm <= isa.SRCtaidZ && in.Rd != isa.RZ
+	case IAL:
+		if !coreOp(in) {
+			return false
+		}
+		if d.ErrOperLoc == 0 {
+			return in.Rd != isa.RZ
+		}
+		return !in.Unconditional()
+	case IMS:
+		return (in.Op == isa.OpLDS || in.Op == isa.OpLDC) && in.Rd != isa.RZ
+	case IMD:
+		return in.Op == isa.OpSTS && d.StoreReg(in) != isa.RZ
+	}
+	return false // IPP acts through the other models
+}
+
+// coreOp reports whether in is register-writing work of an integer or
+// floating point core lane.
+func coreOp(in isa.Instruction) bool {
+	u := in.Op.Unit()
+	return (u == isa.UnitINT || u == isa.UnitFP32) && in.Op.WritesReg()
+}
+
+// StoreReg is the register of STS in that IMD corrupts: the address
+// register for ErrOperLoc 1, the data register otherwise.
+func (d *Descriptor) StoreReg(in isa.Instruction) uint8 {
+	if d.ErrOperLoc == 1 {
+		return in.Rs1
+	}
+	return in.Rs2
+}
+
+// SrcOperand returns the source register at position loc (1-based), or
+// (0, false) when the instruction has no such operand.
+func SrcOperand(in isa.Instruction, loc int) (uint8, bool) {
+	if loc < 1 || loc > in.Op.SrcRegs() {
+		return 0, false
+	}
+	switch loc {
+	case 1:
+		return in.Rs1, true
+	case 2:
+		return in.Rs2, true
+	default:
+		return in.Rs3, true
+	}
 }
 
 // intReplacements and fpReplacements are the candidate IOC substitutions
@@ -244,7 +330,7 @@ func Random(m Model, rng *rand.Rand, maxWarps, ppbs int) Descriptor {
 
 	switch m {
 	case IRA, IVRA:
-		d.ErrOperLoc = rng.Intn(4) // 0 = dest, 1..3 = src
+		d.ErrOperLoc = rng.Intn(m.Locs())
 		if m == IRA {
 			// Flip low register-number bits only: the corrupted address
 			// stays within the per-thread budget.
@@ -261,7 +347,7 @@ func Random(m Model, rng *rand.Rand, maxWarps, ppbs int) Descriptor {
 	case IIO, IMS:
 		d.BitErrMask = 1 << rng.Intn(32)
 	case IMD:
-		d.ErrOperLoc = rng.Intn(2) // 0 = data register, 1 = address register
+		d.ErrOperLoc = rng.Intn(m.Locs())
 		if d.ErrOperLoc == 1 {
 			// Address corruption: flip a low bit so the store lands on a
 			// wrong (usually still valid) shared location.
@@ -283,9 +369,9 @@ func Random(m Model, rng *rand.Rand, maxWarps, ppbs int) Descriptor {
 		// definition "incorrect detention, assignation, or unauthorized
 		// submission of a CTA".
 		d.BitErrMask = uint32(1 + rng.Intn(7))
-		d.ErrOperLoc = rng.Intn(2)
+		d.ErrOperLoc = rng.Intn(m.Locs())
 	case IAL:
-		d.ErrOperLoc = rng.Intn(2) // 0 = disable lane, 1 = force-enable
+		d.ErrOperLoc = rng.Intn(m.Locs())
 	}
 	return d
 }

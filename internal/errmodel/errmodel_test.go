@@ -138,3 +138,139 @@ func TestReplacementNeverIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestEligible states, per model, instructions its error function can and
+// cannot act on, with the RZ, IAC-detention and WV predicate cases.
+func TestEligible(t *testing.T) {
+	op2 := func(op isa.Opcode, rd, rs1, rs2 uint8) isa.Instruction {
+		return isa.Instruction{Op: op, Pred: isa.PT, Rd: rd, Rs1: rs1, Rs2: rs2}
+	}
+	guarded := func(in isa.Instruction, pred uint8) isa.Instruction { in.Pred = pred; return in }
+	s2r := func(rd uint8, sr uint16) isa.Instruction {
+		return isa.Instruction{Op: isa.OpS2R, Pred: isa.PT, Rd: rd, Imm: sr}
+	}
+	setp := func(op isa.Opcode, pd uint8) isa.Instruction { return op2(op, pd, 1, 2) }
+	var (
+		iadd  = op2(isa.OpIADD, 1, 2, 3)
+		ffma  = isa.Instruction{Op: isa.OpFFMA, Pred: isa.PT, Rd: 1, Rs1: 2, Rs2: 3, Rs3: 4}
+		mov   = op2(isa.OpMOV, 1, 2, 0)
+		movi  = isa.Instruction{Op: isa.OpMOV32I, Pred: isa.PT, Rd: 1, Imm: 9}
+		gld   = op2(isa.OpGLD, 1, 2, 0)
+		gst   = op2(isa.OpGST, 0, 1, 2)
+		sts   = op2(isa.OpSTS, 0, 1, 2)
+		lds   = op2(isa.OpLDS, 1, 2, 0)
+		ldc   = op2(isa.OpLDC, 1, isa.RZ, 0)
+		exit  = isa.Instruction{Op: isa.OpEXIT, Pred: isa.PT}
+		bra   = isa.Instruction{Op: isa.OpBRA, Pred: isa.PT, Imm: 3}
+		fsin  = op2(isa.OpFSIN, 1, 2, 0)
+		rzDst = op2(isa.OpIADD, isa.RZ, 2, 3)
+	)
+	type row struct {
+		d    Descriptor
+		in   isa.Instruction
+		want bool
+	}
+	at := func(m Model, loc int) Descriptor { return Descriptor{Model: m, ErrOperLoc: loc} }
+	wv := func(mask uint32) Descriptor { return Descriptor{Model: WV, BitErrMask: mask} }
+	rows := []row{
+		{at(IOC, 0), iadd, true},
+		{at(IOC, 0), ffma, true},
+		{at(IOC, 0), mov, false}, // one source
+		{at(IOC, 0), fsin, false},
+		{at(IOC, 0), setp(isa.OpISETP, 0), false},
+
+		{at(IVOC, 0), exit, true},
+		{at(IVOC, 0), iadd, true},
+
+		{at(IRA, 0), iadd, true},
+		{at(IRA, 0), rzDst, false},
+		{at(IRA, 0), gst, false}, // writes no register
+		{at(IRA, 1), iadd, true},
+		{at(IRA, 1), op2(isa.OpIADD, 1, isa.RZ, 3), false},
+		{at(IRA, 2), op2(isa.OpIADD, 1, 2, isa.RZ), false},
+		{at(IRA, 3), iadd, false}, // no third source
+		{at(IRA, 3), ffma, true},
+		{at(IRA, 1), movi, false},
+		{at(IVRA, 0), iadd, true},
+		{at(IVRA, 2), iadd, true},
+		{at(IVRA, 2), mov, false},
+
+		{at(IIO, 0), movi, true},
+		{at(IIO, 0), gld, true},
+		{at(IIO, 0), isa.Instruction{Op: isa.OpMOV32I, Pred: isa.PT, Rd: isa.RZ}, false},
+		{at(IIO, 0), iadd, false},
+		{at(IIO, 0), gst, false}, // an immediate, but no register result
+
+		{wv(2), setp(isa.OpISETP, 2), true},
+		{wv(2), setp(isa.OpFSETP, 2), true},
+		{wv(2), setp(isa.OpPSETP, 2), true},
+		{wv(2), setp(isa.OpISETP, 1), false},
+		{wv(9), setp(isa.OpISETP, 2), true}, // 9 % NumPredicates
+		{wv(7), setp(isa.OpISETP, 0), true},
+		{wv(2), op2(isa.OpIADD, 2, 1, 1), false},
+
+		{at(IAT, 0), s2r(1, isa.SRTidX), true},
+		{at(IAT, 0), s2r(1, isa.SRTidZ), true},
+		{at(IAT, 0), s2r(1, isa.SRCtaidX), false},
+		{at(IAT, 0), s2r(isa.RZ, isa.SRTidX), false},
+		{at(IAW, 0), s2r(1, isa.SRTidY), true},
+		{at(IAW, 0), iadd, false},
+
+		{at(IAC, 0), s2r(1, isa.SRCtaidX), true},
+		{at(IAC, 0), s2r(1, isa.SRCtaidZ), true},
+		{at(IAC, 0), s2r(1, isa.SRTidX), false},
+		{at(IAC, 0), s2r(1, isa.SRNTidX), false},
+		{at(IAC, 0), s2r(isa.RZ, isa.SRCtaidX), false},
+		{at(IAC, 1), exit, true}, // detention holds the block anywhere
+		{at(IAC, 1), bra, true},
+
+		{at(IAL, 0), iadd, true},
+		{at(IAL, 0), mov, true},
+		{at(IAL, 0), rzDst, false},
+		{at(IAL, 0), gld, false},
+		{at(IAL, 1), guarded(iadd, 0), true},
+		{at(IAL, 1), guarded(iadd, 0x8|isa.PT), true}, // @!PT never passes
+		{at(IAL, 1), iadd, false},                     // nothing to force
+		{at(IAL, 1), guarded(fsin, 0), false},
+
+		{at(IMS, 0), lds, true},
+		{at(IMS, 0), ldc, true},
+		{at(IMS, 0), gld, false},
+		{at(IMS, 0), op2(isa.OpLDS, isa.RZ, 2, 0), false},
+
+		{at(IMD, 0), sts, true},
+		{at(IMD, 0), op2(isa.OpSTS, 0, 1, isa.RZ), false},
+		{at(IMD, 1), op2(isa.OpSTS, 0, 1, isa.RZ), true},
+		{at(IMD, 1), op2(isa.OpSTS, 0, isa.RZ, 2), false},
+		{at(IMD, 0), gst, false},
+		{at(IMD, 0), lds, false},
+
+		{at(IPP, 0), iadd, false},
+		{at(IPP, 0), s2r(1, isa.SRTidX), false},
+	}
+	for _, r := range rows {
+		if got := r.d.Eligible(r.in); got != r.want {
+			t.Errorf("%v (mask %d, loc %d).Eligible(%v) = %v, want %v",
+				r.d.Model, r.d.BitErrMask, r.d.ErrOperLoc, r.in, got, r.want)
+		}
+	}
+}
+
+// TestRandomDrawsEveryLoc: Random draws ErrOperLoc over exactly
+// [0, Locs) for every model.
+func TestRandomDrawsEveryLoc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, m := range All() {
+		seen := make([]bool, m.Locs())
+		for range 400 {
+			d := Random(m, rng, 8, 2)
+			if d.ErrOperLoc < 0 || d.ErrOperLoc >= m.Locs() {
+				t.Fatalf("%v: ErrOperLoc %d outside [0,%d)", m, d.ErrOperLoc, m.Locs())
+			}
+			seen[d.ErrOperLoc] = true
+		}
+		if i := slices.Index(seen, false); i >= 0 {
+			t.Errorf("%v: ErrOperLoc %d never drawn", m, i)
+		}
+	}
+}

@@ -450,8 +450,8 @@ func TestPredicatedSELPair(t *testing.T) {
 	b.ISETP(isa.CmpLT, 0, 0, 1)
 	b.MOVI(3, 7)
 	b.MOVI(4, 9)
-	b.P(0).SEL(2, 3, 4)
-	b.PNot(0).SEL(2, 4, 3)
+	b.P(0).Op2(isa.OpSEL, 2, 3, 4)
+	b.PNot(0).Op2(isa.OpSEL, 2, 4, 3)
 	b.GST(0, 0, 2)
 	b.EXIT()
 	d := NewDevice(DefaultConfig())
@@ -648,7 +648,7 @@ func TestFMinMaxSemantics(t *testing.T) {
 	b.I2F(0, 0) // -3.0
 	b.MOVI(1, 2)
 	b.I2F(1, 1) // 2.0
-	b.FMIN(2, 0, 1)
+	b.Op2(isa.OpFMIN, 2, 0, 1)
 	b.FMAX(3, 0, 1)
 	b.MOVI(4, 0)
 	b.GST(4, 0, 2)

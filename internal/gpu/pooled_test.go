@@ -205,7 +205,7 @@ func TestRegisterGarbageIsTheLaneMajorStream(t *testing.T) {
 		}
 	}})
 	b := kasm.New("probe")
-	b.NOP()
+	b.Op1(isa.OpNOP, 0, 0)
 	b.EXIT()
 	for launch := 0; launch < 2; launch++ { // the second launch finds the warps used
 		if _, err := dev.Launch(b.MustBuild(), gpu.LaunchConfig{Grid: gpu.Dim3{X: 3, Y: 2}, Block: gpu.Dim3{X: 70}}); err != nil {
@@ -224,7 +224,7 @@ func TestSharedMemoryIsZeroedPerCTA(t *testing.T) {
 	b.S2R(0, isa.SRTidX)
 	b.S2R(1, isa.SRCtaidX)
 	b.MOVI(2, 32)
-	b.IMAD(3, 1, 2, 0) // R3 = ctaid*32 + tid
+	b.Op3(isa.OpIMAD, 3, 1, 2, 0) // R3 = ctaid*32 + tid
 	b.LDS(4, 0, 0)
 	b.GST(3, 0, 4) // global[R3] = shared[tid], before this CTA writes it
 	b.MOVI(5, 77)

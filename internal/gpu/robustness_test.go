@@ -119,7 +119,7 @@ func TestGarbageRegisterInitIsDeterministic(t *testing.T) {
 			}
 		}})
 		b := kasm.New("probe")
-		b.NOP()
+		b.Op1(isa.OpNOP, 0, 0)
 		b.EXIT()
 		if _, err := dev.Launch(b.MustBuild(), LaunchConfig{Grid: Dim3{X: 1}, Block: Dim3{X: 32}}); err != nil {
 			t.Fatal(err)

@@ -22,9 +22,6 @@ type Program struct {
 	Code []isa.Word
 }
 
-// At decodes the instruction at index i.
-func (p *Program) At(i int) isa.Instruction { return isa.Decode(p.Code[i]) }
-
 // Len reports the number of instructions in the program.
 func (p *Program) Len() int { return len(p.Code) }
 
@@ -151,15 +148,12 @@ func (b *Builder) IMUL(rd, ra, rb int) *Builder { return b.Op2(isa.OpIMUL, rd, r
 func (b *Builder) IMIN(rd, ra, rb int) *Builder { return b.Op2(isa.OpIMIN, rd, ra, rb) }
 func (b *Builder) IMAX(rd, ra, rb int) *Builder { return b.Op2(isa.OpIMAX, rd, ra, rb) }
 func (b *Builder) IAND(rd, ra, rb int) *Builder { return b.Op2(isa.OpIAND, rd, ra, rb) }
-func (b *Builder) IOR(rd, ra, rb int) *Builder  { return b.Op2(isa.OpIOR, rd, ra, rb) }
 func (b *Builder) IXOR(rd, ra, rb int) *Builder { return b.Op2(isa.OpIXOR, rd, ra, rb) }
 func (b *Builder) FADD(rd, ra, rb int) *Builder { return b.Op2(isa.OpFADD, rd, ra, rb) }
 func (b *Builder) FSUB(rd, ra, rb int) *Builder { return b.Op2(isa.OpFSUB, rd, ra, rb) }
 func (b *Builder) FMUL(rd, ra, rb int) *Builder { return b.Op2(isa.OpFMUL, rd, ra, rb) }
-func (b *Builder) FMIN(rd, ra, rb int) *Builder { return b.Op2(isa.OpFMIN, rd, ra, rb) }
 func (b *Builder) FMAX(rd, ra, rb int) *Builder { return b.Op2(isa.OpFMAX, rd, ra, rb) }
 
-func (b *Builder) IMAD(rd, ra, rb, rc int) *Builder { return b.Op3(isa.OpIMAD, rd, ra, rb, rc) }
 func (b *Builder) FFMA(rd, ra, rb, rc int) *Builder { return b.Op3(isa.OpFFMA, rd, ra, rb, rc) }
 
 func (b *Builder) FSIN(rd, ra int) *Builder  { return b.Op1(isa.OpFSIN, rd, ra) }
@@ -167,7 +161,6 @@ func (b *Builder) FEXP(rd, ra int) *Builder  { return b.Op1(isa.OpFEXP, rd, ra) 
 func (b *Builder) FRCP(rd, ra int) *Builder  { return b.Op1(isa.OpFRCP, rd, ra) }
 func (b *Builder) FSQRT(rd, ra int) *Builder { return b.Op1(isa.OpFSQRT, rd, ra) }
 func (b *Builder) I2F(rd, ra int) *Builder   { return b.Op1(isa.OpI2F, rd, ra) }
-func (b *Builder) F2I(rd, ra int) *Builder   { return b.Op1(isa.OpF2I, rd, ra) }
 func (b *Builder) MOV(rd, ra int) *Builder   { return b.Op1(isa.OpMOV, rd, ra) }
 
 // MOVI loads a signed 16-bit immediate into rd.
@@ -183,10 +176,6 @@ func (b *Builder) MOVI(rd int, imm int) *Builder {
 func (b *Builder) S2R(rd int, sr uint16) *Builder {
 	return b.emit(isa.Instruction{Op: isa.OpS2R, Rd: uint8(rd), Imm: sr})
 }
-
-// SEL emits rd <- guard ? ra : rb. The guard is the instruction predicate
-// set via P/PNot; with no guard it always selects ra.
-func (b *Builder) SEL(rd, ra, rb int) *Builder { return b.Op2(isa.OpSEL, rd, ra, rb) }
 
 // SHL/SHR shift ra by an immediate count.
 func (b *Builder) SHL(rd, ra, count int) *Builder {
@@ -219,13 +208,9 @@ func (b *Builder) LDC(rd, ra, offset int) *Builder {
 // Param loads kernel parameter slot i into rd (sugar over LDC).
 func (b *Builder) Param(rd, i int) *Builder { return b.LDC(rd, isa.RZ, i) }
 
-// ISETP/FSETP compare and write predicate pd.
+// ISETP compares ra with rb and writes predicate pd.
 func (b *Builder) ISETP(cmp isa.CmpOp, pd, ra, rb int) *Builder {
 	return b.emit(isa.Instruction{Op: isa.OpISETP, Rd: uint8(pd & 0x7),
-		Rs1: uint8(ra), Rs2: uint8(rb), Flags: uint8(cmp)})
-}
-func (b *Builder) FSETP(cmp isa.CmpOp, pd, ra, rb int) *Builder {
-	return b.emit(isa.Instruction{Op: isa.OpFSETP, Rd: uint8(pd & 0x7),
 		Rs1: uint8(ra), Rs2: uint8(rb), Flags: uint8(cmp)})
 }
 
@@ -244,7 +229,6 @@ func (b *Builder) BRA(label string) *Builder {
 
 func (b *Builder) BAR() *Builder  { return b.emit(isa.Instruction{Op: isa.OpBAR}) }
 func (b *Builder) EXIT() *Builder { return b.emit(isa.Instruction{Op: isa.OpEXIT}) }
-func (b *Builder) NOP() *Builder  { return b.emit(isa.Instruction{Op: isa.OpNOP}) }
 
 // --- composite helpers --------------------------------------------------
 

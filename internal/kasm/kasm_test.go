@@ -7,6 +7,9 @@ import (
 	"gpufaultsim/internal/isa"
 )
 
+// at decodes the instruction at index i of p.
+func at(p *Program, i int) isa.Instruction { return isa.Decode(p.Code[i]) }
+
 func TestForwardAndBackwardLabels(t *testing.T) {
 	b := New("labels")
 	b.Label("top")
@@ -15,11 +18,11 @@ func TestForwardAndBackwardLabels(t *testing.T) {
 	b.BRA("top") // backward reference
 	b.Label("end").EXIT()
 	p := b.MustBuild()
-	if p.At(1).Imm != 3 {
-		t.Errorf("forward branch target = %d, want 3", p.At(1).Imm)
+	if at(p, 1).Imm != 3 {
+		t.Errorf("forward branch target = %d, want 3", at(p, 1).Imm)
 	}
-	if p.At(2).Imm != 0 {
-		t.Errorf("backward branch target = %d, want 0", p.At(2).Imm)
+	if at(p, 2).Imm != 0 {
+		t.Errorf("backward branch target = %d, want 0", at(p, 2).Imm)
 	}
 }
 
@@ -70,17 +73,17 @@ func TestPredicateAppliesToNextInstructionOnly(t *testing.T) {
 	b.P(2).MOVI(0, 1)
 	b.MOVI(1, 2)
 	p := b.MustBuild()
-	if p.At(0).PredIndex() != 2 || p.At(0).Unconditional() {
+	if at(p, 0).PredIndex() != 2 || at(p, 0).Unconditional() {
 		t.Error("P(2) not applied to first instruction")
 	}
-	if !p.At(1).Unconditional() {
+	if !at(p, 1).Unconditional() {
 		t.Error("predicate leaked to second instruction")
 	}
 }
 
 func TestPNotSetsNegation(t *testing.T) {
 	p := New("pnot").PNot(1).MOVI(0, 5).MustBuild()
-	in := p.At(0)
+	in := at(p, 0)
 	if !in.PredNegated() || in.PredIndex() != 1 {
 		t.Errorf("PNot encoding wrong: %+v", in)
 	}
@@ -88,7 +91,7 @@ func TestPNotSetsNegation(t *testing.T) {
 
 func TestParamSugar(t *testing.T) {
 	p := New("param").Param(3, 2).MustBuild()
-	in := p.At(0)
+	in := at(p, 0)
 	if in.Op != isa.OpLDC || in.Rd != 3 || in.Rs1 != isa.RZ || in.SImm() != 2 {
 		t.Errorf("Param encoding wrong: %v", in)
 	}
@@ -96,8 +99,8 @@ func TestParamSugar(t *testing.T) {
 
 func TestNegativeMemoryOffsets(t *testing.T) {
 	p := New("neg").GLD(0, 1, -4).MustBuild()
-	if p.At(0).SImm() != -4 {
-		t.Errorf("negative offset = %d, want -4", p.At(0).SImm())
+	if at(p, 0).SImm() != -4 {
+		t.Errorf("negative offset = %d, want -4", at(p, 0).SImm())
 	}
 }
 
@@ -108,8 +111,8 @@ func TestGlobalThreadIdXSequence(t *testing.T) {
 		t.Fatalf("GlobalThreadIdX emitted %d instructions, want %d", p.Len(), len(ops))
 	}
 	for i, op := range ops {
-		if p.At(i).Op != op {
-			t.Errorf("instr %d = %v, want %v", i, p.At(i).Op, op)
+		if at(p, i).Op != op {
+			t.Errorf("instr %d = %v, want %v", i, at(p, i).Op, op)
 		}
 	}
 }
@@ -117,32 +120,32 @@ func TestGlobalThreadIdXSequence(t *testing.T) {
 func TestAllMnemonicHelpersEncodeTheirOpcode(t *testing.T) {
 	b := New("all")
 	b.IADD(0, 1, 2).ISUB(0, 1, 2).IMUL(0, 1, 2).IMIN(0, 1, 2).IMAX(0, 1, 2)
-	b.IAND(0, 1, 2).IOR(0, 1, 2).IXOR(0, 1, 2)
-	b.FADD(0, 1, 2).FSUB(0, 1, 2).FMUL(0, 1, 2).FMIN(0, 1, 2).FMAX(0, 1, 2)
-	b.IMAD(0, 1, 2, 3).FFMA(0, 1, 2, 3)
-	b.FSIN(0, 1).FEXP(0, 1).FRCP(0, 1).FSQRT(0, 1).I2F(0, 1).F2I(0, 1).MOV(0, 1)
+	b.IAND(0, 1, 2).IXOR(0, 1, 2)
+	b.FADD(0, 1, 2).FSUB(0, 1, 2).FMUL(0, 1, 2).FMAX(0, 1, 2)
+	b.FFMA(0, 1, 2, 3)
+	b.FSIN(0, 1).FEXP(0, 1).FRCP(0, 1).FSQRT(0, 1).I2F(0, 1).MOV(0, 1)
 	b.SHL(0, 1, 2).SHR(0, 1, 2)
 	b.GLD(0, 1, 0).GST(1, 0, 2).LDS(0, 1, 0).STS(1, 0, 2).LDC(0, 1, 0)
-	b.ISETP(isa.CmpEQ, 0, 1, 2).FSETP(isa.CmpLT, 0, 1, 2)
-	b.S2R(0, isa.SRTidX).SEL(0, 1, 2).BAR().NOP().EXIT()
+	b.ISETP(isa.CmpEQ, 0, 1, 2)
+	b.S2R(0, isa.SRTidX).BAR().EXIT()
 	p := b.MustBuild()
 	want := []isa.Opcode{
 		isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMIN, isa.OpIMAX,
-		isa.OpIAND, isa.OpIOR, isa.OpIXOR,
-		isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFMIN, isa.OpFMAX,
-		isa.OpIMAD, isa.OpFFMA,
-		isa.OpFSIN, isa.OpFEXP, isa.OpFRCP, isa.OpFSQRT, isa.OpI2F, isa.OpF2I, isa.OpMOV,
+		isa.OpIAND, isa.OpIXOR,
+		isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFMAX,
+		isa.OpFFMA,
+		isa.OpFSIN, isa.OpFEXP, isa.OpFRCP, isa.OpFSQRT, isa.OpI2F, isa.OpMOV,
 		isa.OpSHL, isa.OpSHR,
 		isa.OpGLD, isa.OpGST, isa.OpLDS, isa.OpSTS, isa.OpLDC,
-		isa.OpISETP, isa.OpFSETP,
-		isa.OpS2R, isa.OpSEL, isa.OpBAR, isa.OpNOP, isa.OpEXIT,
+		isa.OpISETP,
+		isa.OpS2R, isa.OpBAR, isa.OpEXIT,
 	}
 	if p.Len() != len(want) {
 		t.Fatalf("program has %d instructions, want %d", p.Len(), len(want))
 	}
 	for i, op := range want {
-		if p.At(i).Op != op {
-			t.Errorf("instr %d: got %v, want %v", i, p.At(i).Op, op)
+		if at(p, i).Op != op {
+			t.Errorf("instr %d: got %v, want %v", i, at(p, i).Op, op)
 		}
 	}
 }

@@ -14,10 +14,12 @@ import (
 	"gpufaultsim/internal/isa"
 )
 
-// Injector implements gpu.Hook for one error descriptor. An Injector is
-// stateful across the Before/After pair of a single instruction (saved
-// operand values, in the paper's terms the global-memory scratch M) and
-// must not be shared between concurrently executing devices.
+// Injector implements gpu.Hook for one error descriptor. Which
+// instructions a model acts on is errmodel.Descriptor.Eligible's to say;
+// the injector only acts. An Injector is stateful across the Before/After
+// pair of a single instruction (saved operand values, in the paper's terms
+// the global-memory scratch M) and must not be shared between concurrently
+// executing devices.
 type Injector struct {
 	D errmodel.Descriptor
 
@@ -26,6 +28,7 @@ type Injector struct {
 	saved2    [isa.WarpSize]uint32
 	savedPred [isa.WarpSize]bool
 	active    uint32 // lanes the Before hook acted on
+	reg       uint8  // the register borrow replaced
 	armed     bool
 
 	// Activations counts dynamic instructions the injector corrupted.
@@ -49,35 +52,23 @@ func (inj *Injector) lanes(ctx *gpu.InstrCtx, mask uint32) uint32 {
 	return mask & inj.D.Threads
 }
 
-// iocEligible reports whether IOC instruments the instruction: everything
-// issued by the integer or floating point cores with two register sources.
-func iocEligible(in isa.Instruction) bool {
-	u := in.Op.Unit()
-	return (u == isa.UnitINT || u == isa.UnitFP32) &&
-		in.Op.WritesReg() && in.Op.SrcRegs() >= 2
+// borrow sets register reg of the given lanes to register from XOR mask
+// for the current instruction; After puts the saved values back.
+func (inj *Injector) borrow(w *gpu.Warp, lanes uint32, reg, from uint8, mask uint32) {
+	gpu.ForLanes(lanes, func(lane int) {
+		inj.saved[lane] = w.Reg(lane, reg)
+		w.SetReg(lane, reg, w.Reg(lane, from)^mask)
+	})
+	inj.reg = reg
+	inj.active = lanes
+	inj.armed = true
 }
 
-// alEligible reports whether IAL covers the instruction (work executed on
-// an integer or floating point core lane).
-func alEligible(in isa.Instruction) bool {
-	u := in.Op.Unit()
-	return (u == isa.UnitINT || u == isa.UnitFP32) && in.Op.WritesReg()
-}
-
-// srcOperand returns the source register at position loc (1-based), or
-// (0,false) when the instruction has no such operand.
-func srcOperand(in isa.Instruction, loc int) (uint8, bool) {
-	if loc < 1 || loc > in.Op.SrcRegs() {
-		return 0, false
-	}
-	switch loc {
-	case 1:
-		return in.Rs1, true
-	case 2:
-		return in.Rs2, true
-	default:
-		return in.Rs3, true
-	}
+// restore undoes borrow.
+func (inj *Injector) restore(w *gpu.Warp) {
+	gpu.ForLanes(inj.active, func(lane int) {
+		w.SetReg(lane, inj.reg, inj.saved[lane])
+	})
 }
 
 // Before implements gpu.Hook.
@@ -86,7 +77,7 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 	inj.active = 0
 	d := &inj.D
 	lanes := inj.lanes(ctx, ctx.Mask)
-	if lanes == 0 {
+	if lanes == 0 || !d.Eligible(ctx.Instr) {
 		return
 	}
 	in := ctx.Instr
@@ -95,15 +86,12 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 	switch d.Model {
 	case errmodel.IAC:
 		// Detention mode (ErrOperLoc 1): the corrupted CTA bookkeeping
-		// wrongly detains the block — its warps never commit or finish,
-		// which the application observes as a hang (the paper: IAC's
-		// "incorrect detention, assignation, or unauthorized submission
-		// of a CTA" makes DUEs more likely than for other parallel-
-		// management errors). Index-corruption mode is handled in After.
+		// wrongly detains the block, so its warps never progress (the
+		// paper: IAC's "incorrect detention, assignation, or unauthorized
+		// submission of a CTA" makes DUEs more likely than for other
+		// parallel-management errors). An unconditional self-branch is
+		// that hang (watchdog DUE). Index mode acts in After.
 		if d.ErrOperLoc == 1 {
-			// The block never progresses: model the detention as an
-			// unconditional self-branch, which the application observes
-			// as a kernel hang (watchdog DUE).
 			ctx.Instr = isa.Instruction{Op: isa.OpBRA, Pred: isa.PT,
 				Imm: uint16(ctx.PC)}
 			inj.Activations++
@@ -117,9 +105,6 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		inj.Activations++
 
 	case errmodel.IOC:
-		if !iocEligible(in) {
-			return
-		}
 		gpu.ForLanes(lanes, func(lane int) {
 			inj.saved[lane] = w.Reg(lane, in.Rs1)
 			inj.saved2[lane] = w.Reg(lane, in.Rs2)
@@ -128,112 +113,71 @@ func (inj *Injector) Before(ctx *gpu.InstrCtx) {
 		inj.armed = true
 
 	case errmodel.IRA, errmodel.IVRA:
-		inj.beforeRegAddr(ctx, lanes)
-
-	case errmodel.IMD:
-		if in.Op != isa.OpSTS {
-			return
-		}
-		reg := in.Rs2 // data register
-		if d.ErrOperLoc == 1 {
-			reg = in.Rs1 // address register
-		}
-		if reg == isa.RZ {
-			return
-		}
-		gpu.ForLanes(lanes, func(lane int) {
-			inj.saved[lane] = w.Reg(lane, reg)
-			w.SetReg(lane, reg, inj.saved[lane]^d.BitErrMask)
-		})
-		inj.active = lanes
-		inj.armed = true
-		inj.Activations++
-
-	case errmodel.IAL:
-		if !alEligible(in) {
-			return
-		}
 		if d.ErrOperLoc == 0 {
-			// Disable lane: capture Rd to discard the result afterwards.
-			if in.Rd == isa.RZ {
-				return
+			// Destination mode: stash Rd so After can route the result to
+			// the wrong register and restore Rd (paper Fig. "destination
+			// operand").
+			if d.Model == errmodel.IVRA {
+				inj.Activations++ // before the trap, which does not return
+				ctx.RaiseTrap(gpu.TrapInvalidReg,
+					"IVRA: destination register address out of bounds")
 			}
 			gpu.ForLanes(lanes, func(lane int) {
 				inj.saved[lane] = w.Reg(lane, in.Rd)
 			})
 			inj.active = lanes
 			inj.armed = true
-		} else {
-			// Force-enable: make the guard predicate pass for target lanes.
-			if in.Unconditional() {
-				return
-			}
-			p, neg := in.PredIndex(), in.PredNegated()
-			var touched uint32
-			gpu.ForLanes(lanes, func(lane int) {
-				v := w.Pred(lane, p)
-				pass := v
-				if neg {
-					pass = !v
-				}
-				if pass {
-					return // already executing
-				}
-				inj.savedPred[lane] = v
-				w.SetPred(lane, p, !neg)
-				touched |= 1 << lane
-			})
-			if touched != 0 {
-				inj.saved[0] = uint32(p) // remember predicate index
-				inj.active = touched
-				inj.armed = true
-				inj.Activations++
-			}
+			break
 		}
-	}
-}
-
-// beforeRegAddr implements the Before halves of IRA and IVRA.
-func (inj *Injector) beforeRegAddr(ctx *gpu.InstrCtx, lanes uint32) {
-	d := &inj.D
-	in := ctx.Instr
-	w := ctx.W
-	if d.ErrOperLoc == 0 {
-		// Destination mode: stash Rd so After can route the result to the
-		// wrong register and restore Rd (paper Fig. "destination operand").
-		if !in.Op.WritesReg() || in.Rd == isa.RZ {
-			return
-		}
-		if d.Model == errmodel.IVRA {
-			inj.Activations++ // before the trap, which does not return
+		// Source mode: substitute the operand's value with the wrongly
+		// addressed register's content for the instruction's execution.
+		reg, _ := errmodel.SrcOperand(in, d.ErrOperLoc)
+		wrong := uint32(reg) ^ d.BitErrMask
+		inj.Activations++ // before the trap, which does not return
+		if wrong >= isa.RegsPerThread {
 			ctx.RaiseTrap(gpu.TrapInvalidReg,
-				"IVRA: destination register address out of bounds")
+				"IVRA: source register address out of bounds")
 		}
+		inj.borrow(w, lanes, reg, uint8(wrong), 0)
+
+	case errmodel.IMD:
+		reg := d.StoreReg(in)
+		inj.borrow(w, lanes, reg, reg, d.BitErrMask)
+		inj.Activations++
+
+	case errmodel.IAL:
+		if d.ErrOperLoc == 0 {
+			// Disable lane: capture Rd to discard the result afterwards.
+			gpu.ForLanes(lanes, func(lane int) {
+				inj.saved[lane] = w.Reg(lane, in.Rd)
+			})
+			inj.active = lanes
+			inj.armed = true
+			break
+		}
+		// Force-enable: make the guard predicate pass for target lanes.
+		p, neg := in.PredIndex(), in.PredNegated()
+		var touched uint32
 		gpu.ForLanes(lanes, func(lane int) {
-			inj.saved[lane] = w.Reg(lane, in.Rd)
+			v := w.Pred(lane, p)
+			pass := v
+			if neg {
+				pass = !v
+			}
+			if pass {
+				return // already executing
+			}
+			inj.savedPred[lane] = v
+			w.SetPred(lane, p, !neg)
+			touched |= 1 << lane
 		})
-		inj.active = lanes
-		inj.armed = true
-		return
+		if touched != 0 {
+			inj.saved[0] = uint32(p) // remember predicate index
+			inj.active = touched
+			inj.armed = true
+			inj.Activations++
+		}
 	}
-	// Source mode: substitute the operand's value with the wrongly
-	// addressed register's content for the instruction's execution.
-	reg, ok := srcOperand(in, d.ErrOperLoc)
-	if !ok || reg == isa.RZ {
-		return
-	}
-	wrong := uint32(reg) ^ d.BitErrMask
-	inj.Activations++ // before the trap, which does not return
-	if wrong >= isa.RegsPerThread {
-		ctx.RaiseTrap(gpu.TrapInvalidReg,
-			"IVRA: source register address out of bounds")
-	}
-	gpu.ForLanes(lanes, func(lane int) {
-		inj.saved[lane] = w.Reg(lane, reg)
-		w.SetReg(lane, reg, w.Reg(lane, uint8(wrong)))
-	})
-	inj.active = lanes
-	inj.armed = true
 }
 
 // After implements gpu.Hook.
@@ -242,47 +186,40 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 	in := ctx.Instr
 	w := ctx.W
 
-	// Finish armed Before/After pairs first.
+	// Finish the pair Before armed.
 	if inj.armed {
 		inj.armed = false
+		exec := inj.active & ctx.ExecMask
 		switch d.Model {
 		case errmodel.IOC:
 			repl := d.Replacement(in.Op)
-			exec := inj.active & ctx.ExecMask
 			gpu.ForLanes(exec, func(lane int) {
 				w.SetReg(lane, in.Rd, isa.Eval(repl, inj.saved[lane], inj.saved2[lane], 0))
 			})
 			if exec != 0 {
 				inj.Activations++
 			}
-		case errmodel.IRA:
-			if d.ErrOperLoc == 0 {
-				// Destination mode: move the fresh result to the wrong
-				// register and put the old destination value back.
-				wrong := uint8((uint32(in.Rd) ^ d.BitErrMask) % isa.RegsPerThread)
-				exec := inj.active & ctx.ExecMask
-				gpu.ForLanes(exec, func(lane int) {
-					res := w.Reg(lane, in.Rd)
-					w.SetReg(lane, wrong, res)
-					w.SetReg(lane, in.Rd, inj.saved[lane])
-				})
-				if exec != 0 {
-					inj.Activations++
-				}
+		case errmodel.IRA, errmodel.IVRA:
+			if d.ErrOperLoc != 0 {
+				inj.restore(w)
+				break
 			}
-		case errmodel.IVRA:
-			// Source mode restore is unreachable (it traps); nothing to do.
-		case errmodel.IMD:
-			reg := in.Rs2
-			if d.ErrOperLoc == 1 {
-				reg = in.Rs1
-			}
-			gpu.ForLanes(inj.active, func(lane int) {
-				w.SetReg(lane, reg, inj.saved[lane])
+			// Destination mode (IRA only: IVRA trapped): move the fresh
+			// result to the wrong register and put the old destination
+			// value back.
+			wrong := uint8((uint32(in.Rd) ^ d.BitErrMask) % isa.RegsPerThread)
+			gpu.ForLanes(exec, func(lane int) {
+				res := w.Reg(lane, in.Rd)
+				w.SetReg(lane, wrong, res)
+				w.SetReg(lane, in.Rd, inj.saved[lane])
 			})
+			if exec != 0 {
+				inj.Activations++
+			}
+		case errmodel.IMD:
+			inj.restore(w)
 		case errmodel.IAL:
 			if d.ErrOperLoc == 0 {
-				exec := inj.active & ctx.ExecMask
 				gpu.ForLanes(exec, func(lane int) {
 					w.SetReg(lane, in.Rd, inj.saved[lane])
 				})
@@ -296,62 +233,27 @@ func (inj *Injector) After(ctx *gpu.InstrCtx) {
 				})
 			}
 		}
-	}
-
-	// Source-mode IRA restores the borrowed operand after execution.
-	if d.Model == errmodel.IRA && d.ErrOperLoc != 0 && inj.active != 0 {
-		if reg, ok := srcOperand(in, d.ErrOperLoc); ok && reg != isa.RZ {
-			gpu.ForLanes(inj.active, func(lane int) {
-				w.SetReg(lane, reg, inj.saved[lane])
-			})
-		}
-		inj.active = 0
 		return
 	}
 
 	lanes := inj.lanes(ctx, ctx.ExecMask)
-	if lanes == 0 {
+	if lanes == 0 || !d.Eligible(in) {
 		return
 	}
-
 	switch d.Model {
-	case errmodel.IIO:
-		if in.Op.HasImmediate() && in.Op.WritesReg() && in.Rd != isa.RZ {
-			gpu.ForLanes(lanes, func(lane int) {
-				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
-			})
-			inj.Activations++
+	case errmodel.IIO, errmodel.IMS, errmodel.IAT, errmodel.IAW, errmodel.IAC:
+		if d.Model == errmodel.IAC && d.ErrOperLoc == 1 {
+			return // detention acted in Before; in is its self-branch
 		}
-	case errmodel.IMS:
-		if (in.Op == isa.OpLDS || in.Op == isa.OpLDC) && in.Rd != isa.RZ {
-			gpu.ForLanes(lanes, func(lane int) {
-				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
-			})
-			inj.Activations++
-		}
+		gpu.ForLanes(lanes, func(lane int) {
+			w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
+		})
+		inj.Activations++
 	case errmodel.WV:
-		if (in.Op == isa.OpISETP || in.Op == isa.OpFSETP || in.Op == isa.OpPSETP) &&
-			in.DestPred() == int(d.BitErrMask)%isa.NumPredicates {
-			p := in.DestPred()
-			gpu.ForLanes(lanes, func(lane int) {
-				w.SetPred(lane, p, !w.Pred(lane, p))
-			})
-			inj.Activations++
-		}
-	case errmodel.IAT, errmodel.IAW:
-		if in.Op == isa.OpS2R && in.Imm <= isa.SRTidZ && in.Rd != isa.RZ {
-			gpu.ForLanes(lanes, func(lane int) {
-				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
-			})
-			inj.Activations++
-		}
-	case errmodel.IAC:
-		if in.Op == isa.OpS2R && in.Imm >= isa.SRCtaidX && in.Imm <= isa.SRCtaidZ &&
-			in.Rd != isa.RZ {
-			gpu.ForLanes(lanes, func(lane int) {
-				w.SetReg(lane, in.Rd, w.Reg(lane, in.Rd)^d.BitErrMask)
-			})
-			inj.Activations++
-		}
+		p := in.DestPred()
+		gpu.ForLanes(lanes, func(lane int) {
+			w.SetPred(lane, p, !w.Pred(lane, p))
+		})
+		inj.Activations++
 	}
 }

@@ -2,6 +2,7 @@ package perfi
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpufaultsim/internal/errmodel"
@@ -218,5 +219,30 @@ func TestTallyRates(t *testing.T) {
 	var empty Tally
 	if m, s, d := empty.Rate(); m != 0 || s != 0 || d != 0 {
 		t.Error("empty tally rates must be zero")
+	}
+}
+
+// TestIVRAInBoundsActsAsIRA: an IVRA source-mode descriptor whose mask
+// keeps the register address valid does not trap, and borrows and puts
+// back the operand exactly as IRA does.
+func TestIVRAInBoundsActsAsIRA(t *testing.T) {
+	sess, err := NewSession(workloads.MxM{}, 11, gpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := allLanesWarp0(errmodel.IRA)
+	d.ErrOperLoc, d.BitErrMask = 1, 3
+	ira, _, err := sess.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Model = errmodel.IVRA
+	ivra, _, err := sess.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ivra.Trap != ira.Trap || ivra.Issues != ira.Issues || !slices.Equal(ivra.Output, ira.Output) {
+		t.Errorf("IVRA in bounds: %v (%d issues), IRA: %v (%d issues), outputs equal %v",
+			ivra.Trap, ivra.Issues, ira.Trap, ira.Issues, slices.Equal(ivra.Output, ira.Output))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpufaultsim/internal/gpu"
+	"gpufaultsim/internal/isa"
 )
 
 // all returns every workload (evaluation + profiling, deduplicated).
@@ -108,9 +109,9 @@ func TestKernelsStayWithinRegisterBudget(t *testing.T) {
 		job := w.Build(rand.New(rand.NewSource(34)))
 		for _, k := range job.Kernels {
 			for i := 0; i < k.Prog.Len(); i++ {
-				if !k.Prog.At(i).ValidRegs() {
+				if in := isa.Decode(k.Prog.Code[i]); !in.ValidRegs() {
 					t.Errorf("%s/%s: instruction %d uses invalid registers: %v",
-						w.Name(), k.Prog.Name, i, k.Prog.At(i))
+						w.Name(), k.Prog.Name, i, in)
 				}
 			}
 		}

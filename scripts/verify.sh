@@ -63,13 +63,15 @@ go build ./...
 step "go test -race ./..."
 go test -race ./...
 
-# Short fuzz smoke: the differential fuzzer must at least survive its
-# seed corpus plus a few seconds of mutation. Saved crashers under
-# testdata/fuzz/ run as regular tests above; this step keeps the mutation
-# machinery itself exercised. One -fuzz target per invocation (go test
-# limitation).
+# Short fuzz smoke: each differential fuzzer (gatesim's, and perfi's
+# session against a plain run) must at least survive its seed corpus plus
+# a few seconds of mutation. Saved crashers
+# under testdata/fuzz/ run as regular tests above; this step keeps the
+# mutation machinery itself exercised. One -fuzz target per invocation
+# (go test limitation).
 step "fuzz smoke"
 go test ./internal/gatesim -run '^$' -fuzz '^FuzzNetlistEval$' -fuzztime 5s
+go test ./internal/perfi -run '^$' -fuzz '^FuzzSessionMatchesPlainRun$' -fuzztime 5s
 
 # Golden end-to-end: the full default-scale repro output, byte-for-byte
 # (timing masked). Runs without -race on purpose — the test skips itself
