@@ -151,8 +151,7 @@ func main() {
 }
 
 // runWorker joins a coordinator and computes leased chunks until
-// SIGTERM. The local store deduplicates repeat chunks and caches
-// dependency payloads pulled from the coordinator.
+// SIGTERM. The local store deduplicates repeat chunks.
 func runWorker(ctx context.Context, logger *slog.Logger, st *store.Store, addr, join, name string) {
 	if name == "" {
 		host, err := os.Hostname()

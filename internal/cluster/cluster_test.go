@@ -14,6 +14,7 @@ import (
 	"gpufaultsim/internal/jobs"
 	"gpufaultsim/internal/store"
 	"gpufaultsim/internal/telemetry"
+	"gpufaultsim/internal/units"
 )
 
 // testReq builds a minimal valid chunk request whose key is derived from
@@ -94,6 +95,23 @@ func TestGrantSignAndVerify(t *testing.T) {
 	tampered.TTLSec = 99
 	if err := VerifyGrant(tampered); err == nil {
 		t.Fatal("TTL-tampered grant passed verification")
+	}
+	// A gate grant's patterns are the chunk's input: changing one breaks
+	// the digest.
+	gate := testReq(t, "gate:wsc")
+	gate.Chunk.Phase, gate.Chunk.Arg = jobs.PhaseGate, "wsc"
+	gate.Patterns = []units.Pattern{{PC: 1}, {PC: 2}}
+	g, err = SignGrant(LeaseGrant{Lease: "L000002-abcd", Worker: "w1", TTLSec: 30, Work: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyGrant(g); err != nil {
+		t.Fatalf("fresh gate grant failed verification: %v", err)
+	}
+	tampered = g
+	tampered.Work.Patterns = []units.Pattern{{PC: 1}, {PC: 3}}
+	if err := VerifyGrant(tampered); err == nil {
+		t.Fatal("patterns-tampered grant passed verification")
 	}
 }
 
@@ -267,29 +285,21 @@ func TestWorkersViewSortedWithLedgerStats(t *testing.T) {
 	}
 }
 
-func TestChunkEndpointServesAndMisses(t *testing.T) {
+// TestCoordinatorServesNoPayloads: grants carry every chunk input, so the
+// coordinator has no route that hands a stored payload to a caller.
+func TestCoordinatorServesNoPayloads(t *testing.T) {
 	_, _, st, srv := newTestCoordinator(t, time.Minute)
 	req := testReq(t, "sw:vectoradd")
-	if err := st.Put(req.Key, []byte("dep-payload")); err != nil {
+	if err := st.Put(req.Key, []byte("stored-payload")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(srv.URL + "/cluster/chunks/" + req.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := make([]byte, 64)
-	n, _ := resp.Body.Read(b)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || string(b[:n]) != "dep-payload" {
-		t.Fatalf("chunk fetch = %d %q", resp.StatusCode, b[:n])
-	}
-	resp, err = http.Get(srv.URL + "/cluster/chunks/" + testReq(t, "other").Key)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing chunk status = %d, want 404", resp.StatusCode)
+		t.Fatalf("GET /cluster/chunks/{key} status = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -40,7 +40,7 @@ type CoordinatorOptions struct {
 	// scheduler's Options.Ledger).
 	Ledger *jobs.Ledger
 	// Store is the coordinator's content-addressed result store: workers
-	// push completions into it and pull dependency chunks out of it.
+	// push completions into it.
 	Store *store.Store
 	// Registry overrides the metric registry (nil selects the process
 	// default). Tests model separate processes by giving each role its
@@ -64,8 +64,7 @@ type Coordinator struct {
 	rec    *telemetry.FlightRecorder
 	log    *slog.Logger
 
-	telWorkersLive  *telemetry.Gauge
-	telChunksServed *telemetry.Counter
+	telWorkersLive *telemetry.Gauge
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -99,8 +98,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		log:    opts.Log,
 		telWorkersLive: opts.Registry.Gauge("cluster_workers",
 			"workers seen within the liveness window"),
-		telChunksServed: opts.Registry.Counter("cluster_chunk_fetches_total",
-			"dependency payloads served to workers via GET /cluster/chunks"),
 		workers: make(map[string]*workerState),
 	}, nil
 }
@@ -192,7 +189,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/complete", c.handleComplete)
 	mux.HandleFunc("POST /cluster/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("GET /cluster/workers", c.handleWorkers)
-	mux.HandleFunc("GET /cluster/chunks/{key}", c.handleChunk)
 }
 
 // Handler returns a standalone handler serving only the cluster routes
@@ -382,18 +378,6 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	clusterJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleChunk(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	b, ok := c.store.Get(key)
-	if !ok {
-		clusterError(w, http.StatusNotFound, "no such chunk")
-		return
-	}
-	c.telChunksServed.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
 }
 
 func clusterJSON(w http.ResponseWriter, code int, v any) {

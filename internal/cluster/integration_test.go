@@ -175,8 +175,8 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	wg.Wait()
 
 	// Worker B joins and must finish everything, including the chunk A
-	// died holding, pulling A's profile payload over the remote
-	// read-through path (B's local store has never seen it).
+	// died holding; its gate grants carry the profile's patterns, which
+	// B's local store has never seen.
 	workerB := newClusterWorker(t, "worker-b", srv.URL, nil)
 	ctxB, cancelB := context.WithCancel(ctx)
 	wg.Add(1)

@@ -17,7 +17,9 @@
 //	POST /cluster/complete   CompleteRequest -> CompleteResponse
 //	POST /cluster/heartbeat  HeartbeatRequest -> HeartbeatResponse
 //	GET  /cluster/workers    -> WorkersResponse
-//	GET  /cluster/chunks/{key} -> payload bytes (dependency read-through)
+//
+// A grant carries every input of its chunk (a gate chunk's patterns
+// included), so a worker never fetches a payload from the coordinator.
 //
 // Tracing rides the same wire types: lease responses carry the
 // scheduler's per-chunk trace contexts (beside the signed grants, never
@@ -45,8 +47,10 @@ import (
 // heartbeat). The workers view lost its throughput block without a bump:
 // only operators read that view, no worker does. Heartbeats lost their
 // metrics snapshot without a bump too: the coordinator's decoder ignores
-// the fields an older worker still sends.
-const protocolSchema = 2
+// the fields an older worker still sends. 3 = gate requests carry the
+// profile's patterns instead of naming the profile payload, and
+// GET /cluster/chunks/{key} is gone.
+const protocolSchema = 3
 
 // LeaseRequest asks the coordinator for up to Max chunk leases.
 type LeaseRequest struct {

@@ -7,7 +7,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sync/atomic"
@@ -41,8 +40,8 @@ type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:8080".
 	Coordinator string
 	// Store is the worker's local content-addressed cache: computed
-	// payloads land here before being pushed, and dependency chunks are
-	// resolved here with remote read-through to the coordinator.
+	// payloads land here before being pushed, and a leased chunk already
+	// here is pushed without recomputing.
 	Store *store.Store
 	// MaxLeases is how many chunks to request per poll (<=0 selects 2).
 	MaxLeases int
@@ -204,7 +203,7 @@ func (w *Worker) process(ctx context.Context, g LeaseGrant, tc telemetry.TraceCo
 
 	sp := root.Child("compute")
 	t := telemetry.StartTimer(w.telComputeHg)
-	payload, err := jobs.ComputeChunk(g.Work, w.depFetcher(ctx))
+	payload, err := jobs.ComputeChunk(g.Work)
 	t.Stop()
 	sp.End()
 	if err != nil {
@@ -216,7 +215,7 @@ func (w *Worker) process(ctx context.Context, g LeaseGrant, tc telemetry.TraceCo
 		return
 	}
 	w.telComputed.Inc()
-	// Cache locally first so future leases and dependency lookups hit.
+	// Cache locally first so a future lease of the same key hits.
 	sp = root.Child("put")
 	if err := w.opts.Store.Put(g.Work.Key, payload); err != nil {
 		w.telErrors.Inc()
@@ -237,16 +236,6 @@ func (w *Worker) endChunk(crec *telemetry.FlightRecorder, root *telemetry.Span) 
 	spans, _ := crec.Snapshot()
 	w.rec.Ingest(spans)
 	return spans
-}
-
-// depFetcher resolves dependency chunks (the profiling payload for gate
-// chunks): local store first, then the coordinator's chunk endpoint.
-func (w *Worker) depFetcher(ctx context.Context) func(key string) ([]byte, error) {
-	return func(key string) ([]byte, error) {
-		return w.opts.Store.GetOrFetch(key, func(k string) ([]byte, error) {
-			return w.fetchChunk(ctx, k)
-		})
-	}
 }
 
 // heartbeatLoop renews one lease at a third of its TTL until the scope
@@ -305,24 +294,6 @@ func (w *Worker) complete(ctx context.Context, g LeaseGrant, payload []byte, com
 		w.telErrors.Inc()
 		w.log.Warn("complete push failed", "lease", g.Lease, "error", err)
 	}
-}
-
-// fetchChunk pulls one dependency payload from the coordinator.
-func (w *Worker) fetchChunk(ctx context.Context, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.opts.Coordinator+"/cluster/chunks/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: GET /cluster/chunks/%s: %s", key, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // post sends one JSON request to the coordinator and decodes the reply.

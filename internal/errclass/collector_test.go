@@ -1,6 +1,7 @@
 package errclass
 
 import (
+	"math/rand"
 	"testing"
 
 	"gpufaultsim/internal/errmodel"
@@ -108,5 +109,63 @@ func TestDecoderSRSelSplit(t *testing.T) {
 	}
 	if m, _ := ModelFor("decoder", "sr_sel", p, uint64(isa.SRCtaidY), uint64(isa.SRTidX)); m != errmodel.IAC {
 		t.Errorf("ctaid->tid corruption = %v, want IAC", m)
+	}
+}
+
+// irRuleByDecode is irRule stated over two decoded instructions: the
+// reference the field-bit form is held to.
+func irRuleByDecode(golden, faulty uint64) errmodel.Model {
+	g := isa.Decode(isa.Word(golden))
+	f := isa.Decode(isa.Word(faulty))
+	switch {
+	case g.Op != f.Op:
+		return opcodeModel(uint64(f.Op))
+	case g.Rd != f.Rd:
+		return regModel(uint64(f.Rd))
+	case g.Rs1 != f.Rs1:
+		return regModel(uint64(f.Rs1))
+	case g.Rs2 != f.Rs2:
+		return regModel(uint64(f.Rs2))
+	case g.Rs3 != f.Rs3:
+		return regModel(uint64(f.Rs3))
+	case g.Imm != f.Imm:
+		return errmodel.IIO
+	case g.Pred != f.Pred || g.Flags != f.Flags:
+		return errmodel.WV
+	}
+	return errmodel.IOC
+}
+
+// TestIRRuleMatchesDecode: the fetch ir rule, which never decodes, gives
+// the decode-based model for random word pairs, for pairs a few bits
+// apart, and for every single-bit flip of random and real instruction
+// words.
+func TestIRRuleMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	check := func(golden, faulty uint64) {
+		t.Helper()
+		if got, want := irRule(units.Pattern{}, golden, faulty), irRuleByDecode(golden, faulty); got != want {
+			t.Fatalf("irRule(%#016x, %#016x) = %v, decode says %v", golden, faulty, got, want)
+		}
+	}
+	words := []uint64{0}
+	for op := isa.Opcode(0); op < 0xFF; op++ {
+		if op.Valid() {
+			in := isa.Instruction{Op: op, Rd: 1, Rs1: 2, Rs2: 3, Rs3: 4, Imm: 5, Pred: isa.PT}
+			words = append(words, uint64(in.Encode()))
+		}
+	}
+	for range 500 {
+		words = append(words, rng.Uint64())
+	}
+	for _, w := range words {
+		for b := range 64 {
+			check(w, w^1<<b)
+		}
+		check(w, rng.Uint64())
+		check(w, w^rng.Uint64()&rng.Uint64()&rng.Uint64())
+	}
+	for range 100000 {
+		check(rng.Uint64(), rng.Uint64())
 	}
 }

@@ -124,28 +124,33 @@ func srSelRule(_ units.Pattern, golden, faulty uint64) errmodel.Model {
 }
 
 // irRule classifies a corrupted fetched word by which instruction field
-// broke, in decode priority order.
+// broke, in decode priority order. It tests the field bit ranges of
+// golden ^ faulty directly: isa.Decode is pure field extraction, so
+// neither word needs decoding.
 func irRule(_ units.Pattern, golden, faulty uint64) errmodel.Model {
-	g := isa.Decode(isa.Word(golden))
-	f := isa.Decode(isa.Word(faulty))
+	diff := golden ^ faulty
 	switch {
-	case g.Op != f.Op:
-		return opcodeModel(uint64(f.Op))
-	case g.Rd != f.Rd:
-		return regModel(uint64(f.Rd))
-	case g.Rs1 != f.Rs1:
-		return regModel(uint64(f.Rs1))
-	case g.Rs2 != f.Rs2:
-		return regModel(uint64(f.Rs2))
-	case g.Rs3 != f.Rs3:
-		return regModel(uint64(f.Rs3))
-	case g.Imm != f.Imm:
+	case field(diff, isa.FieldOpcodeLo, isa.FieldOpcodeHi) != 0:
+		return opcodeModel(field(faulty, isa.FieldOpcodeLo, isa.FieldOpcodeHi))
+	case field(diff, isa.FieldRdLo, isa.FieldRdHi) != 0:
+		return regModel(field(faulty, isa.FieldRdLo, isa.FieldRdHi))
+	case field(diff, isa.FieldRs1Lo, isa.FieldRs1Hi) != 0:
+		return regModel(field(faulty, isa.FieldRs1Lo, isa.FieldRs1Hi))
+	case field(diff, isa.FieldRs2Lo, isa.FieldRs2Hi) != 0:
+		return regModel(field(faulty, isa.FieldRs2Lo, isa.FieldRs2Hi))
+	case field(diff, isa.FieldRs3Lo, isa.FieldRs3Hi) != 0:
+		return regModel(field(faulty, isa.FieldRs3Lo, isa.FieldRs3Hi))
+	case field(diff, isa.FieldImmLo, isa.FieldImmHi) != 0:
 		return errmodel.IIO
-	case g.Pred != f.Pred || g.Flags != f.Flags:
+	case field(diff, isa.FieldPredLo, isa.FieldPredHi) != 0,
+		field(diff, isa.FieldFlagsLo, isa.FieldFlagsHi) != 0:
 		return errmodel.WV
 	}
 	return errmodel.IOC
 }
+
+// field extracts bits [lo, hi] of an instruction word.
+func field(w uint64, lo, hi int) uint64 { return w >> lo & (1<<(hi-lo+1) - 1) }
 
 // Collector is a gatesim.Classifier that holds one campaign's per-unit,
 // per-model statistics behind Table 5 and Figure 9.

@@ -290,9 +290,6 @@ func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 	execMask := mask & w.predMask(in.PredIndex(), in.PredNegated())
 	ctx.ExecMask = execMask
 
-	res.UnitIssues[in.Op.Unit()]++
-	res.ThreadOps += uint64(bits.OnesCount32(execMask))
-
 	st.execute(w, in, mask, execMask, pc, ctx.DisableMask)
 
 	for _, h := range st.dev.hooks {

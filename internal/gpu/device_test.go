@@ -421,27 +421,6 @@ func TestHookCorruptionToInvalidOpcodeTraps(t *testing.T) {
 	}
 }
 
-func TestUnitIssueAccounting(t *testing.T) {
-	d := NewDevice(DefaultConfig())
-	res := launchVecAdd(t, d, 64, 64)
-	if res.UnitIssues[isa.UnitFP32] == 0 {
-		t.Error("no FP32 issues counted")
-	}
-	if res.UnitIssues[isa.UnitMEM] == 0 {
-		t.Error("no MEM issues counted")
-	}
-	if res.UnitIssues[isa.UnitINT] == 0 {
-		t.Error("no INT issues counted")
-	}
-	var sum uint64
-	for _, n := range res.UnitIssues {
-		sum += n
-	}
-	if sum != res.Issues {
-		t.Errorf("unit issues sum %d != total issues %d", sum, res.Issues)
-	}
-}
-
 func TestPredicatedSELPair(t *testing.T) {
 	// R2 = (tid < 16) ? 7 : 9 via SEL + PNot SEL.
 	b := kasm.New("sel")
@@ -577,7 +556,7 @@ func TestPPBAssignment(t *testing.T) {
 }
 
 func TestResultStringForms(t *testing.T) {
-	ok := Result{Issues: 10, ThreadOps: 320}
+	ok := Result{Issues: 10}
 	if s := ok.String(); s == "" || ok.Hung() {
 		t.Errorf("ok result: %q hung=%v", s, ok.Hung())
 	}

@@ -34,14 +34,9 @@ func (t TrapKind) String() string {
 
 // Result summarizes one kernel launch.
 type Result struct {
-	Trap      TrapKind
-	TrapInfo  string // human-readable detail for the trap
-	Issues    uint64 // warp-instructions issued
-	ThreadOps uint64 // thread-instructions executed (mask popcount sum)
-
-	// UnitIssues counts issues per functional-unit class, used by the
-	// utilization column of Table 3.
-	UnitIssues [6]uint64
+	Trap     TrapKind
+	TrapInfo string // human-readable detail for the trap
+	Issues   uint64 // warp-instructions issued
 }
 
 // Hung reports whether the launch terminated abnormally.
@@ -49,7 +44,7 @@ func (r Result) Hung() bool { return r.Trap != TrapNone }
 
 func (r Result) String() string {
 	if r.Trap == TrapNone {
-		return fmt.Sprintf("ok (%d issues, %d thread-ops)", r.Issues, r.ThreadOps)
+		return fmt.Sprintf("ok (%d issues)", r.Issues)
 	}
 	return fmt.Sprintf("DUE %v: %s (%d issues)", r.Trap, r.TrapInfo, r.Issues)
 }

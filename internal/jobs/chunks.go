@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gpufaultsim/internal/artifact"
@@ -62,8 +61,8 @@ type ChunkState struct {
 //vetsim:cachekey-surface
 func Chunks(spec Spec) []Chunk {
 	out := []Chunk{{ID: "profile", Phase: PhaseProfile}}
-	for _, u := range units.All() {
-		out = append(out, Chunk{ID: "gate:" + u.Name, Phase: PhaseGate, Arg: u.Name})
+	for _, u := range units.Names() {
+		out = append(out, Chunk{ID: "gate:" + u, Phase: PhaseGate, Arg: u})
 	}
 	for _, app := range spec.Apps {
 		out = append(out, Chunk{ID: "sw:" + app, Phase: PhaseSoftware, Arg: app})
@@ -146,15 +145,32 @@ func softwareKey(spec Spec, app string) (string, error) {
 	})
 }
 
+// chunkKey derives chunk c's cache key. A gate key covers the unit's
+// netlist, so deriving it builds the unit; patternsDigest is the gate
+// chunks' stimulus digest, unused by the other phases.
+func chunkKey(spec Spec, c Chunk, patternsDigest string) (string, error) {
+	switch c.Phase {
+	case PhaseProfile:
+		return profileKey(spec)
+	case PhaseGate:
+		u := units.ByName(c.Arg)
+		if u == nil {
+			return "", fmt.Errorf("jobs: chunk %s: unknown unit %q", c.ID, c.Arg)
+		}
+		return gateKey(spec, u, patternsDigest)
+	case PhaseSoftware:
+		return softwareKey(spec, c.Arg)
+	}
+	return "", fmt.Errorf("jobs: chunk %s: unknown phase %q", c.ID, c.Phase)
+}
+
 // --- chunk computation ----------------------------------------------------
 
 // ComputeChunk is the single chunk executor: the local scheduler's cache
 // misses and cluster workers both run it, and it returns the payload to
-// store under req.Key. Gate chunks depend on the profiling payload: dep
-// resolves req.ProfileKey — the scheduler hands back the payload it
-// holds, a worker reads its local store with remote read-through to the
-// coordinator.
-func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error)) ([]byte, error) {
+// store under req.Key. The request carries every input: a gate chunk's
+// exciting patterns ride in req.Patterns.
+func ComputeChunk(req ChunkRequest) ([]byte, error) {
 	spec := req.Spec.WithDefaults()
 	switch req.Chunk.Phase {
 	case PhaseProfile:
@@ -164,21 +180,10 @@ func ComputeChunk(req ChunkRequest, dep func(key string) ([]byte, error)) ([]byt
 		if unit == nil {
 			return nil, fmt.Errorf("jobs: chunk %s: unknown unit %q", req.Chunk.ID, req.Chunk.Arg)
 		}
-		if req.ProfileKey == "" {
-			return nil, fmt.Errorf("jobs: chunk %s: gate chunk without a profile dependency key", req.Chunk.ID)
+		if len(req.Patterns) == 0 {
+			return nil, fmt.Errorf("jobs: chunk %s: gate chunk without patterns", req.Chunk.ID)
 		}
-		if dep == nil {
-			return nil, fmt.Errorf("jobs: chunk %s: no dependency fetcher", req.Chunk.ID)
-		}
-		pb, err := dep(req.ProfileKey)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: chunk %s: profile dependency %s: %w", req.Chunk.ID, req.ProfileKey, err)
-		}
-		var prof profilePayload
-		if err := json.Unmarshal(pb, &prof); err != nil {
-			return nil, fmt.Errorf("jobs: chunk %s: profile payload: %w", req.Chunk.ID, err)
-		}
-		return computeGate(spec, unit, prof.Patterns)
+		return computeGate(spec, unit, req.Patterns)
 	case PhaseSoftware:
 		return computeSoftware(spec, req.Chunk.Arg)
 	default:

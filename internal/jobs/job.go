@@ -140,13 +140,67 @@ func (j *Job) closeSubsLocked() {
 	j.subs = nil
 }
 
-// --- final artifact assembly ---------------------------------------------
+// --- chunk outputs and final artifacts -----------------------------------
 
-// assembleArtifacts reconstructs the job's output artifacts from its
-// chunk payloads: one gate report per unit plus the combined software
-// report, each in artifact.Write's file form. Deterministic given the
-// payloads, so a resumed job emits bytes identical to an uninterrupted run.
-func assembleArtifacts(spec Spec, payloads map[string][]byte) (map[string][]byte, error) {
+// jobOutput is what a job keeps of its chunk payloads, each decoded once:
+// the profile (the gate chunks' patterns and the timing counts), the gate
+// reports and the software rows, in Chunks order.
+type jobOutput struct {
+	prof  profilePayload
+	gates []artifact.GateReport
+	rows  []artifact.AppRow
+}
+
+// absorb decodes chunk c's payload into o.
+func (o *jobOutput) absorb(c Chunk, payload []byte) error {
+	var err error
+	switch c.Phase {
+	case PhaseProfile:
+		err = json.Unmarshal(payload, &o.prof)
+	case PhaseGate:
+		var gr artifact.GateReport
+		err = json.Unmarshal(payload, &gr)
+		o.gates = append(o.gates, gr)
+	case PhaseSoftware:
+		var sp softwarePayload
+		err = json.Unmarshal(payload, &sp)
+		o.rows = append(o.rows, sp.Row)
+	}
+	if err != nil {
+		return fmt.Errorf("jobs: %s payload: %w", c.ID, err)
+	}
+	return nil
+}
+
+// timePhase records a finished phase's wall-clock seconds and counts in t.
+func (o *jobOutput) timePhase(t *report.Speedup, phase Phase, sec float64) {
+	switch phase {
+	case PhaseProfile:
+		t.ProfilingSec += sec
+		t.AppDynInstrs = o.prof.DynInstrs
+	case PhaseGate:
+		t.GateSec += sec
+		t.GatePatterns = len(o.prof.Patterns)
+		t.GateFaults = 0
+		for _, gr := range o.gates {
+			t.GateFaults += gr.TotalFaults
+		}
+	case PhaseSoftware:
+		t.SoftwareSec += sec
+		t.SWInjections = 0
+		for _, row := range o.rows {
+			for _, m := range row.Models {
+				t.SWInjections += m.Masked + m.SDC + m.DUE
+			}
+		}
+	}
+}
+
+// artifacts renders the job's output artifacts: one gate report per unit
+// plus the combined software report, each in artifact.Write's file form.
+// Deterministic given the payloads, so a resumed job emits bytes
+// identical to an uninterrupted run.
+func (o *jobOutput) artifacts(spec Spec) (map[string][]byte, error) {
 	out := make(map[string][]byte)
 	put := func(name string, v any) error {
 		var buf bytes.Buffer
@@ -156,32 +210,14 @@ func assembleArtifacts(spec Spec, payloads map[string][]byte) (map[string][]byte
 		out[name] = buf.Bytes()
 		return nil
 	}
-	var swRows []artifact.AppRow
-	for _, c := range Chunks(spec) {
-		pl, ok := payloads[c.ID]
-		if !ok {
-			return nil, fmt.Errorf("jobs: missing payload for chunk %s", c.ID)
-		}
-		switch c.Phase {
-		case PhaseGate:
-			var gr artifact.GateReport
-			if err := json.Unmarshal(pl, &gr); err != nil {
-				return nil, fmt.Errorf("jobs: gate payload %s: %w", c.ID, err)
-			}
-			if err := put("gate_"+c.Arg+".json", &gr); err != nil {
-				return nil, err
-			}
-		case PhaseSoftware:
-			var sp softwarePayload
-			if err := json.Unmarshal(pl, &sp); err != nil {
-				return nil, fmt.Errorf("jobs: software payload %s: %w", c.ID, err)
-			}
-			swRows = append(swRows, sp.Row)
+	for i := range o.gates {
+		if err := put("gate_"+o.gates[i].Unit+".json", &o.gates[i]); err != nil {
+			return nil, err
 		}
 	}
 	sw := &artifact.SoftwareReport{
 		Schema: artifact.Version, Seed: spec.Seed,
-		Injections: spec.Injections, Apps: swRows,
+		Injections: spec.Injections, Apps: o.rows,
 	}
 	if err := put("software.json", sw); err != nil {
 		return nil, err

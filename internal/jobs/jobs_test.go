@@ -119,7 +119,7 @@ func TestSoftwareChunkRunsCNNs(t *testing.T) {
 	}
 	got, err := ComputeChunk(ChunkRequest{
 		Chunk: Chunk{ID: "sw:lenet", Phase: PhaseSoftware, Arg: "lenet"}, Spec: spec,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestGateChunkMatchesDenseUncollapsedOracle(t *testing.T) {
 	spec := tinySpec().WithDefaults()
 	profBytes, err := ComputeChunk(ChunkRequest{
 		Chunk: Chunk{ID: "profile", Phase: PhaseProfile}, Spec: spec,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +182,11 @@ func TestGateChunkMatchesDenseUncollapsedOracle(t *testing.T) {
 	if len(prof.Patterns) == 0 {
 		t.Fatal("profile chunk produced no patterns")
 	}
-	dep := func(string) ([]byte, error) { return profBytes, nil }
 	for _, u := range units.All() {
 		got, err := ComputeChunk(ChunkRequest{
 			Chunk: Chunk{ID: "gate:" + u.Name, Phase: PhaseGate, Arg: u.Name},
-			Spec:  spec, ProfileKey: "profile",
-		}, dep)
+			Spec:  spec, Patterns: prof.Patterns,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,6 +199,18 @@ func TestGateChunkMatchesDenseUncollapsedOracle(t *testing.T) {
 			t.Errorf("%s: gate chunk payload differs from the dense uncollapsed campaign (%d vs %d bytes)",
 				u.Name, len(got), len(want))
 		}
+	}
+}
+
+// TestGateChunkNeedsPatterns: a gate request names its input by carrying
+// it; one without patterns is refused rather than run on nothing.
+func TestGateChunkNeedsPatterns(t *testing.T) {
+	_, err := ComputeChunk(ChunkRequest{
+		Chunk: Chunk{ID: "gate:wsc", Phase: PhaseGate, Arg: "wsc"},
+		Spec:  tinySpec().WithDefaults(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "without patterns") {
+		t.Fatalf("gate request without patterns: error %v, want one naming the missing patterns", err)
 	}
 }
 

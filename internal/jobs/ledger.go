@@ -10,6 +10,7 @@ import (
 
 	"gpufaultsim/internal/artifact"
 	"gpufaultsim/internal/telemetry"
+	"gpufaultsim/internal/units"
 )
 
 // Ledger metrics: the lease lifecycle as seen by the coordinator.
@@ -27,28 +28,27 @@ var (
 // ChunkRequest is a self-contained description of one chunk to execute:
 // everything a remote worker needs to recompute the chunk's payload and
 // store it under the same content-addressed key the coordinator derived.
-// Gate chunks additionally depend on the profiling payload, referenced by
-// ProfileKey so a worker can pull it from its local store or fetch it
-// from the coordinator (remote read-through).
+// A gate chunk's input, the profile's exciting patterns, rides in
+// Patterns (nil for the other phases).
 type ChunkRequest struct {
-	Job        string `json:"job"`
-	Chunk      Chunk  `json:"chunk"`
-	Spec       Spec   `json:"spec"`
-	Key        string `json:"key"`
-	ProfileKey string `json:"profile_key,omitempty"`
+	Job      string          `json:"job"`
+	Chunk    Chunk           `json:"chunk"`
+	Spec     Spec            `json:"spec"`
+	Key      string          `json:"key"`
+	Patterns []units.Pattern `json:"patterns,omitempty"`
 }
 
 // requestKeyMaterial fingerprints a chunk request for wire integrity
 // checks between coordinator and worker binaries.
 type requestKeyMaterial struct {
-	Schema     int    `json:"schema"`
-	Job        string `json:"job"`
-	ChunkID    string `json:"chunk_id"`
-	Phase      string `json:"phase"`
-	Arg        string `json:"arg"`
-	SpecDigest string `json:"spec_digest"`
-	Key        string `json:"key"`
-	ProfileKey string `json:"profile_key"`
+	Schema         int    `json:"schema"`
+	Job            string `json:"job"`
+	ChunkID        string `json:"chunk_id"`
+	Phase          string `json:"phase"`
+	Arg            string `json:"arg"`
+	SpecDigest     string `json:"spec_digest"`
+	Key            string `json:"key"`
+	PatternsDigest string `json:"patterns_digest"`
 }
 
 // RequestDigest fingerprints every field of a chunk request. The cluster
@@ -63,7 +63,7 @@ func RequestDigest(r ChunkRequest) (string, error) {
 	return artifact.Digest(requestKeyMaterial{
 		Schema: chunkSchema, Job: r.Job,
 		ChunkID: r.Chunk.ID, Phase: string(r.Chunk.Phase), Arg: r.Chunk.Arg,
-		SpecDigest: sd, Key: r.Key, ProfileKey: r.ProfileKey,
+		SpecDigest: sd, Key: r.Key, PatternsDigest: artifact.PatternsDigest(r.Patterns),
 	})
 }
 
@@ -300,6 +300,11 @@ func (l *Ledger) Complete(leaseID, worker, key, errMsg string) CompleteOutcome {
 		telLeaseFailed.Inc()
 	} else {
 		e.state = LeaseDone
+		// A done entry is never leased again, and entries are never
+		// removed: dropping the gate patterns keeps a long-lived
+		// coordinator from holding every gate chunk's input for good. A
+		// failed entry keeps them for the re-offer that revives it.
+		e.req.Patterns = nil
 		telLeaseDone.Inc()
 	}
 	// The completing lease may differ from the active one (a worker whose

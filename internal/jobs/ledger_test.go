@@ -239,6 +239,45 @@ func TestLedgerConcurrentLeaseCompleteExpire(t *testing.T) {
 	}
 }
 
+// TestLedgerDropsPatternsWhenDone: a gate entry's patterns go when the
+// entry turns done (it is never leased again), and stay when it fails,
+// so the re-offer that revives it grants them again.
+func TestLedgerDropsPatternsWhenDone(t *testing.T) {
+	l := NewLedger(LedgerOptions{TTL: time.Minute})
+	patterns := []units.Pattern{{PC: 1}, {PC: 2}}
+	gate := func(n int) ChunkRequest {
+		req := ledgerReq(t, n)
+		req.Chunk = Chunk{ID: "gate:wsc", Phase: PhaseGate, Arg: "wsc"}
+		req.Patterns = patterns
+		return req
+	}
+	held := func(key string) int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.entries[key].req.Patterns)
+	}
+	done, failed := gate(1), gate(2)
+	l.Offer(done, telemetry.TraceContext{})
+	l.Offer(failed, telemetry.TraceContext{})
+	grants := l.Lease("w1", 2)
+	if len(grants) != 2 || len(grants[0].Req.Patterns) != 2 || len(grants[1].Req.Patterns) != 2 {
+		t.Fatalf("grants %+v do not carry the offered patterns", grants)
+	}
+	l.Complete(grants[0].Lease, "w1", done.Key, "")
+	l.Complete(grants[1].Lease, "w1", failed.Key, "boom")
+	if n := held(done.Key); n != 0 {
+		t.Fatalf("done entry still holds %d patterns", n)
+	}
+	if n := held(failed.Key); n != 2 {
+		t.Fatalf("failed entry holds %d patterns, want 2", n)
+	}
+	l.Offer(failed, telemetry.TraceContext{})
+	again := l.Lease("w2", 2)
+	if len(again) != 1 || again[0].Req.Key != failed.Key || len(again[0].Req.Patterns) != 2 {
+		t.Fatalf("revived entry granted %+v, want the failed chunk with its patterns", again)
+	}
+}
+
 // remoteFakeWorker drives the ledger the way a cluster worker does —
 // lease, compute via ComputeChunk, store, complete — without the HTTP
 // transport, so the jobs package can test coordinator-mode scheduling
@@ -263,12 +302,7 @@ func remoteFakeWorker(ctx context.Context, s *Scheduler, name string, delay time
 				case <-time.After(delay):
 				}
 			}
-			b, err := ComputeChunk(g.Req, func(key string) ([]byte, error) {
-				if p, ok := s.store.Get(key); ok {
-					return p, nil
-				}
-				return nil, fmt.Errorf("dep %s missing", key)
-			})
+			b, err := ComputeChunk(g.Req)
 			if err != nil {
 				l.Complete(g.Lease, name, g.Req.Key, err.Error())
 				continue
@@ -304,7 +338,7 @@ func TestCoordinatorOffersWholePhase(t *testing.T) {
 		grants = l.Lease("hand", 1)
 	}
 	g := grants[0]
-	b, err := ComputeChunk(g.Req, nil)
+	b, err := ComputeChunk(g.Req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +416,7 @@ func TestCoordinatorRestartRecoversLedgerFromCheckpoints(t *testing.T) {
 					wcancel() // die holding this lease
 					return
 				}
-				b, err := ComputeChunk(g.Req, nil)
+				b, err := ComputeChunk(g.Req)
 				if err != nil {
 					l.Complete(g.Lease, "doomed", g.Req.Key, err.Error())
 					continue

@@ -4,7 +4,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -409,20 +408,24 @@ func (s *Scheduler) Recover() (int, []error) {
 }
 
 // restoreArtifacts rebuilds a recovered finished job's artifacts from the
-// cache, before the job is registered.
+// cache, before the job is registered: every chunk of Chunks(spec) must
+// be done and still in the store.
 func (s *Scheduler) restoreArtifacts(j *Job) (map[string][]byte, error) {
-	payloads := make(map[string][]byte)
-	for _, c := range j.chunks {
-		if !c.Done || c.CacheKey == "" {
+	var out jobOutput
+	for _, c := range Chunks(j.Spec) {
+		st := j.chunk(c.ID)
+		if st == nil || !st.Done || st.CacheKey == "" {
 			return nil, fmt.Errorf("jobs: %s: chunk %s not done", j.ID, c.ID)
 		}
-		b, ok := s.store.Get(c.CacheKey)
+		b, ok := s.store.Get(st.CacheKey)
 		if !ok {
 			return nil, fmt.Errorf("jobs: %s: chunk %s evicted from cache", j.ID, c.ID)
 		}
-		payloads[c.ID] = b
+		if err := out.absorb(c, b); err != nil {
+			return nil, err
+		}
 	}
-	return assembleArtifacts(j.Spec, payloads)
+	return out.artifacts(j.Spec)
 }
 
 // Job returns a job's status.
@@ -540,9 +543,14 @@ func (s *Scheduler) phaseWidth(n int) int {
 	return 0
 }
 
-// executeJob runs a job's chunks phase by phase. Chunk results come from
-// the content-addressed cache when available; a computed chunk counts as
-// done only once it is in the store, where a re-run after a kill finds it.
+// phases are a job's phases in run order: each needs only the outputs of
+// the ones before it.
+var phases = [...]Phase{PhaseProfile, PhaseGate, PhaseSoftware}
+
+// executeJob runs the chunks of Chunks(spec) phase by phase, each phase's
+// chunks at once. Chunk results come from the content-addressed cache when
+// available; a computed chunk counts as done only once it is in the store,
+// where a re-run after a kill finds it.
 func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 	spec := j.Spec
 	// The job ID doubles as the distributed trace ID: remote workers tag
@@ -550,123 +558,53 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 	root := telemetry.StartTrace("job:"+j.ID, j.ID)
 	defer root.End()
 
-	// Phase 1: profiling.
-	profSpan := root.Child("profile")
-	tm := telemetry.StartTimer(telPhaseSec[PhaseProfile])
-	profKey, err := profileKey(spec)
-	if err != nil {
-		return err
-	}
-	profBytes, err := s.ensureChunk(ctx, j, ChunkRequest{
-		Job: j.ID, Chunk: Chunk{ID: "profile", Phase: PhaseProfile},
-		Spec: spec, Key: profKey,
-	}, profSpan, nil)
-	if err != nil {
-		return err
-	}
-	var prof profilePayload
-	if err := json.Unmarshal(profBytes, &prof); err != nil {
-		return fmt.Errorf("jobs: profile payload: %w", err)
-	}
-	sec := tm.Stop()
-	profSpan.End()
-	s.mu.Lock()
-	j.timing.ProfilingSec += sec
-	j.timing.AppDynInstrs = prof.DynInstrs
-	s.mu.Unlock()
-
-	payloads := map[string][]byte{"profile": profBytes}
-	// Gate chunks computed in-process read the profile payload already in
-	// hand, not the store.
-	profDep := func(string) ([]byte, error) { return profBytes, nil }
-
-	// Phases 2-3: gate-level campaigns, one chunk per unit.
-	tm = telemetry.StartTimer(telPhaseSec[PhaseGate])
-	patternsDigest := artifact.PatternsDigest(prof.Patterns)
-	type chunkOut struct {
-		id  string
-		b   []byte
-		err error
-	}
-	gateUnits := units.All()
-	gateOuts, err := campaign.ParallelMapCtx(ctx, gateUnits, s.phaseWidth(len(gateUnits)),
-		func(u *units.Unit) chunkOut {
-			id := "gate:" + u.Name
-			sp := root.Child(id)
-			defer sp.End()
-			key, err := gateKey(spec, u, patternsDigest)
-			if err != nil {
-				return chunkOut{id: id, err: err}
+	all := Chunks(spec)
+	var out jobOutput
+	for _, phase := range phases {
+		tm := telemetry.StartTimer(telPhaseSec[phase])
+		chunks := slices.DeleteFunc(slices.Clone(all), func(c Chunk) bool { return c.Phase != phase })
+		// Gate chunks carry the profile's patterns; their keys cover them.
+		var patterns []units.Pattern
+		var patternsDigest string
+		if phase == PhaseGate {
+			patterns = out.prof.Patterns
+			patternsDigest = artifact.PatternsDigest(patterns)
+		}
+		type result struct {
+			b   []byte
+			err error
+		}
+		res, err := campaign.ParallelMapCtx(ctx, chunks, s.phaseWidth(len(chunks)),
+			func(c Chunk) result {
+				sp := root.Child(c.ID)
+				defer sp.End()
+				key, err := chunkKey(spec, c, patternsDigest)
+				if err != nil {
+					return result{err: err}
+				}
+				b, err := s.ensureChunk(ctx, j, ChunkRequest{
+					Job: j.ID, Chunk: c, Spec: spec, Key: key, Patterns: patterns,
+				}, sp)
+				return result{b, err}
+			})
+		if err != nil {
+			return err
+		}
+		for i, r := range res {
+			if r.err != nil {
+				return r.err
 			}
-			b, err := s.ensureChunk(ctx, j, ChunkRequest{
-				Job: j.ID, Chunk: Chunk{ID: id, Phase: PhaseGate, Arg: u.Name},
-				Spec: spec, Key: key, ProfileKey: profKey,
-			}, sp, profDep)
-			return chunkOut{id: id, b: b, err: err}
-		})
-	if err != nil {
-		return err
-	}
-	gateFaults := 0
-	for _, o := range gateOuts {
-		if o.err != nil {
-			return o.err
-		}
-		payloads[o.id] = o.b
-		var gr artifact.GateReport
-		if err := json.Unmarshal(o.b, &gr); err != nil {
-			return fmt.Errorf("jobs: gate payload %s: %w", o.id, err)
-		}
-		gateFaults += gr.TotalFaults
-	}
-	sec = tm.Stop()
-	s.mu.Lock()
-	j.timing.GateSec += sec
-	j.timing.GatePatterns = len(prof.Patterns)
-	j.timing.GateFaults = gateFaults
-	s.mu.Unlock()
-
-	// Phases 4-5: software campaigns, one chunk per application.
-	tm = telemetry.StartTimer(telPhaseSec[PhaseSoftware])
-	swOuts, err := campaign.ParallelMapCtx(ctx, spec.Apps, s.phaseWidth(len(spec.Apps)),
-		func(app string) chunkOut {
-			id := "sw:" + app
-			sp := root.Child(id)
-			defer sp.End()
-			key, err := softwareKey(spec, app)
-			if err != nil {
-				return chunkOut{id: id, err: err}
+			if err := out.absorb(chunks[i], r.b); err != nil {
+				return err
 			}
-			b, err := s.ensureChunk(ctx, j, ChunkRequest{
-				Job: j.ID, Chunk: Chunk{ID: id, Phase: PhaseSoftware, Arg: app},
-				Spec: spec, Key: key,
-			}, sp, nil)
-			return chunkOut{id: id, b: b, err: err}
-		})
-	if err != nil {
-		return err
+		}
+		sec := tm.Stop()
+		s.mu.Lock()
+		out.timePhase(&j.timing, phase, sec)
+		s.mu.Unlock()
 	}
-	injections := 0
-	for _, o := range swOuts {
-		if o.err != nil {
-			return o.err
-		}
-		payloads[o.id] = o.b
-		var sp softwarePayload
-		if err := json.Unmarshal(o.b, &sp); err != nil {
-			return fmt.Errorf("jobs: software payload %s: %w", o.id, err)
-		}
-		for _, m := range sp.Row.Models {
-			injections += m.Masked + m.SDC + m.DUE
-		}
-	}
-	sec = tm.Stop()
-	s.mu.Lock()
-	j.timing.SoftwareSec += sec
-	j.timing.SWInjections = injections
-	s.mu.Unlock()
 
-	arts, err := assembleArtifacts(spec, payloads)
+	arts, err := out.artifacts(spec)
 	if err != nil {
 		return err
 	}
@@ -678,12 +616,12 @@ func (s *Scheduler) executeJob(ctx context.Context, j *Job) error {
 
 // ensureChunk returns the chunk's payload, from the cache when possible.
 // On a miss it either computes in-process with ComputeChunk, exactly as a
-// cluster worker would (dep resolves the chunk's profile dependency), or,
-// when a ledger is configured, offers the chunk for remote execution and
-// waits for a worker to deliver the payload into the store. sp is the
-// chunk's span in the job trace (nil when telemetry is off); its context
-// travels with remote offers so worker spans re-parent under it.
-func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, sp *telemetry.Span, dep func(key string) ([]byte, error)) ([]byte, error) {
+// cluster worker would, or, when a ledger is configured, offers the chunk
+// for remote execution and waits for a worker to deliver the payload into
+// the store. sp is the chunk's span in the job trace (nil when telemetry
+// is off); its context travels with remote offers so worker spans
+// re-parent under it.
+func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, sp *telemetry.Span) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -707,7 +645,7 @@ func (s *Scheduler) ensureChunk(ctx context.Context, j *Job, req ChunkRequest, s
 	}
 
 	tm := telemetry.StartTimer(telChunkSec)
-	b, err := ComputeChunk(req, dep)
+	b, err := ComputeChunk(req)
 	if err != nil {
 		return nil, err
 	}

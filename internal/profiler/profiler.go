@@ -127,20 +127,15 @@ func Collect(ws []workloads.Workload, cfg Config) (*Profile, error) {
 }
 
 // TopPatterns returns up to n patterns ordered by descending dynamic
-// frequency (ties broken by first-seen order), for campaigns that trade
-// pattern coverage for runtime.
+// frequency (ties broken by first-seen order, which the stable sort of
+// the first-seen list keeps), for campaigns that trade pattern coverage
+// for runtime. It ranks only the patterns the profile kept: Collect's
+// MaxPatterns caps the distinct patterns it records at the first ones
+// seen.
 func (p *Profile) TopPatterns(n int) []units.Pattern {
-	idx := make(map[units.Pattern]int, len(p.Patterns))
-	for i, pat := range p.Patterns {
-		idx[pat] = i
-	}
 	out := append([]units.Pattern{}, p.Patterns...)
 	sort.SliceStable(out, func(a, b int) bool {
-		ca, cb := p.Counts[out[a]], p.Counts[out[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		return idx[out[a]] < idx[out[b]]
+		return p.Counts[out[a]] > p.Counts[out[b]]
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]

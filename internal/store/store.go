@@ -32,7 +32,6 @@ var (
 	telMisses    = telemetry.Default().Counter("store_misses_total", "content-addressed cache misses")
 	telPuts      = telemetry.Default().Counter("store_puts_total", "payloads inserted into the cache")
 	telEvictions = telemetry.Default().Counter("store_evictions_total", "entries evicted by the LRU byte budget")
-	telFetches   = telemetry.Default().Counter("store_remote_fetches_total", "payloads pulled from a remote store on local miss")
 	telBytes     = telemetry.Default().Gauge("store_bytes", "payload bytes resident across open stores")
 	telEntries   = telemetry.Default().Gauge("store_entries", "entries resident across open stores")
 	telPutSize   = telemetry.Default().Histogram("store_put_size_bytes", "inserted payload sizes", telemetry.BytesBuckets())
@@ -285,28 +284,6 @@ func (s *Store) evictLocked(keep string) {
 		s.stats.Evictions++
 		telEvictions.Inc()
 	}
-}
-
-// GetOrFetch is Get with remote read-through: on a local miss, fetch
-// pulls the payload from elsewhere (typically the coordinator's
-// /cluster/chunks endpoint) and the result is cached locally so the next
-// lookup hits. fetch errors propagate; a nil fetch makes a miss final.
-func (s *Store) GetOrFetch(key string, fetch func(key string) ([]byte, error)) ([]byte, error) {
-	if b, ok := s.Get(key); ok {
-		return b, nil
-	}
-	if fetch == nil {
-		return nil, fmt.Errorf("store: %s not present and no remote fetcher", key)
-	}
-	b, err := fetch(key)
-	if err != nil {
-		return nil, fmt.Errorf("store: remote fetch %s: %w", key, err)
-	}
-	telFetches.Inc()
-	if err := s.Put(key, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Writable probes that the store's directory accepts writes (readiness

@@ -66,33 +66,6 @@ func TestDuplicatePutCountsDedupHit(t *testing.T) {
 	}
 }
 
-func TestGetOrFetchReadsThrough(t *testing.T) {
-	s, _ := Open(t.TempDir(), 0)
-	k := key("remote")
-	fetched := 0
-	fetch := func(key string) ([]byte, error) {
-		fetched++
-		return []byte("remote-payload"), nil
-	}
-	b, err := s.GetOrFetch(k, fetch)
-	if err != nil || string(b) != "remote-payload" {
-		t.Fatalf("GetOrFetch = %q, %v", b, err)
-	}
-	if fetched != 1 {
-		t.Fatalf("fetch calls = %d, want 1", fetched)
-	}
-	// Second lookup is a local hit; the fetcher must not run again.
-	if _, err := s.GetOrFetch(k, fetch); err != nil {
-		t.Fatal(err)
-	}
-	if fetched != 1 {
-		t.Fatalf("fetch calls after local hit = %d, want 1", fetched)
-	}
-	if _, err := s.GetOrFetch(key("absent"), nil); err == nil {
-		t.Fatal("miss with nil fetcher must error")
-	}
-}
-
 func TestWritableProbe(t *testing.T) {
 	s, _ := Open(t.TempDir(), 0)
 	if err := s.Writable(); err != nil {

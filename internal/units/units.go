@@ -104,7 +104,11 @@ func busIndex(nl *netlist.Netlist) map[string]int {
 	return m
 }
 
-// All returns the three units under test in the paper's order.
+// Names lists the three units under test in the paper's order, without
+// building any of them.
+func Names() []string { return []string{"wsc", "fetch", "decoder"} }
+
+// All builds the three units under test in the paper's order.
 func All() []*Unit {
 	return []*Unit{WSC(), Fetch(), Decoder()}
 }

@@ -297,3 +297,21 @@ func TestByNameCoversAll(t *testing.T) {
 		t.Error("ByName of an unknown unit is not nil")
 	}
 }
+
+// TestNamesMatchAll: the names list is All's units, in All's order, and
+// ByName builds each one.
+func TestNamesMatchAll(t *testing.T) {
+	all := All()
+	names := Names()
+	if len(names) != len(all) {
+		t.Fatalf("Names() = %v, All() has %d units", names, len(all))
+	}
+	for i, u := range all {
+		if names[i] != u.Name {
+			t.Errorf("Names()[%d] = %q, All()[%d] is %q", i, names[i], i, u.Name)
+		}
+		if b := ByName(names[i]); b == nil || b.Name != names[i] {
+			t.Errorf("ByName(%q) = %v", names[i], b)
+		}
+	}
+}

@@ -96,9 +96,6 @@ type RunResult struct {
 	TrapInfo string
 	Output   []uint32
 	Issues   uint64
-	// UnitIssues aggregates per-functional-unit issue counts across all
-	// kernels of the job.
-	UnitIssues [6]uint64
 }
 
 // Hung reports whether any kernel of the job trapped.
@@ -122,9 +119,6 @@ func (j *Job) Run(dev *gpu.Device) (*RunResult, error) {
 			return nil, fmt.Errorf("workloads: kernel %d (%s): %w", i, k.Prog.Name, err)
 		}
 		rr.Issues += res.Issues
-		for u, n := range res.UnitIssues {
-			rr.UnitIssues[u] += n
-		}
 		if res.Hung() {
 			rr.Trap, rr.TrapInfo = res.Trap, res.TrapInfo
 			return rr, nil

@@ -118,22 +118,6 @@ func TestJobRunRejectsOversizedOutputRegion(t *testing.T) {
 	}
 }
 
-func TestRunResultUnitIssuesAggregate(t *testing.T) {
-	job := GEMM{}.Build(rand.New(rand.NewSource(51)))
-	dev := gpu.NewDevice(gpu.DefaultConfig())
-	rr, err := job.Run(dev)
-	if err != nil || rr.Hung() {
-		t.Fatalf("%v %v", err, rr)
-	}
-	var sum uint64
-	for _, n := range rr.UnitIssues {
-		sum += n
-	}
-	if sum != rr.Issues {
-		t.Errorf("unit issues sum %d != %d", sum, rr.Issues)
-	}
-}
-
 func TestOutcomeStrings(t *testing.T) {
 	if OutcomeMasked.String() != "Masked" || OutcomeSDC.String() != "SDC" ||
 		OutcomeDUE.String() != "DUE" {

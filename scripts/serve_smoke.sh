@@ -6,9 +6,13 @@
 # and metrics, then shuts the daemon down.
 #
 # Part 2 boots a cluster — one coordinator, two workers — submits the
-# same campaign, kill -9s one worker mid-run, and asserts the campaign
-# still completes with artifacts byte-identical to part 1's single-node
-# goldens (lease expiry reassigns the dead worker's chunks).
+# same campaign, kill -9s one worker while it holds a lease, and asserts
+# the campaign still completes with artifacts byte-identical to part 1's
+# single-node goldens (lease expiry reassigns the dead worker's chunks).
+# The kill lands mid-campaign by construction: worker 1 sends its first
+# lease poll to a coordinator frozen with SIGSTOP, is itself frozen before
+# the coordinator resumes and grants it the profile chunk, and worker 2
+# starts only once the coordinator shows that lease held.
 #
 # Admission under a burst is a Go test, not a smoke step:
 # TestBurstAdmissionOnCluster in cmd/faultsimd.
@@ -25,8 +29,12 @@ PID=""; CPID=""; W1PID=""; W2PID=""
 # Signal only the daemons that were started (dash's kill stops at an
 # empty argument and would signal none of them) and wait for them, so no
 # faultsimd outlives this script; each exits within its own -grace.
+# A stopped daemon only acts on TERM once continued, hence the CONT.
 cleanup() {
-	for p in $PID $CPID $W1PID $W2PID; do kill "$p" 2>/dev/null || true; done
+	for p in $PID $CPID $W1PID $W2PID; do
+		kill "$p" 2>/dev/null || true
+		kill -CONT "$p" 2>/dev/null || true
+	done
 	for p in $PID $CPID $W1PID $W2PID; do wait "$p" 2>/dev/null || true; done
 	rm -rf "$DATA"
 }
@@ -129,22 +137,23 @@ CBASE="http://$CADDR"
 W1ADDR="127.0.0.1:18093"
 W2ADDR="127.0.0.1:18094"
 
-echo "==> start coordinator on $CADDR + 2 workers (lease TTL 2s)"
+# ledger FIELD: one counter of the /cluster/workers ledger block.
+ledger() {
+	fetch "$CBASE/cluster/workers" | sed -n "s/.*\"$1\": *\([0-9]*\).*/\1/p"
+}
+# w1_leases: the lease IDs the coordinator shows smoke-w1 holding.
+w1_leases() {
+	fetch "$CBASE/cluster/workers" | tr '{' '\n' |
+		sed -n '/"name": *"smoke-w1"/s/.*"active_leases": *\[\([^]]*\)\].*/\1/p'
+}
+
+echo "==> start coordinator on $CADDR (lease TTL 2s)"
 "$DATA/faultsimd" -role coordinator -addr "$CADDR" -data "$DATA/coord" \
 	-lease-ttl 2s -grace 5s &
 CPID=$!
-"$DATA/faultsimd" -role worker -join "$CBASE" -addr "$W1ADDR" \
-	-data "$DATA/w1" -worker-name smoke-w1 &
-W1PID=$!
-"$DATA/faultsimd" -role worker -join "$CBASE" -addr "$W2ADDR" \
-	-data "$DATA/w2" -worker-name smoke-w2 &
-W2PID=$!
-
 for i in $(seq 1 50); do
-	if fetch "$CBASE/readyz" >/dev/null 2>&1 &&
-		fetch "http://$W1ADDR/readyz" >/dev/null 2>&1 &&
-		fetch "http://$W2ADDR/readyz" >/dev/null 2>&1; then break; fi
-	[ "$i" -eq 50 ] && { echo "cluster never became ready" >&2; exit 1; }
+	if fetch "$CBASE/readyz" >/dev/null 2>&1; then break; fi
+	[ "$i" -eq 50 ] && { echo "coordinator never became ready" >&2; exit 1; }
 	sleep 0.2
 done
 
@@ -153,10 +162,47 @@ JOB=$(fetch "$CBASE/jobs" -X POST -d "$SPEC")
 CID=$(printf '%s' "$JOB" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n1)
 [ -n "$CID" ] || { echo "no job id in response: $JOB" >&2; exit 1; }
 echo "    job $CID"
+for i in $(seq 1 100); do
+	[ "$(ledger pending)" = 1 ] && break
+	[ "$i" -eq 100 ] && { echo "profile chunk never offered" >&2; exit 1; }
+	sleep 0.05
+done
+
+echo "==> worker 1 leases the profile chunk, frozen before it can compute"
+kill -STOP "$CPID"
+"$DATA/faultsimd" -role worker -join "$CBASE" -addr "$W1ADDR" \
+	-data "$DATA/w1" -worker-name smoke-w1 &
+W1PID=$!
+for i in $(seq 1 50); do
+	if fetch "http://$W1ADDR/healthz" >/dev/null 2>&1; then break; fi
+	[ "$i" -eq 50 ] && { echo "worker 1 never came up" >&2; exit 1; }
+	sleep 0.1
+done
+# Worker 1 polls for a lease as soon as it runs, and the poll waits on
+# the frozen coordinator; a second covers that first poll's send.
+sleep 1
+kill -STOP "$W1PID"
+kill -CONT "$CPID"
+for i in $(seq 1 50); do
+	[ -n "$(w1_leases)" ] && break
+	[ "$i" -eq 50 ] && { echo "frozen worker 1 holds no lease" >&2; exit 1; }
+	sleep 0.1
+done
+echo "    smoke-w1 holds $(w1_leases)"
+
+echo "==> start worker 2"
+"$DATA/faultsimd" -role worker -join "$CBASE" -addr "$W2ADDR" \
+	-data "$DATA/w2" -worker-name smoke-w2 &
+W2PID=$!
+for i in $(seq 1 50); do
+	if fetch "http://$W2ADDR/readyz" >/dev/null 2>&1; then break; fi
+	[ "$i" -eq 50 ] && { echo "worker 2 never became ready" >&2; exit 1; }
+	sleep 0.2
+done
 
 echo "==> kill -9 worker 1 mid-campaign"
-sleep 0.3
 kill -9 "$W1PID" 2>/dev/null || true
+wait "$W1PID" 2>/dev/null || true
 W1PID=""
 
 echo "==> wait for completion on the surviving worker"
@@ -180,6 +226,11 @@ done
 
 echo "==> cluster view lists the surviving worker"
 WORKERS=$(fetch "$CBASE/cluster/workers")
+REASSIGNED=$(ledger reassigned)
+[ -n "$REASSIGNED" ] && [ "$REASSIGNED" -gt 0 ] || {
+	echo "the dead worker's lease was never reassigned: $WORKERS" >&2; exit 1
+}
+echo "    reassigned $REASSIGNED"
 printf '%s' "$WORKERS" | grep -q '"smoke-w2"' || {
 	echo "surviving worker missing from /cluster/workers: $WORKERS" >&2; exit 1
 }
