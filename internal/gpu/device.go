@@ -17,6 +17,10 @@ type Device struct {
 	Global []uint32
 	hooks  []Hook
 	st     launchState
+
+	// Set by WatchOnly, cleared by ClearHooks.
+	watched func(sm, ppb, slot int) bool
+	quiet   uint64
 }
 
 // NewDevice builds a device. It panics on an invalid configuration —
@@ -33,8 +37,19 @@ func NewDevice(cfg Config) *Device {
 // AddHook registers an instrumentation hook for subsequent launches.
 func (d *Device) AddHook(h Hook) { d.hooks = append(d.hooks, h) }
 
-// ClearHooks removes all instrumentation (and keeps the slice).
-func (d *Device) ClearHooks() { clear(d.hooks); d.hooks = d.hooks[:0] }
+// ClearHooks removes all instrumentation (and keeps the slice), and
+// undoes WatchOnly.
+func (d *Device) ClearHooks() { clear(d.hooks); d.hooks, d.watched = d.hooks[:0], nil }
+
+// WatchOnly narrows hook dispatch in the launches that follow, until
+// ClearHooks: while a launch has issued at most quiet warp-instructions,
+// its hooks see only the warps for which watched(sm, ppb, slot) holds,
+// decided once per warp when its CTA starts; past quiet, every warp. It is
+// for hooks that do nothing on the other warps before that point. A nil
+// watched dispatches to every warp.
+func (d *Device) WatchOnly(watched func(sm, ppb, slot int) bool, quiet uint64) {
+	d.watched, d.quiet = watched, quiet
+}
 
 // ResetGlobal zeroes global memory.
 func (d *Device) ResetGlobal() { clear(d.Global) }
@@ -73,6 +88,10 @@ type launchState struct {
 	rr     int      // the scheduler's round-robin cursor; reset by schedule
 	seq    uint64   // counts the device's launches; names this one
 	ctx    InstrCtx // handed to hooks by pointer; reset by issue
+	// The issue count past which issue leaves its fast path: the
+	// watchdog's budget, or the end of a WatchOnly quiet span if sooner.
+	limit uint64
+	quiet bool // in a WatchOnly quiet span: buildWarps asks watched
 }
 
 // decoded is one instruction of the running launch's program.
@@ -96,6 +115,10 @@ func (d *Device) Launch(prog *kasm.Program, lc LaunchConfig) (Result, error) {
 	st := &d.st
 	st.lc, st.res, st.shared = lc, Result{}, nil
 	st.seq++
+	st.limit, st.quiet = d.Cfg.MaxIssues, d.watched != nil
+	if st.quiet {
+		st.limit = min(st.limit, d.quiet)
+	}
 	// Decoded per launch and not in kasm: a Program's Code is the caller's
 	// to build and to change between launches.
 	st.code = st.code[:0]
@@ -145,7 +168,8 @@ const (
 )
 
 // buildWarps resets the CTA's warps out of the pool, assigning them
-// round-robin to the SM's sub-partitions (PPBs).
+// round-robin to the SM's sub-partitions (PPBs) and handing each the hooks
+// that watch it.
 func (st *launchState) buildWarps(cta Dim3) {
 	block := st.lc.Block
 	bx, by := max(block.X, 1), max(block.Y, 1)
@@ -156,8 +180,12 @@ func (st *launchState) buildWarps(cta Dim3) {
 	}
 	st.warps = st.pool[:nWarps]
 	for w, warp := range st.warps {
+		ppb, hooks := w%st.dev.Cfg.PPBsPerSM, st.dev.hooks
+		if st.quiet && !st.dev.watched(st.sm, ppb, w) {
+			hooks = nil
+		}
 		// Every field, so that nothing of the warp's last CTA survives.
-		*warp = Warp{IDInSM: w, PPB: w % st.dev.Cfg.PPBsPerSM, SM: st.sm, CTA: cta}
+		*warp = Warp{IDInSM: w, PPB: ppb, SM: st.sm, CTA: cta, hooks: hooks}
 		// Hardware register files are not zeroed between kernels: fill
 		// with deterministic garbage so reads of never-written registers
 		// (reachable only through injected register-addressing errors)
@@ -259,9 +287,8 @@ func trapf(kind TrapKind, format string, args ...any) {
 //vetsim:hotpath
 func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 	res := &st.res
-	res.Issues++
-	if res.Issues > st.dev.Cfg.MaxIssues {
-		trapf(TrapWatchdog, "issue budget %d exhausted", st.dev.Cfg.MaxIssues)
+	if res.Issues++; res.Issues > st.limit {
+		st.pastLimit()
 	}
 	if pc < 0 || int(pc) >= len(st.code) {
 		trapf(TrapBadPC, "fetch at pc=%d, program has %d instructions", pc, len(st.code))
@@ -273,7 +300,7 @@ func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 	ctx.Dev, ctx.W, ctx.PC, ctx.Raw, ctx.Instr = st.dev, w, pc, dec.raw, dec.in
 	ctx.Mask, ctx.ExecMask, ctx.DisableMask = mask, 0, 0
 	ctx.Shared, ctx.Params = st.shared, st.lc.Params
-	for _, h := range st.dev.hooks {
+	for _, h := range w.hooks {
 		h.Before(ctx)
 	}
 	in := ctx.Instr
@@ -292,12 +319,26 @@ func (st *launchState) issue(w *Warp, mask uint32, pc int32) {
 
 	st.execute(w, in, mask, execMask, pc, ctx.DisableMask)
 
-	for _, h := range st.dev.hooks {
+	for _, h := range w.hooks {
 		pcs := w.PC
 		h.After(ctx)
 		if w.PC != pcs {
 			w.conv = 0 // the hook moved lanes: the next schedulable rescans
 		}
+	}
+}
+
+// pastLimit is issue's way off its fast path: the watchdog fires, or a
+// WatchOnly quiet span ends and every warp gets the device's hooks back.
+//
+//go:noinline
+func (st *launchState) pastLimit() {
+	if st.res.Issues > st.dev.Cfg.MaxIssues {
+		trapf(TrapWatchdog, "issue budget %d exhausted", st.dev.Cfg.MaxIssues)
+	}
+	st.limit, st.quiet = st.dev.Cfg.MaxIssues, false
+	for _, w := range st.warps {
+		w.hooks = st.dev.hooks
 	}
 }
 

@@ -43,6 +43,8 @@ type Warp struct {
 	Preds [isa.NumPredicates]uint32 // lane mask per predicate P0..P6
 
 	zero, sink row // stand in for RZ: the row read as zero, the row written and never read
+
+	hooks []Hook // the device's hooks that watch this warp, set by buildWarps
 }
 
 // row is one register across the warp's lanes.

@@ -5,9 +5,11 @@ package perfi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gpufaultsim/internal/errmodel"
 	"gpufaultsim/internal/gpu"
+	"gpufaultsim/internal/isa"
 	"gpufaultsim/internal/telemetry"
 	"gpufaultsim/internal/workloads"
 )
@@ -15,6 +17,10 @@ import (
 var (
 	telIssues = telemetry.Default().Counter("perfi_issues_simulated_total",
 		"warp-instructions issued by the faulty runs of perfi sessions")
+	telRunsSkipped = telemetry.Default().Counter("perfi_runs_skipped_total",
+		"faulty runs answered from the golden run whole: no targeted warp issues an instruction the model can act on")
+	telIssuesSkipped = telemetry.Default().Counter("perfi_issues_skipped_total",
+		"golden warp-instructions faulty runs took from the golden run instead of simulating them")
 	telHangsProved = telemetry.Default().Counter("perfi_hangs_proved_total",
 		"faulty runs ended as a watchdog DUE by a hang proof instead of the watchdog")
 )
@@ -34,9 +40,33 @@ type Session struct {
 	// maps work onto (as physical injections on a busy GPU do).
 	MaxWarps int
 
-	faulty *gpu.Device
-	prover hangProver
+	// launches is the golden activation table: what each launch of the
+	// golden run started from, issued, and on which warp slots.
+	launches []goldenLaunch
+	faulty   *gpu.Device
+	prover   hangProver
+	// Bound once, so that a run allocates neither.
+	atLaunch func(k int)
+	watched  func(sm, ppb, slot int) bool
 }
+
+// goldenLaunch is one launch of the golden run.
+type goldenLaunch struct {
+	image  []uint32 // global memory at the launch's start; nil for launch 0's, Job.Init
+	before uint64   // the golden issues of the launches before it
+	issues uint64   // its own golden issues
+	slots  []slotActivity
+}
+
+// slotActivity is what one warp slot issued in a launch: each PC it
+// issued at, with the OR of the lanes scheduled there (InstrCtx.Mask) over
+// the launch's CTAs.
+type slotActivity struct {
+	sm, ppb, slot int
+	pcs           []pcLanes
+}
+
+type pcLanes struct{ pc, lanes uint32 }
 
 // NewSession builds the workload's job from seed and runs it fault-free
 // on a device configured by dev (zero value = gpu.DefaultConfig), with
@@ -53,10 +83,12 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 	dev.GlobalMemWords = job.Footprint() + 64
 
 	gdev := gpu.NewDevice(dev)
+	rec := &activationRecorder{dev: gdev, job: job}
+	gdev.AddHook(rec)
 	for _, h := range goldenHooks {
 		gdev.AddHook(h)
 	}
-	golden, err := job.Run(gdev)
+	golden, err := job.RunFrom(gdev, 0, nil, rec.launch)
 	if err != nil {
 		return nil, fmt.Errorf("perfi: golden run of %s: %w", w.Name(), err)
 	}
@@ -64,6 +96,7 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 		return nil, fmt.Errorf("perfi: golden run of %s trapped: %v %s",
 			w.Name(), golden.Trap, golden.TrapInfo)
 	}
+	rec.launch(len(job.Kernels))
 
 	// Tight watchdog for the faulty runs: a corrupted loop that runs 8x
 	// past the golden issue count is a hang (DUE), and detecting it fast
@@ -76,46 +109,185 @@ func NewSession(w workloads.Workload, seed int64, dev gpu.Config, goldenHooks ..
 	for _, k := range job.Kernels {
 		maxWarps = max(maxWarps, (k.Cfg.Block.Count()+31)/32)
 	}
-	return &Session{
+	s := &Session{
 		Job: job, Golden: golden, Device: dev,
 		MaxWarps: min(maxWarps, dev.MaxWarpsPerSM),
+		launches: rec.launches,
 		faulty:   faulty,
-		prover:   hangProver{dev: faulty, from: golden.Issues},
-	}, nil
+		prover:   hangProver{dev: faulty},
+	}
+	s.atLaunch = s.startLaunch
+	s.watched = func(sm, ppb, slot int) bool { return s.prover.inj.D.TargetsWarp(sm, ppb, slot) }
+	return s, nil
 }
 
 // Run executes the job with descriptor d injected followed by the extra
 // hooks, and classifies the run against the golden output.
 //
-// Without extra hooks, a run that hangs may end before the watchdog does:
-// once the launch comes back to a state it was in, the run is reported as
-// the watchdog's DUE (TrapWatchdog, with a "hang proved" TrapInfo), and its
-// Issues count only the issues simulated. The outcome is the one the
-// watchdog would have given (DESIGN.md, "Hang proof").
+// Without extra hooks, the run simulates only what the golden run cannot
+// answer (DESIGN.md, "Injection session"). Its Issues count the issues
+// simulated and its Skipped the golden issues taken instead: a descriptor
+// whose targeted warps never issue an instruction the model can act on is
+// the golden run, Masked with no issue simulated, and any other run starts
+// at the first launch in which they do. A run that hangs may end before
+// the watchdog does: once the launch comes back to a state it was in, the
+// run is reported as the watchdog's DUE (TrapWatchdog, with a "hang
+// proved" TrapInfo). The outcome is the one the watchdog would have given
+// (DESIGN.md, "Hang proof").
 func (s *Session) Run(d errmodel.Descriptor, extra ...gpu.Hook) (*workloads.RunResult, workloads.Outcome, error) {
 	s.faulty.ClearHooks()
 	inj := New(d, nil)
-	// The proof needs hooks that carry no state from one issue to the
-	// next: the injector and nothing else. An extra hook is the caller's.
-	prove := len(extra) == 0
-	if prove {
+	// The shortcuts and the proof need hooks that carry no state from one
+	// issue to the next: the injector and nothing else. An extra hook is
+	// the caller's, and its run is simulated from scratch.
+	var atLaunch func(int)
+	k := 0
+	if len(extra) == 0 {
+		if k = s.firstEligible(&inj.D); k < 0 {
+			telRunsSkipped.Inc()
+			telIssuesSkipped.Add(int64(s.Golden.Issues))
+			return &workloads.RunResult{Output: slices.Clone(s.Golden.Output), Skipped: s.Golden.Issues},
+				workloads.OutcomeMasked, nil
+		}
 		s.prover.inj, s.prover.proved = inj, false
 		s.faulty.AddHook(&s.prover)
+		atLaunch = s.atLaunch
 	} else {
 		s.faulty.AddHook(inj)
+		for _, h := range extra {
+			s.faulty.AddHook(h)
+		}
 	}
-	for _, h := range extra {
-		s.faulty.AddHook(h)
-	}
-	rr, err := s.Job.Run(s.faulty)
+	l := &s.launches[k]
+	rr, err := s.Job.RunFrom(s.faulty, k, l.image, atLaunch)
 	if err != nil {
 		return nil, 0, err
 	}
+	rr.Skipped = l.before
 	telIssues.Add(int64(rr.Issues))
-	if prove && s.prover.proved {
+	telIssuesSkipped.Add(int64(rr.Skipped))
+	if len(extra) == 0 && s.prover.proved {
 		telHangsProved.Inc()
 	}
 	return rr, workloads.Classify(s.Golden.Output, rr), nil
+}
+
+// firstEligible returns the first launch in which a warp slot that d
+// targets issued, in the golden run, an instruction on lanes of
+// d.Threads that d.Eligible accepts, or -1 if there is none. Until that
+// issue, the injector cannot act (TestIneligibleIssuesAreUntouched), so
+// the faulty run is the golden run.
+func (s *Session) firstEligible(d *errmodel.Descriptor) int {
+	for k := range s.launches {
+		code := s.Job.Kernels[k].Prog.Code
+		for _, sa := range s.launches[k].slots {
+			if !d.TargetsWarp(sa.sm, sa.ppb, sa.slot) {
+				continue
+			}
+			for _, p := range sa.pcs {
+				if p.lanes&d.Threads != 0 && d.Eligible(isa.Decode(code[p.pc])) {
+					return k
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// startLaunch readies the faulty device for launch k of a run without
+// extra hooks: the proof starts past the launch's own golden issues, and
+// until then only the targeted warps are dispatched to the prover, since
+// on the others neither it nor the injector does anything.
+func (s *Session) startLaunch(k int) {
+	from := s.launches[k].issues
+	s.prover.from, s.prover.next = from, from+1
+	s.faulty.WatchOnly(s.watched, from)
+}
+
+// activationRecorder is the golden run's hook that fills the golden
+// activation table; launch is its Job.RunFrom callback.
+type activationRecorder struct {
+	dev      *gpu.Device
+	job      *workloads.Job
+	launches []goldenLaunch
+	// The running launch's program and warps per CTA, its lanes per (slot,
+	// pc) at slot*len(code)+pc and each slot's sub-partition, where a slot
+	// is SM*warps + IDInSM.
+	code  []isa.Word
+	warps int
+	lanes []uint32
+	ppb   []int
+}
+
+// Before implements gpu.Hook.
+func (r *activationRecorder) Before(ctx *gpu.InstrCtx) {
+	w := ctx.W
+	slot := w.SM*r.warps + w.IDInSM
+	r.lanes[slot*len(r.code)+int(ctx.PC)] |= ctx.Mask
+	r.ppb[slot] = w.PPB
+}
+
+// After implements gpu.Hook.
+func (r *activationRecorder) After(*gpu.InstrCtx) {}
+
+// launch closes the running launch's entry, if any, and opens launch k's;
+// k == len(Kernels) only closes.
+func (r *activationRecorder) launch(k int) {
+	if n := len(r.launches); n > 0 {
+		r.close(&r.launches[n-1])
+	}
+	if k == len(r.job.Kernels) {
+		return
+	}
+	l := goldenLaunch{}
+	if n := len(r.launches); n > 0 {
+		prev := &r.launches[n-1]
+		l.before, l.image = prev.before+prev.issues, slices.Clone(r.dev.Global)
+	}
+	r.launches = append(r.launches, l)
+	kern := &r.job.Kernels[k]
+	r.code, r.warps = kern.Prog.Code, (kern.Cfg.Block.Count()+isa.WarpSize-1)/isa.WarpSize
+	slots := r.dev.Cfg.NumSMs * r.warps
+	r.lanes = slices.Grow(r.lanes[:0], slots*len(r.code))[:slots*len(r.code)]
+	clear(r.lanes)
+	r.ppb = slices.Grow(r.ppb[:0], slots)[:slots]
+}
+
+// close fills l from the launch just run: its issue count and the
+// activity of each slot that issued, in one allocation for the slots and
+// one for their PCs.
+func (r *activationRecorder) close(l *goldenLaunch) {
+	l.issues = r.dev.LaunchIssues()
+	slots, pcs := 0, 0
+	for slot := range r.ppb {
+		n := 0
+		for _, lanes := range r.slotLanes(slot) {
+			if lanes != 0 {
+				n++
+			}
+		}
+		if n > 0 {
+			slots, pcs = slots+1, pcs+n
+		}
+	}
+	l.slots = make([]slotActivity, 0, slots)
+	all := make([]pcLanes, 0, pcs)
+	for slot := range r.ppb {
+		start := len(all)
+		for pc, lanes := range r.slotLanes(slot) {
+			if lanes != 0 {
+				all = append(all, pcLanes{uint32(pc), lanes})
+			}
+		}
+		if len(all) > start {
+			l.slots = append(l.slots, slotActivity{slot / r.warps, r.ppb[slot], slot % r.warps, all[start:len(all):len(all)]})
+		}
+	}
+}
+
+// slotLanes returns the running launch's lanes per pc of one slot.
+func (r *activationRecorder) slotLanes(slot int) []uint32 {
+	return r.lanes[slot*len(r.code) : (slot+1)*len(r.code)]
 }
 
 // hangProver is an injector with a hang proof behind it: after each of
@@ -124,13 +296,14 @@ func (s *Session) Run(d errmodel.Descriptor, extra ...gpu.Hook) (*workloads.RunR
 // watchdog DUE. It is one hook rather than two to spare every issue a
 // second hook dispatch.
 //
-// The proof starts when the launch has issued more than the whole golden
-// run (from), so a run that terminates pays a comparison per issue only
-// for the issues it runs past that. It samples as Brent's cycle detection
-// does: the state is captured again when the issues past from reach a
-// power of two, and every issue in between is held to the last capture.
-// A cycle of period c entered t issues past from is found before
-// 2*max(t, c) + c of them.
+// Session.startLaunch resets it at each launch's start to that launch's
+// golden issue count (from): the proof starts when the launch has issued
+// more, so a run that terminates pays a comparison per issue only for the
+// issues it runs past its launch's golden count. It samples as Brent's
+// cycle detection does: the state is captured again when the issues past
+// from reach a power of two, and every issue in between is held to the
+// last capture. A cycle of period c entered t issues past from is found
+// before 2*max(t, c) + c of them.
 type hangProver struct {
 	inj    *Injector
 	dev    *gpu.Device
@@ -149,7 +322,6 @@ func (p *hangProver) After(ctx *gpu.InstrCtx) {
 	p.inj.After(ctx)
 	switch n := p.dev.LaunchIssues(); {
 	case n <= p.from:
-		p.next = p.from + 1 // a launch of its own: nothing captured in it yet
 	case n >= p.next:
 		p.dev.Capture(&p.snap, ctx.W, ctx.PC)
 		p.at, p.next = n, n+(n-p.from)

@@ -95,7 +95,11 @@ type RunResult struct {
 	Trap     gpu.TrapKind
 	TrapInfo string
 	Output   []uint32
-	Issues   uint64
+	// Issues counts the warp-instructions simulated. Skipped counts those
+	// of the golden run's launches that a run was answered from instead
+	// of simulating them (perfi.Session does so): a run that was not cut
+	// short issues Issues + Skipped warp-instructions from scratch.
+	Issues, Skipped uint64
 }
 
 // Hung reports whether any kernel of the job trapped.
@@ -104,15 +108,34 @@ func (r *RunResult) Hung() bool { return r.Trap != gpu.TrapNone }
 // Run executes the job on dev (resetting global memory first) and returns
 // the output region. Instrumentation hooks registered on dev apply to every
 // kernel, exactly as NVBitPERfi instruments every kernel of an application.
-func (j *Job) Run(dev *gpu.Device) (*RunResult, error) {
+func (j *Job) Run(dev *gpu.Device) (*RunResult, error) { return j.RunFrom(dev, 0, nil, nil) }
+
+// RunFrom executes the job's launches from `from` on, with global memory
+// set to image first: the memory at that launch's start, as long as dev's.
+// A nil image is launch 0's, Init. If atLaunch is not nil, it is called
+// with each launch's index before the launch starts. Nothing but global
+// memory carries from one launch to the next, so a run from launch k on
+// the image a full run had at k's start repeats that run's launches k..
+// (DESIGN.md "Injection session").
+func (j *Job) RunFrom(dev *gpu.Device, from int, image []uint32, atLaunch func(k int)) (*RunResult, error) {
 	if j.OutputOff+j.OutputLen > dev.Cfg.GlobalMemWords {
 		return nil, fmt.Errorf("workloads: output region [%d,%d) exceeds global memory",
 			j.OutputOff, j.OutputOff+j.OutputLen)
 	}
-	dev.ResetGlobal()
-	dev.WriteGlobal(0, j.Init)
+	switch {
+	case image == nil:
+		dev.ResetGlobal()
+		image = j.Init
+	case len(image) != len(dev.Global):
+		return nil, fmt.Errorf("workloads: launch %d's image is %d words, global memory %d",
+			from, len(image), len(dev.Global))
+	}
+	dev.WriteGlobal(0, image)
 	rr := &RunResult{}
-	for i := range j.Kernels {
+	for i := from; i < len(j.Kernels); i++ {
+		if atLaunch != nil {
+			atLaunch(i)
+		}
 		k := &j.Kernels[i]
 		res, err := dev.Launch(k.Prog, k.Cfg)
 		if err != nil {

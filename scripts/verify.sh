@@ -79,10 +79,13 @@ go test ./internal/perfi -run '^$' -fuzz '^FuzzSessionMatchesPlainRun$' -fuzztim
 step "golden end-to-end (cmd/repro)"
 go test ./cmd/repro -run '^TestReproGoldenDefault$' -count=1
 
-# The hang proof against the watchdog over a whole software campaign:
-# 2640 injections run twice, too long for -race, which skips it.
-step "hang proof oracle (internal/perfi)"
-go test ./internal/perfi -run '^TestHangProofMatchesWatchdog$' -count=1
+# Session.Run's shortcuts (golden-table skips and the hang proof) against
+# from-scratch runs over a whole software campaign at the benchmark's seed
+# and a hold-out seed: 2640 injections per seed run twice, and every run
+# skipped whole run again from scratch. Too long for -race, which skips
+# both tests.
+step "hang proof and skip oracle (internal/perfi)"
+go test ./internal/perfi -run '^(TestHangProofMatchesWatchdog|TestSkippedRunsAreGoldenFromScratch)$' -count=1
 
 # Benchmark oracle at smoke scale: expected.json output digests, the
 # stepwise==RunTwoLevelCtx and replay==perfi.RunApp guards, the gate
